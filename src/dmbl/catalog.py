@@ -136,7 +136,7 @@ def dagger(algebra: FiniteAlgebra, name: str | None = None) -> FiniteAlgebra:
 
 
 def build_A5() -> FiniteAlgebra:
-    """The five-element algebra: a D2 fibre and its dual twin joined below a
+    r"""The five-element algebra: a D2 fibre and its dual twin joined below a
     point; every contradiction and every excluded middle lands on the point.
 
     Elements are renamed a, b, na, nb, u with a /\ b = b and a \/ b = a.

@@ -10,8 +10,8 @@ r"""Command-line front end.
 
 Exit codes: 0 success (for `check`, regardless of the verdict), 1 parse or
 I/O error, 2 validation failure, 3 verification report not clean.  Output is
-deterministic for identical inputs.  The environment variable DMBL_THREADS
-caps the workers used for identity checking.
+deterministic for identical inputs.  `check` scans assignments in blocks of
+bounded size and stops at the least counterexample.
 """
 
 from __future__ import annotations

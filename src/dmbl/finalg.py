@@ -7,16 +7,14 @@ on these tables.
 
 Element order matters for one thing only: :func:`satisfies` reports the
 *least* counterexample in the lexicographic order of assignments, variables
-sorted by name, elements by index.  ``DMBL_THREADS`` may split the assignment
-scan across a thread pool; the reported counterexample is the same regardless
-of the schedule.
+sorted by name, elements by index.  The scan runs over assignments in that
+order, in blocks of bounded size, and stops at the least counterexample.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -168,25 +166,41 @@ class FiniteAlgebra:
 
 def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, str | int]) -> str:
     """Evaluate `term` under `assignment` (names or indices); returns a name."""
-    return algebra.elements[_eval_idx(algebra, term, assignment)]
+    grids = {
+        v: np.array(algebra.index(assignment[v]), dtype=np.int16)
+        for v in variables(term)
+        if v in assignment
+    }
+    return algebra.elements[int(_evaluate(algebra, term, grids, {}))]
 
 
-def _eval_idx(A: FiniteAlgebra, t: Term, asg: Mapping[str, str | int]) -> int:
+def _evaluate(
+    A: FiniteAlgebra, t: Term, grids: Mapping[str, np.ndarray], memo: dict
+) -> np.ndarray:
+    """Values of `t` with each variable bound to an index array; the arrays
+    broadcast against each other, and so does the result."""
+    # keyed by id(): the caller holds every term it passes for as long as memo
+    # lives, so no id can be recycled within one call
+    key = id(t)
+    if key in memo:
+        return memo[key]
+    meet, join, neg = A.arrays()
     if isinstance(t, Var):
-        if t.name not in asg:
+        if t.name not in grids:
             raise ValidationError(f"no assignment for variable {t.name!r}")
-        return A.index(asg[t.name])
-    if isinstance(t, Neg):
-        if A.neg is None:
-            raise ValidationError(
-                f"term uses ~ but {A.name} has no negation"
-            )
-        return A.neg[_eval_idx(A, t.child, asg)]
-    if isinstance(t, Meet):
-        return A.meet[_eval_idx(A, t.left, asg)][_eval_idx(A, t.right, asg)]
-    if isinstance(t, Join):
-        return A.join[_eval_idx(A, t.left, asg)][_eval_idx(A, t.right, asg)]
-    raise TypeError(f"not a term: {t!r}")
+        val = grids[t.name]
+    elif isinstance(t, Neg):
+        if neg is None:
+            raise ValidationError(f"term uses ~ but {A.name} has no negation")
+        val = neg[_evaluate(A, t.child, grids, memo)]
+    elif isinstance(t, Meet):
+        val = meet[_evaluate(A, t.left, grids, memo), _evaluate(A, t.right, grids, memo)]
+    elif isinstance(t, Join):
+        val = join[_evaluate(A, t.left, grids, memo), _evaluate(A, t.right, grids, memo)]
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    memo[key] = val
+    return val
 
 
 @dataclass(frozen=True)
@@ -200,34 +214,18 @@ class SatisfactionResult:
         return self.holds
 
 
-def _grid_eval(A: FiniteAlgebra, t: Term, grids: dict[str, np.ndarray]) -> np.ndarray:
-    meet, join, neg = A.arrays()
-    if isinstance(t, Var):
-        return grids[t.name]
-    if isinstance(t, Neg):
-        if neg is None:
-            raise ValidationError(f"term uses ~ but {A.name} has no negation")
-        return neg[_grid_eval(A, t.child, grids)]
-    if isinstance(t, Meet):
-        return meet[_grid_eval(A, t.left, grids), _grid_eval(A, t.right, grids)]
-    if isinstance(t, Join):
-        return join[_grid_eval(A, t.left, grids), _grid_eval(A, t.right, grids)]
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DMBL_THREADS", "1")))
-    except ValueError:
-        return 1
+# most assignments one step of `satisfies` evaluates at once
+_BLOCK = 1 << 20
 
 
 def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     """Check an identity over all assignments.
 
     The counterexample, when there is one, is the lexicographically least
-    assignment (variables sorted by name, elements ordered as in the algebra),
-    independent of DMBL_THREADS.
+    assignment (variables sorted by name, elements ordered as in the algebra).
+    Assignments are scanned in that order, in blocks of at most ``_BLOCK``:
+    each block fixes as few leading variables as it must, the rest span
+    broadcast axes, and the scan stops at the first block with a failure.
     """
     names = sorted(variables(identity.lhs) | variables(identity.rhs))
     k = len(names)
@@ -235,45 +233,28 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     if k == 0:
         raise ValidationError("identity contains no variables")
 
+    fixed = 0
+    while n ** (k - fixed) > _BLOCK:
+        fixed += 1
+    free = k - fixed
     ar = np.arange(n, dtype=np.int16)
-
-    def scan(first_range: np.ndarray) -> int | None:
-        # axis 0 runs over first_range for the first variable, the remaining
-        # variables get a full axis each; returns a flat offset or None
-        grids = {}
-        for axis, v in enumerate(names):
-            shape = [1] * k
-            shape[axis] = -1
-            base = first_range if axis == 0 else ar
-            grids[v] = base.reshape(shape)
-        lhs = _grid_eval(algebra, identity.lhs, grids)
-        rhs = _grid_eval(algebra, identity.rhs, grids)
-        bad = lhs != rhs
-        if not bad.any():
-            return None
-        flat = int(np.argmax(bad.reshape(first_range.size, -1).reshape(-1)))
-        return flat
-
-    workers = _threads()
-    hit: int | None = None
-    if workers == 1 or n < 2 or k == 1:
-        hit = scan(ar)
-    else:
-        chunks = np.array_split(ar, min(workers, n))
-        block = n ** (k - 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, chunks))
-        offset = 0
-        for chunk, res in zip(chunks, results):
-            if res is not None:
-                hit = offset * block + res
-                break
-            offset += chunk.size
-    if hit is None:
-        return SatisfactionResult(True, None)
-    coords = np.unravel_index(hit, (n,) * k)
-    cex = {v: algebra.elements[int(c)] for v, c in zip(names, coords)}
-    return SatisfactionResult(False, cex)
+    grids = {
+        v: ar.reshape((-1,) + (1,) * (free - 1 - axis))
+        for axis, v in enumerate(names[fixed:])
+    }
+    for prefix in itertools.product(range(n), repeat=fixed):
+        for v, c in zip(names, prefix):
+            grids[v] = np.array(c, dtype=np.int16)
+        memo: dict = {}
+        bad = _evaluate(algebra, identity.lhs, grids, memo) != _evaluate(
+            algebra, identity.rhs, grids, memo
+        )
+        if bad.any():
+            # every free variable occurs, so bad spans all `free` axes
+            coords = prefix + np.unravel_index(int(np.argmax(bad)), bad.shape)
+            cex = {v: algebra.elements[int(c)] for v, c in zip(names, coords)}
+            return SatisfactionResult(False, cex)
+    return SatisfactionResult(True, None)
 
 
 def satisfies_all(algebra: FiniteAlgebra, identities: Iterable[Identity]) -> SatisfactionResult:

@@ -366,19 +366,19 @@ def _self_dualisers(F: FiniteAlgebra) -> list[tuple[int, ...]]:
     return out
 
 
-_HOM_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-_DUAL_CACHE: dict[int, list[tuple[int, ...]]] = {}
+_HOM_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
+_DUAL_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
 
 
 def _homs_cached(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
-    key = (id(F), id(G))
+    key = ((F.meet, F.join), (G.meet, G.join))
     if key not in _HOM_CACHE:
         _HOM_CACHE[key] = _all_homs(F, G)
     return _HOM_CACHE[key]
 
 
 def _self_dualisers_cached(F: FiniteAlgebra) -> list[tuple[int, ...]]:
-    key = id(F)
+    key = (F.meet, F.join)
     if key not in _DUAL_CACHE:
         _DUAL_CACHE[key] = _self_dualisers(F)
     return _DUAL_CACHE[key]
@@ -392,22 +392,14 @@ def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     return tuple(outer[v] for v in inner)
 
 
-_DEFAULTS: dict[str, list[FiniteAlgebra]] = {}
-
-
 def _default_pools() -> tuple[list[FiniteAlgebra], list[FiniteAlgebra]]:
-    # cached so that hom/dualiser caches keyed by id() stay warm
-    if not _DEFAULTS:
-        from . import catalog  # deferred: catalog builds on sums
-        from .finalg import product
+    from . import catalog  # deferred: catalog builds on sums
+    from .finalg import product
 
-        basics = catalog.build_basics()
-        d2 = basics["D2"]
-        _DEFAULTS["indices"] = [
-            basics["IS1"], basics["IS2"], basics["IS3"], basics["IS4"],
-        ]
-        _DEFAULTS["fibres"] = [basics["D1"], d2, product(d2, d2)]
-    return _DEFAULTS["indices"], _DEFAULTS["fibres"]
+    basics = catalog.build_basics()
+    d2 = basics["D2"]
+    indices = [basics["IS1"], basics["IS2"], basics["IS3"], basics["IS4"]]
+    return indices, [basics["D1"], d2, product(d2, d2)]
 
 
 def random_system(

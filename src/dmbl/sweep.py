@@ -20,12 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .finalg import FiniteAlgebra
+from .finalg import FiniteAlgebra, _evaluate
 from .terms import Identity, Meet, Join, Neg, Term, Var
 
 __all__ = [
     "enumerate_terms",
-    "normalize_vars",
     "partition_ids",
     "random_identity",
     "refines",
@@ -33,9 +32,6 @@ __all__ = [
     "signatures",
     "value_matrix",
 ]
-
-VAR_POOL = ("x1", "x2", "x3")
-
 
 @lru_cache(maxsize=8)
 def enumerate_terms(max_nodes: int = 7, num_vars: int = 3) -> tuple[Term, ...]:
@@ -66,37 +62,19 @@ def value_matrix(
 ) -> np.ndarray:
     """Rows of term values over the n^num_vars assignment grid (C order)."""
     n = algebra.size
-    cols = n ** num_vars
-    dtype = np.int8 if n <= 127 else np.int16
-    meet, join, neg = algebra.arrays()
-    meet = meet.astype(dtype)
-    join = join.astype(dtype)
-    if neg is not None:
-        neg = neg.astype(dtype)
-
-    base = np.arange(n, dtype=dtype)
-    var_rows = {}
-    for i in range(num_vars):
-        # x1 varies slowest
-        reps_inner = n ** (num_vars - 1 - i)
-        reps_outer = n ** i
-        var_rows[f"x{i + 1}"] = np.tile(np.repeat(base, reps_inner), reps_outer)
-
-    rows: dict[Term, np.ndarray] = {}
-    out = np.empty((len(terms), cols), dtype=dtype)
+    out = np.empty((len(terms), n ** num_vars), dtype=np.int8 if n <= 127 else np.int16)
+    grid = out.reshape((len(terms),) + (n,) * num_vars)
+    ar = np.arange(n, dtype=np.int16)
+    # x1 varies slowest
+    grids = {
+        f"x{i + 1}": ar.reshape((-1,) + (1,) * (num_vars - 1 - i))
+        for i in range(num_vars)
+    }
+    memo: dict = {}
     for idx, t in enumerate(terms):
-        if isinstance(t, Var):
-            row = var_rows[t.name]
-        elif isinstance(t, Neg):
-            if neg is None:
-                raise ValueError(f"{algebra.name} has no negation")
-            row = neg[rows[t.child]]
-        elif isinstance(t, Meet):
-            row = meet[rows[t.left], rows[t.right]]
-        else:
-            row = join[rows[t.left], rows[t.right]]
-        rows[t] = row
-        out[idx] = row
+        grid[idx] = _evaluate(algebra, t, grids, memo)
+        # later terms read this row back instead of a second copy of it
+        memo[id(t)] = grid[idx]
     return out
 
 
@@ -167,26 +145,6 @@ def first_violation(p: np.ndarray, q: np.ndarray) -> tuple[int, int] | None:
             first[a] = b
             rep[a] = i
     return None
-
-
-def normalize_vars(e: Identity) -> Identity:
-    """Rename variables to x1, x2, ... in first-occurrence order (lhs first)."""
-    mapping: dict[str, str] = {}
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.name not in mapping:
-                mapping[t.name] = f"x{len(mapping) + 1}"
-            return Var(mapping[t.name])
-        if isinstance(t, Neg):
-            return Neg(walk(t.child))
-        if isinstance(t, Meet):
-            return Meet(walk(t.left), walk(t.right))
-        return Join(walk(t.left), walk(t.right))
-
-    lhs = walk(e.lhs)
-    rhs = walk(e.rhs)
-    return Identity(lhs, rhs)
 
 
 def random_term(rng: random.Random, max_depth: int = 6, num_vars: int = 4) -> Term:

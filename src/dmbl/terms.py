@@ -13,6 +13,8 @@ associate with each other: ``x /\ y \/ z`` is rejected, parenthesise instead.
 ``up(t)`` and ``dn(t)`` are sugar for ``t \/ ~t`` and ``t /\ ~t``; the names
 ``up`` and ``dn`` are reserved.  The unicode spellings ``∧ ∨ ¬ ≈`` are accepted
 on input; printing always uses the ASCII forms.
+A term more than ``MAX_DEPTH`` (200) operations deep, or with parentheses
+nested deeper than that, is rejected with a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -126,6 +128,10 @@ _TOKEN_RE = re.compile(
 
 _RESERVED = ("up", "dn")
 
+# deepest term, and deepest nesting of parentheses, that the parser accepts;
+# everything downstream walks terms recursively
+MAX_DEPTH = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -146,6 +152,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -165,8 +172,17 @@ class _Parser:
             raise ParseError(f"expected {what}", pos)
         return self.next()
 
-    def term(self) -> Term:
-        left = self.unary()
+    @staticmethod
+    def bounded(depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    # term, unary and atom return the term with its depth: the most operations
+    # on a path from the root to a variable
+
+    def term(self) -> tuple[Term, int]:
+        left, depth = self.unary()
         op = None
         while (tok := self.peek()) is not None and tok[0] in ("meet", "join"):
             if op is None:
@@ -174,50 +190,53 @@ class _Parser:
             elif tok[0] != op:
                 raise ParseError("mixed /\\ and \\/ chain needs parentheses", tok[2])
             self.next()
-            right = self.unary()
+            right, rdepth = self.unary()
+            depth = self.bounded(max(depth, rdepth) + 1, tok[2])
             left = Meet(left, right) if op == "meet" else Join(left, right)
-        return left
+        return left, depth
 
-    def unary(self) -> Term:
-        negs = 0
+    def unary(self) -> tuple[Term, int]:
+        negs = []
         while (tok := self.peek()) is not None and tok[0] == "neg":
-            self.next()
-            negs += 1
-        t = self.atom()
-        for _ in range(negs):
+            negs.append(self.next()[2])
+        t, depth = self.atom()
+        for pos in reversed(negs):
+            depth = self.bounded(depth + 1, pos)
             t = Neg(t)
-        return t
+        return t, depth
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a term", len(self.text))
         kind, value, pos = tok
-        if kind == "lpar":
-            self.next()
-            t = self.term()
-            self.expect("rpar", "')'")
-            return t
         if kind == "name":
             self.next()
-            if value in _RESERVED:
-                nxt = self.peek()
-                if nxt is None or nxt[0] != "lpar":
-                    raise ParseError(f"{value!r} is reserved; write {value}(...)", pos)
-                self.next()
-                inner = self.term()
-                self.expect("rpar", "')'")
-                if value == "up":
-                    return Join(inner, Neg(inner))
-                return Meet(inner, Neg(inner))
-            return Var(value)
-        raise ParseError("expected a term", pos)
+            if value not in _RESERVED:
+                return Var(value), 0
+            nxt = self.peek()
+            if nxt is None or nxt[0] != "lpar":
+                raise ParseError(f"{value!r} is reserved; write {value}(...)", pos)
+        elif kind != "lpar":
+            raise ParseError("expected a term", pos)
+        self.next()
+        # the parser recurses once per parenthesis, whatever the term's depth
+        self.parens = self.bounded(self.parens + 1, pos)
+        t, depth = self.term()
+        self.parens -= 1
+        self.expect("rpar", "')'")
+        if kind == "lpar":
+            return t, depth
+        depth = self.bounded(depth + 2, pos)
+        if value == "up":
+            return Join(t, Neg(t)), depth
+        return Meet(t, Neg(t)), depth
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term; raise :class:`ParseError` with offset on bad input."""
     p = _Parser(text)
-    t = p.term()
+    t, _ = p.term()
     tok = p.peek()
     if tok is not None:
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
@@ -226,9 +245,9 @@ def parse_term(text: str) -> Term:
 
 def parse_identity(text: str) -> Identity:
     p = _Parser(text)
-    lhs = p.term()
+    lhs, _ = p.term()
     p.expect("eq", "'='")
-    rhs = p.term()
+    rhs, _ = p.term()
     tok = p.peek()
     if tok is not None:
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])

@@ -55,6 +55,31 @@ def test_classify_parse_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command", [("classify",), ("check", "--algebra", "DM4")]
+)
+@pytest.mark.parametrize(
+    "identity, offset",
+    [
+        ("~" * 3000 + "x = x", 2799),
+        ("(" * 600 + "x" + ")" * 600 + " = x", 200),
+        (" /\\ ".join(["x"] * 3000) + " = x", 1002),
+    ],
+    ids=["negations", "parentheses", "chain"],
+)
+def test_too_deep_term_is_a_parse_error(capsys, command, identity, offset):
+    code, out, err = run(capsys, *command, identity)
+    assert code == 1
+    assert not out
+    assert f"nested deeper than 200 levels (at offset {offset})" in err
+
+
+def test_term_at_depth_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "check", "--algebra", "DM4", "~" * 200 + "x = x")
+    assert code == 0
+    assert out == "true\n"
+
+
 # --------------------------------------------------------------------- check
 
 def test_check_true(capsys):

@@ -10,11 +10,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmbl import finalg
 from dmbl.catalog import build_basics, catalog_entries, get_algebra
 from dmbl.finalg import (
     ALGEBRA_CLASSES,
@@ -54,6 +56,7 @@ BASICS = build_basics()
 D1, D2 = BASICS["D1"], BASICS["D2"]
 B2, K3, DM4 = BASICS["B2"], BASICS["K3"], BASICS["DM4"]
 IS1, IS2, IS3, IS4 = BASICS["IS1"], BASICS["IS2"], BASICS["IS3"], BASICS["IS4"]
+U = get_algebra("U")
 
 
 # ---------------------------------------------------------------- construction
@@ -123,27 +126,48 @@ def test_satisfies_counterexample_is_lex_least():
     assert not res and res.counterexample == found
 
 
-def test_satisfies_thread_count_does_not_change_result(monkeypatch):
-    idents = [
-        "x /\\ y = x \\/ y",
-        "x = x /\\ (x \\/ y)",
-        "~(x /\\ y) = ~x \\/ ~y",
-        "x /\\ ~x = y \\/ ~y",
+def _least_counterexample(a, e):
+    names = sorted(_vars_of(e))
+    for combo in itertools.product(a.elements, repeat=len(names)):
+        asg = dict(zip(names, combo))
+        if eval_term(a, e.lhs, asg) != eval_term(a, e.rhs, asg):
+            return asg
+    return None
+
+
+def test_satisfies_blocks_match_brute_force(monkeypatch):
+    cases = [
+        (DM4, "x /\\ y = x \\/ y"),
+        (IS4, "~(x /\\ y) = ~x \\/ ~y"),
+        (get_algebra("A5"), "x /\\ ~x = y \\/ ~y"),
+        (U, "~(v /\\ w) \\/ (x /\\ (y \\/ z)) = ~(v /\\ w) \\/ ((x /\\ y) \\/ (x /\\ z))"),
+        (U, "(v \\/ w) /\\ up(x) /\\ dn(y) = (w \\/ v) /\\ dn(y) /\\ up(z)"),
+        (U, "~~v \\/ (w \\/ x \\/ y \\/ z) = (~v /\\ v) \\/ (w \\/ x \\/ y \\/ z)"),
     ]
-    algebras = [DM4, get_algebra("A5"), get_algebra("U"), IS4]
-    baseline = []
-    monkeypatch.delenv("DMBL_THREADS", raising=False)
-    for a in algebras:
-        for s in idents:
+    expected = [_least_counterexample(a, parse(s)) for a, s in cases]
+    # some hold, and the last one's least counterexample moves v off U's
+    # first element, so the scan must reach a later block to find it
+    assert None in expected and expected[-1]["v"] != U.elements[0]
+    # blocks of one assignment, and blocks that fix all but one or two of
+    # the five variables over U's nine elements
+    for block in (1, 10, 100):
+        monkeypatch.setattr(finalg, "_BLOCK", block)
+        for (a, s), cex in zip(cases, expected):
             r = satisfies(a, parse(s))
-            baseline.append((bool(r), r.counterexample))
-    monkeypatch.setenv("DMBL_THREADS", "4")
-    again = []
-    for a in algebras:
-        for s in idents:
-            r = satisfies(a, parse(s))
-            again.append((bool(r), r.counterexample))
-    assert baseline == again
+            assert (bool(r), r.counterexample) == (cex is None, cex), (block, s)
+
+
+def test_satisfies_memory_is_bounded_by_block():
+    uu = product(U, U)
+    e = parse("~(w /\\ x) \\/ (y /\\ z) = (~w \\/ ~x) \\/ (z /\\ y)")
+    tracemalloc.start()
+    try:
+        assert satisfies(uu, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole 81^4 grid would take 86 MB per int16 array
+    assert peak < 64 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

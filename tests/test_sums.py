@@ -16,6 +16,7 @@ from dmbl.finalg import (
     ValidationError,
     is_class,
     is_isomorphic,
+    product,
     satisfies,
     subalgebra_generated,
 )
@@ -297,6 +298,23 @@ def test_random_system_is_deterministic_per_seed():
     s1 = random_system(random.Random(42))
     s2 = random_system(random.Random(42))
     assert system_to_json(s1) == system_to_json(s2)
+
+
+def _fresh_product_pools():
+    # new objects on every call, so ids freed by one draw recur in the next
+    b = BASICS
+    indices = [
+        product(b[i], b[j])
+        for i, j in (("IS3", "IS2"), ("IS4", "IS2"), ("IS3", "IS3"), ("IS4", "IS3"))
+    ]
+    return indices, [D2, product(D2, D2)]
+
+
+def test_random_system_with_fresh_pools_validates():
+    for seed in (11, 12, 13):
+        for _ in range(3):
+            sys_ = random_system(random.Random(seed), *_fresh_product_pools())
+            assert validate(sys_) == []
 
 
 @pytest.mark.parametrize("seed", range(12))
