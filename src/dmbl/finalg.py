@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,8 @@ __all__ = [
     "is_class",
     "is_isomorphic",
     "is_subdirectly_irreducible",
+    "isomorphism_key",
+    "join_partitions",
     "load_algebra",
     "monolith",
     "power",
@@ -43,6 +45,7 @@ __all__ = [
     "quotient",
     "satisfies",
     "save_algebra",
+    "si_quotient_flags",
     "subalgebra_generated",
 ]
 
@@ -59,7 +62,7 @@ class FiniteAlgebra:
     *not* impose any equational laws — use :func:`is_class` for that.
     """
 
-    __slots__ = ("name", "elements", "meet", "join", "neg", "_index", "_np")
+    __slots__ = ("name", "elements", "meet", "join", "neg", "_index", "_np", "_memo")
 
     def __init__(
         self,
@@ -105,6 +108,8 @@ class FiniteAlgebra:
             self.neg = neg
         self._index = {name_: i for i, name_ in enumerate(elements)}
         self._np = None
+        # derived data of the tables (colours, generating set), filled lazily
+        self._memo: dict = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -316,22 +321,10 @@ def subalgebra_generated(
     The returned tuple maps local indices to parent indices; element names are
     inherited, and the local order follows the parent order.
     """
-    idx = sorted({algebra.index(e) for e in seed})
+    idx = {algebra.index(e) for e in seed}
     if not idx:
         raise ValidationError("seed must be nonempty")
-    current = set(idx)
-    while True:
-        new = set()
-        for a in current:
-            if algebra.neg is not None:
-                new.add(algebra.neg[a])
-            for b in current:
-                new.add(algebra.meet[a][b])
-                new.add(algebra.join[a][b])
-        if new <= current:
-            break
-        current |= new
-    inclusion = tuple(sorted(current))
+    inclusion = tuple(sorted(_closure(algebra, idx)))
     pos = {p: i for i, p in enumerate(inclusion)}
     meet = [[pos[algebra.meet[p][q]] for q in inclusion] for p in inclusion]
     join = [[pos[algebra.join[p][q]] for q in inclusion] for p in inclusion]
@@ -341,6 +334,26 @@ def subalgebra_generated(
     names = [algebra.elements[p] for p in inclusion]
     sub = FiniteAlgebra(f"<{algebra.name}:{len(inclusion)}>", names, meet, join, neg)
     return sub, inclusion
+
+
+def _closure(A: FiniteAlgebra, seed: set[int]) -> set[int]:
+    # smallest subuniverse containing seed; each round combines the elements
+    # found in the last round with everything found so far
+    current = set(seed)
+    fresh = set(seed)
+    while fresh:
+        new = set()
+        for a in fresh:
+            if A.neg is not None:
+                new.add(A.neg[a])
+            for b in current:
+                new.add(A.meet[a][b])
+                new.add(A.meet[b][a])
+                new.add(A.join[a][b])
+                new.add(A.join[b][a])
+        fresh = new - current
+        current |= fresh
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +422,7 @@ class Congruence:
 
 def _canon(block_of: Sequence[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
-    out = []
-    for b in block_of:
-        if b not in relabel:
-            relabel[b] = len(relabel)
-        out.append(relabel[b])
-    return tuple(out)
+    return tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
 
 
 def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
@@ -424,58 +432,92 @@ def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
     return ops
 
 
-def principal_congruence_ops(n: int, ops: Sequence[tuple[int, Sequence]], a: int, b: int) -> Congruence:
-    """Cg(a,b) for an algebra given as (arity, table) pairs."""
-    parent = list(range(n))
+# the pairs a congruence must also identify once it identifies two elements
+_Spread = Callable[[int, int], list[tuple[int, int]]]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    queue = [(a, b)]
-    while queue:
-        u, v = queue.pop()
-        ru, rv = find(u), find(v)
+def _union_find(
+    size: int, pairs: list[tuple[int, int]], spread: _Spread | None = None
+) -> list[int]:
+    """Merge every pair of `pairs` over ``range(size)``; each merge of u and v
+    also queues the pairs ``spread(u, v)``.  Returns the root of each element."""
+    parent = list(range(size))
+    # finds are inlined, with path halving: this loop is the hot spot of
+    # congruence enumeration
+    while pairs:
+        u, v = pairs.pop()
+        ru = u
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        rv = v
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru == rv:
             continue
         parent[ru] = rv
-        # propagate along every operation applied to the newly merged pair
-        for arity, table in ops:
-            if arity == 1:
-                queue.append((table[u], table[v]))
-            else:
-                for c in range(n):
-                    queue.append((table[u][c], table[v][c]))
-                    queue.append((table[c][u], table[c][v]))
-    return Congruence(_canon([find(x) for x in range(n)]))
-
-
-def _join_partitions(p: Congruence, q: Congruence) -> Congruence:
-    # transitive closure of the union; for congruences this is their join
-    n = p.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
+        if spread is not None:
+            pairs.extend(spread(u, v))
+    roots = []
+    for x in range(size):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
+        roots.append(x)
+    return roots
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
 
-    for part in (p, q):
-        first: dict[int, int] = {}
-        for x, b in enumerate(part.block_of):
-            if b in first:
-                union(first[b], x)
-            else:
-                first[b] = x
-    return Congruence(_canon([find(x) for x in range(n)]))
+def _spreader(ops: Sequence[tuple[int, Sequence]]) -> _Spread:
+    # rows u and v of every binary table, and its columns unless it is
+    # symmetric, then the unary images; pairs of equal values are dropped
+    rows, unary = [], []
+    for arity, table in ops:
+        if arity == 1:
+            unary.append(table)
+            continue
+        table = tuple(tuple(r) for r in table)
+        rows.append(table)
+        cols = tuple(zip(*table))
+        if cols != table:
+            rows.append(cols)
+
+    def spread(u: int, v: int) -> list[tuple[int, int]]:
+        out = [(x, y) for t in rows for x, y in zip(t[u], t[v]) if x != y]
+        out.extend((t[u], t[v]) for t in unary if t[u] != t[v])
+        return out
+
+    return spread
+
+
+def _principal(n: int, spread: _Spread, a: int, b: int) -> Congruence:
+    return Congruence(_canon(_union_find(n, [(a, b)], spread)))
+
+
+def _block_pairs(part: Congruence) -> list[tuple[int, int]]:
+    # (x, first element of x's block) for every x not first in its block
+    first: dict[int, int] = {}
+    out = []
+    for x, b in enumerate(part.block_of):
+        if b in first:
+            out.append((x, first[b]))
+        else:
+            first[b] = x
+    return out
+
+
+def _join_pairs(p: Congruence, pairs: Sequence[tuple[int, int]]) -> Congruence | None:
+    # join of p with the equivalence generated by `pairs`, as a union-find
+    # over p's block labels; None when p already identifies every pair
+    bo = p.block_of
+    merges = [(bo[x], bo[y]) for x, y in pairs if bo[x] != bo[y]]
+    if not merges:
+        return None
+    root = _union_find(max(bo) + 1, merges)
+    return Congruence(_canon([root[b] for b in bo]))
+
+
+def join_partitions(p: Congruence, q: Congruence) -> Congruence:
+    """Transitive closure of the union; for congruences this is their join."""
+    j = _join_pairs(p, _block_pairs(q))
+    return p if j is None else j
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
@@ -490,26 +532,21 @@ def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
 
 
 def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
+    """Is the partition compatible with every operation?  Each element is
+    compared with the first element of its block, row- and column-wise."""
     if part.size != algebra.size:
         return False
-    bo = part.block_of
-    n = algebra.size
-    for arity, table in _ops_of(algebra):
-        if arity == 1:
-            for a in range(n):
-                for b in range(n):
-                    if bo[a] == bo[b] and bo[table[a]] != bo[table[b]]:
-                        return False
-        else:
-            for a in range(n):
-                for b in range(n):
-                    if bo[a] != bo[b]:
-                        continue
-                    for c in range(n):
-                        if bo[table[a][c]] != bo[table[b][c]]:
-                            return False
-                        if bo[table[c][a]] != bo[table[c][b]]:
-                            return False
+    bo = np.asarray(part.block_of)
+    _, first, inverse = np.unique(bo, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    for table in algebra.arrays():
+        if table is None:
+            continue
+        img = bo[table]
+        if not (img == img[rep]).all():
+            return False
+        if img.ndim == 2 and not (img == img[:, rep]).all():
+            return False
     return True
 
 
@@ -519,24 +556,61 @@ def congruences_ops(n: int, ops: Sequence[tuple[int, Sequence]]) -> list[Congrue
         raise ValidationError(
             f"congruence enumeration limited to {CONGRUENCE_SIZE_LIMIT} elements, got {n}"
         )
+    spread = _spreader(ops)
     delta = Congruence(tuple(range(n)))
-    found = {delta}
-    principals = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.add(principal_congruence_ops(n, ops, a, b))
-    found |= principals
+    principals = {
+        _principal(n, spread, a, b) for a in range(n) for b in range(a + 1, n)
+    }
+    # closing under joins with the join-irreducible principals alone reaches
+    # every congruence: q is join-reducible when the principals strictly
+    # below it join to q
+    pairs_of = {q: _block_pairs(q) for q in principals}
+    principal_pairs = []
+    for q in principals:
+        below = delta
+        for r, pairs in pairs_of.items():
+            if r.num_blocks > q.num_blocks and _join_pairs(q, pairs) is None:
+                j = _join_pairs(below, pairs)
+                below = below if j is None else j
+        if below != q:
+            principal_pairs.append(pairs_of[q])
+    found = {delta} | principals
     frontier = set(found)
     while frontier:
         new = set()
         for p in frontier:
-            for q in principals:
-                j = _join_partitions(p, q)
-                if j not in found:
+            for pairs in principal_pairs:
+                j = _join_pairs(p, pairs)
+                if j is not None and j not in found:
                     new.add(j)
         found |= new
         frontier = new
     return sorted(found, key=lambda c: (c.num_blocks, c.block_of), reverse=True)
+
+
+def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
+    """For every congruence θ of one algebra S, given as the full list
+    ``congruences(S)``: is S/θ subdirectly irreducible?
+
+    By the correspondence theorem Con(S/θ) is the interval [θ, ∇] of Con(S),
+    so S/θ is subdirectly irreducible exactly when θ is total or has a single
+    upper cover.
+    """
+    m = len(cons)
+    if m == 0:
+        return []
+    B = np.array([c.block_of for c in cons])
+    # leq[i, j]: cons[i] refines cons[j], i.e. each element's cons[j]-block
+    # holds the first element of its cons[i]-block
+    leq = np.empty((m, m), dtype=bool)
+    for i, row in enumerate(B):
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        leq[i] = (B[:, first[inverse]] == B).all(axis=1)
+    strict = leq & ~np.eye(m, dtype=bool)
+    s = strict.astype(np.float32)
+    covers = strict & ~(s @ s > 0)
+    n_covers = covers.sum(axis=1)
+    return [bool(k == 1 or c.is_total()) for k, c in zip(n_covers, cons)]
 
 
 def congruences(algebra: FiniteAlgebra) -> list[Congruence]:
@@ -547,8 +621,9 @@ def congruences(algebra: FiniteAlgebra) -> list[Congruence]:
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: str | int, b: str | int) -> Congruence:
-    return principal_congruence_ops(
-        algebra.size, _ops_of(algebra), algebra.index(a), algebra.index(b)
+    """Cg(a,b): the least congruence identifying a and b."""
+    return _principal(
+        algebra.size, _spreader(_ops_of(algebra)), algebra.index(a), algebra.index(b)
     )
 
 
@@ -558,10 +633,11 @@ def monolith(algebra: FiniteAlgebra) -> Congruence | None:
     n = algebra.size
     if n == 1:
         return None
+    spread = _spreader(_ops_of(algebra))
     mono: Congruence | None = None
     for a in range(n):
         for b in range(a + 1, n):
-            cg = principal_congruence(algebra, a, b)
+            cg = _principal(n, spread, a, b)
             mono = cg if mono is None else meet_partitions(mono, cg)
             if mono.is_identity():
                 return None
@@ -610,8 +686,7 @@ def _generating_set(A: FiniteAlgebra) -> list[int]:
         for x in range(A.size):
             if x in have:
                 continue
-            _, incl = subalgebra_generated(A, list(have) + [x]) if have else subalgebra_generated(A, [x])
-            cl = set(incl)
+            cl = _closure(A, have | {x})
             if best_cl is None or len(cl) > len(best_cl):
                 best, best_cl = x, cl
         gens.append(best)  # type: ignore[arg-type]
@@ -621,11 +696,19 @@ def _generating_set(A: FiniteAlgebra) -> list[int]:
 
 def _colors(A: FiniteAlgebra) -> list[int]:
     # iterated structural refinement; the re-encoding sorts the distinct keys
-    # so that equal structures get equal colors in *different* algebras
+    # so that equal structures get equal colors in *different* algebras.  The
+    # seed ranks isomorphism invariants: fixpoint of neg, and how many y have
+    # x /\ y = x and x \/ y = x
     n = A.size
-    colors: list[int] = [0] * n
-    if A.neg is not None:
-        colors = [int(A.neg[x] == x) for x in range(n)]
+    meet, join, neg = A.arrays()
+    ar = np.arange(n)
+    seed = list(zip(
+        [False] * n if neg is None else (neg == ar).tolist(),
+        (meet == ar[:, None]).sum(axis=1).tolist(),
+        (join == ar[:, None]).sum(axis=1).tolist(),
+    ))
+    seed_ranks = {k: r for r, k in enumerate(sorted(set(seed)))}
+    colors: list[int] = [seed_ranks[k] for k in seed]
     for _ in range(n):
         nxt = []
         for x in range(n):
@@ -644,6 +727,20 @@ def _colors(A: FiniteAlgebra) -> list[int]:
         if len(ranks) == n:
             break
     return colors
+
+
+def _memoised(A: FiniteAlgebra, compute):
+    # the tables never change, so whatever is derived from them is kept
+    memo = A._memo
+    if compute not in memo:
+        memo[compute] = compute(A)
+    return memo[compute]
+
+
+def isomorphism_key(A: FiniteAlgebra) -> tuple:
+    """An isomorphism invariant: isomorphic algebras get equal keys, so
+    :func:`is_isomorphic` need only compare algebras with the same key."""
+    return (A.size, A.neg is None, tuple(sorted(_memoised(A, _colors))))
 
 
 def _extend_map(A: FiniteAlgebra, B: FiniteAlgebra, gen_map: dict[int, int]) -> dict[int, int] | None:
@@ -694,12 +791,10 @@ def _extend_map(A: FiniteAlgebra, B: FiniteAlgebra, gen_map: dict[int, int]) -> 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[str, str] | None:
     """An isomorphism as a name->name dict, or None."""
-    if a.size != b.size or (a.neg is None) != (b.neg is None):
+    if isomorphism_key(a) != isomorphism_key(b):
         return None
-    ca, cb = _colors(a), _colors(b)
-    if sorted(ca) != sorted(cb):
-        return None
-    gens = _generating_set(a)
+    ca, cb = _memoised(a, _colors), _memoised(b, _colors)
+    gens = _memoised(a, _generating_set)
     by_color: dict[int, list[int]] = {}
     for x in range(b.size):
         by_color.setdefault(cb[x], []).append(x)

@@ -14,7 +14,9 @@ associate with each other: ``x /\ y \/ z`` is rejected, parenthesise instead.
 ``up`` and ``dn`` are reserved.  The unicode spellings ``∧ ∨ ¬ ≈`` are accepted
 on input; printing always uses the ASCII forms.
 A term more than ``MAX_DEPTH`` (200) operations deep, or with parentheses
-nested deeper than that, is rejected with a :class:`ParseError`.
+nested deeper than that, is rejected with a :class:`ParseError`; so is a term
+whose tree, with every ``up``/``dn`` expanded, has more than ``MAX_NODES``
+(100000) nodes.
 """
 
 from __future__ import annotations
@@ -131,6 +133,9 @@ _RESERVED = ("up", "dn")
 # deepest term, and deepest nesting of parentheses, that the parser accepts;
 # everything downstream walks terms recursively
 MAX_DEPTH = 200
+# most nodes in a term's expanded tree: up(t) and dn(t) hold t twice, so
+# nested ones double the tree, and tree walks see every copy
+MAX_NODES = 100_000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -178,11 +183,17 @@ class _Parser:
             raise ParseError(f"term nested deeper than {MAX_DEPTH} levels", pos)
         return depth
 
-    # term, unary and atom return the term with its depth: the most operations
-    # on a path from the root to a variable
+    @staticmethod
+    def sized(nodes: int, pos: int) -> int:
+        if nodes > MAX_NODES:
+            raise ParseError(f"term expands to more than {MAX_NODES} nodes", pos)
+        return nodes
 
-    def term(self) -> tuple[Term, int]:
-        left, depth = self.unary()
+    # term, unary and atom return the term with its depth, the most operations
+    # on a path from the root to a variable, and its expanded node count
+
+    def term(self) -> tuple[Term, int, int]:
+        left, depth, nodes = self.unary()
         op = None
         while (tok := self.peek()) is not None and tok[0] in ("meet", "join"):
             if op is None:
@@ -190,22 +201,24 @@ class _Parser:
             elif tok[0] != op:
                 raise ParseError("mixed /\\ and \\/ chain needs parentheses", tok[2])
             self.next()
-            right, rdepth = self.unary()
+            right, rdepth, rnodes = self.unary()
             depth = self.bounded(max(depth, rdepth) + 1, tok[2])
+            nodes = self.sized(nodes + rnodes + 1, tok[2])
             left = Meet(left, right) if op == "meet" else Join(left, right)
-        return left, depth
+        return left, depth, nodes
 
-    def unary(self) -> tuple[Term, int]:
+    def unary(self) -> tuple[Term, int, int]:
         negs = []
         while (tok := self.peek()) is not None and tok[0] == "neg":
             negs.append(self.next()[2])
-        t, depth = self.atom()
+        t, depth, nodes = self.atom()
         for pos in reversed(negs):
             depth = self.bounded(depth + 1, pos)
+            nodes = self.sized(nodes + 1, pos)
             t = Neg(t)
-        return t, depth
+        return t, depth, nodes
 
-    def atom(self) -> tuple[Term, int]:
+    def atom(self) -> tuple[Term, int, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a term", len(self.text))
@@ -213,7 +226,7 @@ class _Parser:
         if kind == "name":
             self.next()
             if value not in _RESERVED:
-                return Var(value), 0
+                return Var(value), 0, 1
             nxt = self.peek()
             if nxt is None or nxt[0] != "lpar":
                 raise ParseError(f"{value!r} is reserved; write {value}(...)", pos)
@@ -222,21 +235,22 @@ class _Parser:
         self.next()
         # the parser recurses once per parenthesis, whatever the term's depth
         self.parens = self.bounded(self.parens + 1, pos)
-        t, depth = self.term()
+        t, depth, nodes = self.term()
         self.parens -= 1
         self.expect("rpar", "')'")
         if kind == "lpar":
-            return t, depth
+            return t, depth, nodes
         depth = self.bounded(depth + 2, pos)
+        nodes = self.sized(2 * nodes + 2, pos)
         if value == "up":
-            return Join(t, Neg(t)), depth
-        return Meet(t, Neg(t)), depth
+            return Join(t, Neg(t)), depth, nodes
+        return Meet(t, Neg(t)), depth, nodes
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term; raise :class:`ParseError` with offset on bad input."""
     p = _Parser(text)
-    t, _ = p.term()
+    t, _, _ = p.term()
     tok = p.peek()
     if tok is not None:
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
@@ -245,9 +259,9 @@ def parse_term(text: str) -> Term:
 
 def parse_identity(text: str) -> Identity:
     p = _Parser(text)
-    lhs, _ = p.term()
+    lhs, _, _ = p.term()
     p.expect("eq", "'='")
-    rhs, _ = p.term()
+    rhs, _, _ = p.term()
     tok = p.peek()
     if tok is not None:
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])

@@ -26,10 +26,11 @@ from .finalg import (
     ValidationError,
     congruences,
     is_isomorphic,
-    is_subdirectly_irreducible,
+    isomorphism_key,
     product,
     quotient,
     satisfies,
+    si_quotient_flags,
     subalgebra_generated,
 )
 from .sweep import (
@@ -795,13 +796,16 @@ def _si_quotients_embed(
     tuples deduplicated under coordinate permutations; subalgebras above
     `congruence_cap` elements are skipped (and counted).
     """
-    # every subalgebra of U, as targets for the embedding check
+    # every subalgebra of U, as targets for the embedding check; algebras are
+    # bucketed by isomorphism_key, so is_isomorphic runs only within a bucket
     u_subs: dict[frozenset[int], FiniteAlgebra] = {}
     for size in range(1, U.size + 1):
         for seed in itertools.combinations(range(U.size), size):
             sub, incl = subalgebra_generated(U, seed)
             u_subs.setdefault(frozenset(incl), sub)
-    targets = list(u_subs.values())
+    targets: dict[tuple, list[FiniteAlgebra]] = {}
+    for t in u_subs.values():
+        targets.setdefault(isomorphism_key(t), []).append(t)
 
     report = {
         "subalgebras": 0,
@@ -810,7 +814,8 @@ def _si_quotients_embed(
         "si_quotients": 0,
         "failures": [],
     }
-    si_verdicts: list[tuple[FiniteAlgebra, bool]] = []  # iso representatives
+    # iso representatives with their embedding verdicts
+    si_verdicts: dict[tuple, list[tuple[FiniteAlgebra, bool]]] = {}
 
     for k in powers:
         P = U
@@ -820,36 +825,40 @@ def _si_quotients_embed(
         meet, join, neg = P.arrays()
         base = U.size
 
-        def digits(x: int) -> tuple[int, ...]:
-            out = []
-            for _ in range(k):
-                out.append(x % base)
-                x //= base
-            return tuple(reversed(out))
+        # perm_index[i][x]: x with its coordinates permuted by the i-th
+        # permutation of range(k), the first coordinate most significant
+        place = base ** np.arange(k - 1, -1, -1)
+        digits = np.arange(n)[:, None] // place % base
+        perm_index = np.array(
+            [digits[:, list(perm)] @ place for perm in itertools.permutations(range(k))]
+        )
 
-        def undigits(ds: Sequence[int]) -> int:
-            x = 0
-            for d in ds:
-                x = x * base + d
-            return x
+        def canonical(carrier: np.ndarray) -> tuple[int, ...]:
+            # least sorted image of the carrier under a coordinate permutation
+            images = np.sort(perm_index[:, carrier], axis=1)
+            return min(map(tuple, images.tolist()))
 
-        perms = list(itertools.permutations(range(k)))
+        def canonical_seeds(size: int) -> Iterable[np.ndarray]:
+            # the sorted seeds of this size that are their own canonical form,
+            # tested in chunks of 2^16 seeds to bound memory
+            combos = itertools.combinations(range(n), size)
+            weights = n ** np.arange(size - 1, -1, -1, dtype=np.int64)
+            while True:
+                seeds = np.fromiter(
+                    itertools.chain.from_iterable(itertools.islice(combos, 1 << 16)),
+                    dtype=np.int64,
+                ).reshape(-1, size)
+                if not len(seeds):
+                    return
+                code = seeds @ weights
+                keep = np.ones(len(seeds), dtype=bool)
+                for image in perm_index:
+                    keep &= np.sort(image[seeds], axis=1) @ weights >= code
+                yield from seeds[keep]
 
-        def canonical_seed(seed: tuple[int, ...]) -> tuple[int, ...]:
-            best = None
-            for perm in perms:
-                mapped = tuple(
-                    sorted(
-                        undigits([digits(x)[p] for p in perm]) for x in seed
-                    )
-                )
-                if best is None or mapped < best:
-                    best = mapped
-            return best
-
-        def closure(seed: Sequence[int]) -> frozenset[int]:
+        def closure(seed: np.ndarray) -> np.ndarray:
             mask = np.zeros(n, dtype=bool)
-            mask[list(seed)] = True
+            mask[seed] = True
             while True:
                 idx = np.flatnonzero(mask)
                 new = np.unique(
@@ -863,51 +872,50 @@ def _si_quotients_embed(
                 )
                 fresh = new[~mask[new]]
                 if fresh.size == 0:
-                    return frozenset(int(v) for v in np.flatnonzero(mask))
+                    return idx
                 mask[fresh] = True
 
+        closures: set[bytes] = set()  # each closure is canonicalised once
         subuniverses: set[tuple[int, ...]] = set()
         for size in range(1, generator_count + 1):
-            for seed in itertools.combinations(range(n), size):
-                if canonical_seed(seed) != tuple(sorted(seed)):
-                    continue
+            for seed in canonical_seeds(size):
                 closed = closure(seed)
-                canon = canonical_seed(tuple(closed))
-                subuniverses.add(canon)
+                if closed.tobytes() not in closures:
+                    closures.add(closed.tobytes())
+                    subuniverses.add(canonical(closed))
 
         # group by isomorphism before the expensive congruence scan
-        reps: list[FiniteAlgebra] = []
+        reps: dict[tuple, list[FiniteAlgebra]] = {}
         for sub in sorted(subuniverses, key=lambda s: (len(s), s)):
             report["subalgebras"] += 1
             if len(sub) > congruence_cap:
                 report["skipped_large"] += 1
                 continue
             S, _ = subalgebra_generated(P, sub)
-            if any(
-                r.size == S.size and is_isomorphic(S, r) is not None for r in reps
-            ):
+            same = reps.setdefault(isomorphism_key(S), [])
+            if any(is_isomorphic(S, r) is not None for r in same):
                 continue
-            reps.append(S)
-            for theta in congruences(S):
-                Q = quotient(S, theta)
-                report["quotients"] += 1
-                if not is_subdirectly_irreducible(Q):
+            same.append(S)
+            # one Con(S) per representative; only the subdirectly
+            # irreducible quotients are built
+            cons = congruences(S)
+            report["quotients"] += len(cons)
+            for theta, si in zip(cons, si_quotient_flags(cons)):
+                if not si:
                     continue
+                Q = quotient(S, theta)
                 report["si_quotients"] += 1
+                key = isomorphism_key(Q)
+                seen = si_verdicts.setdefault(key, [])
                 known = next(
-                    (
-                        ok
-                        for rep, ok in si_verdicts
-                        if rep.size == Q.size and is_isomorphic(Q, rep) is not None
-                    ),
+                    (ok for rep, ok in seen if is_isomorphic(Q, rep) is not None),
                     None,
                 )
                 if known is None:
                     known = any(
-                        t.size == Q.size and is_isomorphic(Q, t) is not None
-                        for t in targets
+                        is_isomorphic(Q, t) is not None for t in targets.get(key, ())
                     )
-                    si_verdicts.append((Q, known))
+                    seen.append((Q, known))
                 if not known:
                     report["failures"].append(
                         {

@@ -9,6 +9,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from dmbl.catalog import CATALOG_NAMES, build_U_system, catalog_entries, entry, get_algebra
 from dmbl.decomp import band_of, check_ailnb, decompose, greens, index_subvariety
 from dmbl.finalg import (
@@ -444,6 +446,7 @@ def test_criterion_09_axiomatisation_alignment(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_subdirect_irreducibility_bound(capsys):
     t0 = time.monotonic()
     report = jonsson_check(max_power=3)

@@ -80,6 +80,25 @@ def test_term_at_depth_limit_is_accepted(capsys):
     assert out == "true\n"
 
 
+@pytest.mark.parametrize(
+    "command", [("classify",), ("check", "--algebra", "DM4")]
+)
+def test_nested_up_blow_up_is_a_parse_error(capsys, command):
+    # each up(t) holds t twice: 30 levels would expand to about 3 * 2^30 nodes
+    code, out, err = run(capsys, *command, "up(" * 30 + "x" + ")" * 30 + " = x")
+    assert code == 1
+    assert not out
+    assert "expands to more than 100000 nodes (at offset 42)" in err
+
+
+def test_term_under_node_limit_is_accepted(capsys):
+    # 15 levels expand to 98302 nodes
+    deep = "up(" * 15 + "x" + ")" * 15
+    code, out, _ = run(capsys, "check", "--algebra", "DM4", deep + " = x \\/ ~x")
+    assert code == 0
+    assert out == "true\n"
+
+
 # --------------------------------------------------------------------- check
 
 def test_check_true(capsys):

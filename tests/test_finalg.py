@@ -29,6 +29,7 @@ from dmbl.finalg import (
     dual,
     eval_term,
     is_class,
+    is_congruence,
     is_isomorphic,
     is_subdirectly_irreducible,
     load_algebra,
@@ -259,64 +260,89 @@ def test_subalgebra_closed_under_ops():
 # ------------------------------------------------------------------ congruences
 
 
+def _set_partitions(universe):
+    if not universe:
+        yield []
+        return
+    first, rest = universe[0], universe[1:]
+    for smaller in _set_partitions(rest):
+        for i, block in enumerate(smaller):
+            yield smaller[:i] + [[first] + block] + smaller[i + 1 :]
+        yield [[first]] + smaller
+
+
+def _labels(n, part):
+    label = [0] * n
+    for b, block in enumerate(part):
+        for x in block:
+            label[x] = b
+    return label
+
+
+def _compatible(algebra: FiniteAlgebra, label) -> bool:
+    """The definition: related elements stay related under every operation."""
+    n = algebra.size
+    for t in (algebra.meet, algebra.join):
+        for a in range(n):
+            for b in range(n):
+                if label[a] != label[b]:
+                    continue
+                for c in range(n):
+                    if label[t[a][c]] != label[t[b][c]] or label[t[c][a]] != label[t[c][b]]:
+                        return False
+    op1 = algebra.neg
+    if op1 is not None:
+        for a in range(n):
+            for b in range(n):
+                if label[a] == label[b] and label[op1[a]] != label[op1[b]]:
+                    return False
+    return True
+
+
 def _oracle_congruences(algebra: FiniteAlgebra) -> set[tuple[tuple[int, ...], ...]]:
     """All compatible partitions, by brute force over every set partition."""
     n = algebra.size
-    ops2 = [algebra.meet, algebra.join]
-    op1 = algebra.neg
+    return {
+        tuple(sorted(tuple(sorted(b)) for b in part))
+        for part in _set_partitions(list(range(n)))
+        if _compatible(algebra, _labels(n, part))
+    }
 
-    def partitions(universe):
-        if not universe:
-            yield []
-            return
-        first, rest = universe[0], universe[1:]
-        for smaller in partitions(rest):
-            for i, block in enumerate(smaller):
-                yield smaller[:i] + [[first] + block] + smaller[i + 1 :]
-            yield [[first]] + smaller
 
+def _subuniverses(algebra, max_generators, max_size):
     out = set()
-    for part in partitions(list(range(n))):
-        label = [0] * n
-        for b, block in enumerate(part):
-            for x in block:
-                label[x] = b
-        ok = True
-        for t in ops2:
-            for a in range(n):
-                for b in range(n):
-                    if label[a] != label[b]:
-                        continue
-                    for c in range(n):
-                        if label[t[a][c]] != label[t[b][c]] or label[t[c][a]] != label[t[c][b]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok and op1 is not None:
-            for a in range(n):
-                for b in range(n):
-                    if label[a] == label[b] and label[op1[a]] != label[op1[b]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.add(tuple(sorted(tuple(sorted(b)) for b in part)))
-    return out
+    for k in range(1, max_generators + 1):
+        for seed in itertools.combinations(range(algebra.size), k):
+            _, incl = subalgebra_generated(algebra, seed)
+            if len(incl) <= max_size:
+                out.add(incl)
+    return [subalgebra_generated(algebra, s)[0] for s in sorted(out)]
+
+
+def _non_isomorphic(algebras):
+    reps = []
+    for a in algebras:
+        if not any(is_isomorphic(a, r) for r in reps):
+            reps.append(a)
+    return reps
+
+
+CATALOG = [e.algebra for e in catalog_entries()]
+SMALL_U_SUBALGEBRAS = _subuniverses(U, U.size, 8)
 
 
 @pytest.mark.parametrize(
-    "name", ["B2", "K3", "DM4", "IS2", "IS3", "IS4", "A5", "B2+"]
+    "algebra",
+    CATALOG + SMALL_U_SUBALGEBRAS,
+    ids=[e.name for e in catalog_entries()]
+    + [f"U-sub{i}-{a.size}" for i, a in enumerate(SMALL_U_SUBALGEBRAS)],
 )
-def test_congruences_match_set_partition_oracle(name):
-    a = get_algebra(name)
-    got = {tuple(sorted(c.blocks)) for c in congruences(a)}
-    assert got == _oracle_congruences(a)
+def test_congruences_match_set_partition_oracle(algebra):
+    got = [tuple(sorted(c.blocks)) for c in congruences(algebra)]
+    assert len(got) == len(set(got))
+    assert set(got) == _oracle_congruences(algebra)
+
+
 
 
 def test_congruences_of_product_match_oracle():
@@ -334,7 +360,7 @@ def test_congruences_identity_first_total_last():
 
 
 def test_congruence_lattice_closure():
-    from dmbl.finalg import _join_partitions, meet_partitions
+    from dmbl.finalg import join_partitions, meet_partitions
 
     a = get_algebra("A5")
     cs = congruences(a)
@@ -342,7 +368,70 @@ def test_congruence_lattice_closure():
     for c1 in cs:
         for c2 in cs:
             assert meet_partitions(c1, c2).block_of in known
-            assert _join_partitions(c1, c2).block_of in known
+            assert join_partitions(c1, c2).block_of in known
+
+
+def test_si_flags_follow_from_upper_covers():
+    from dmbl.finalg import si_quotient_flags
+
+    # the 1- and 2-generated subalgebras of U^2 with at most 12 elements
+    u2_representatives = _non_isomorphic(_subuniverses(product(U, U), 2, 12))
+    assert len(u2_representatives) > 50
+    for a in CATALOG + u2_representatives:
+        cs = congruences(a)
+        flags = si_quotient_flags(cs)
+        assert flags == [is_subdirectly_irreducible(quotient(a, c)) for c in cs], a
+    # a non-SI algebra: the identity has two upper covers
+    assert si_quotient_flags(congruences(product(IS2, IS3)))[0] is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_congruences_commute_with_relabelling(data):
+    a = data.draw(st.sampled_from(CATALOG + [product(IS2, IS3), product(B2, K3), U]))
+    order = data.draw(st.permutations(range(a.size)))
+    permuted = a.permute(order)
+    # element i of the permuted algebra is element order[i] of a
+    image = {
+        Congruence.from_blocks(a.size, [[order.index(x) for x in b] for b in c.blocks])
+        for c in congruences(a)
+    }
+    assert set(congruences(permuted)) == image
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_congruences_of_arbitrary_tables_match_oracle(data):
+    # no laws at all: tables need be neither commutative nor idempotent, so
+    # rows and columns of a table give different constraints
+    n = data.draw(st.integers(1, 5))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    neg = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+    a = FiniteAlgebra("T", [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
+    got = [tuple(sorted(c.blocks)) for c in congruences(a)]
+    assert len(got) == len(set(got))
+    assert set(got) == _oracle_congruences(a)
+    for part in _set_partitions(list(range(n))):
+        label = _labels(n, part)
+        assert is_congruence(a, Congruence.from_blocks(n, part)) == _compatible(a, label)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [a for a in CATALOG if a.size <= 6] + [product(IS2, IS3), product(B2, K3)],
+    ids=lambda a: a.name,
+)
+def test_is_congruence_matches_definition_on_every_partition(algebra):
+    n = algebra.size
+    for part in _set_partitions(list(range(n))):
+        label = _labels(n, part)
+        assert is_congruence(algebra, Congruence.from_blocks(n, part)) == _compatible(
+            algebra, label
+        ), part
+        # labels need not be numbered by first occurrence
+        assert is_congruence(algebra, Congruence(tuple(label))) == _compatible(
+            algebra, label
+        )
 
 
 def test_congruence_size_guard():
@@ -442,6 +531,41 @@ def test_isomorphism_witnesses_compose():
             assert composed[a.elements[a.meet[a.index(x)][a.index(y)]]] == c.elements[
                 c.meet[ci(composed[x])][ci(composed[y])]
             ]
+
+
+def _assert_isomorphism(a, b, w):
+    assert w is not None
+    assert sorted(w) == sorted(a.elements) and sorted(w.values()) == sorted(b.elements)
+    f = [b.index(w[x]) for x in a.elements]
+    for x in range(a.size):
+        assert f[a.neg[x]] == b.neg[f[x]]
+        for y in range(a.size):
+            assert f[a.meet[x][y]] == b.meet[f[x]][f[y]]
+            assert f[a.join[x][y]] == b.join[f[x]][f[y]]
+
+
+def test_colors_separate_a_sum_without_neg_fixpoints():
+    # neg has no fixpoint here; refinement alone left one colour class, and
+    # is_isomorphic backtracked over every generator image for seconds
+    from dmbl.catalog import _chain
+    from dmbl.decomp import decompose
+    from dmbl.finalg import _colors
+    from dmbl.sums import dpl_sum, random_system
+
+    d3 = _chain(3, ["0", "1", "2"], None).rename("D3")
+    d4 = _chain(4, ["0", "1", "2", "3"], None).rename("D4")
+    rng = random.Random(7)
+    pools = ([IS3, IS4, product(IS3, IS2), product(IS4, IS2)], [D2, d3, product(D2, D2), d4])
+    for _ in range(7):
+        system = random_system(rng, *pools)
+    a = dpl_sum(system)
+    assert a.size == 22 and all(a.neg[x] != x for x in range(a.size))
+    s = dpl_sum(decompose(a))
+    assert len(set(_colors(s))) > 1
+    _assert_isomorphism(s, a, is_isomorphic(s, a))
+    order = list(range(a.size))
+    random.Random(1).shuffle(order)
+    assert sorted(_colors(a)) == sorted(_colors(a.permute(order)))
 
 
 # ------------------------------------------------------------------------ dual

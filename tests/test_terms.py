@@ -220,3 +220,26 @@ def test_dualise_preserves_classes(lhs, rhs):
 def test_term_size():
     assert term_size(x) == 1
     assert term_size(parse_term("~(x /\\ y)")) == 4
+
+
+def test_expanded_size_bound():
+    from dmbl.terms import MAX_NODES
+
+    # up^k(x) and dn^k(x) expand to 3 * 2^k - 2 nodes
+    for sugar in ("up", "dn"):
+        t = parse_term(f"{sugar}(" * 15 + "x" + ")" * 15)
+        assert term_size(t) == 98302 <= MAX_NODES
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes") as info:
+            parse_term(f"{sugar}(" * 16 + "x" + ")" * 16)
+        assert info.value.position == 0
+    # the bound counts both operands of a chain and the negations on top
+    half = "up(" * 14 + "x" + ")" * 14
+    assert term_size(parse_term(f"{half} /\\ {half}")) == 2 * 49150 + 1
+    with pytest.raises(ParseError, match="nodes"):
+        parse_term(f"{half} /\\ {half} /\\ {half}")
+    # 98302 + 1534 + 1 nodes in the chain, then one per negation
+    chain = "(" + "up(" * 15 + "x" + ")" * 15 + " \\/ " + "up(" * 9 + "y" + ")" * 9 + ")"
+    assert term_size(parse_identity("x = " + "~" * 163 + chain).rhs) == MAX_NODES
+    with pytest.raises(ParseError, match="nodes") as info:
+        parse_identity("x = " + "~" * 164 + chain)
+    assert info.value.position == 4
