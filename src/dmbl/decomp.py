@@ -12,9 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finalg import FiniteAlgebra, ValidationError, is_class, satisfies
+import numpy as np
+
+from .finalg import (
+    Congruence,
+    FiniteAlgebra,
+    ValidationError,
+    is_class,
+    is_congruence,
+    satisfies,
+)
 from .sums import InvSemilatticeSystem, validate
-from .terms import parse
+from .terms import Identity, Join, Meet, Neg, Term, Var, parse
 
 __all__ = [
     "Band",
@@ -27,6 +36,85 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# the laws, as (label, identity) pairs checked with `satisfies`; a failure is
+# reported as the label and the least counterexample, variables sorted by name
+
+def _dot(s: Term, t: Term) -> Term:
+    return Meet(s, Join(s, t))
+
+
+_x, _y, _z, _a, _b1, _b2 = (Var(v) for v in ("x", "y", "z", "a", "b1", "b2"))
+
+# a band's own operation, read as the meet of its reduct
+_SEMIGROUP_LAWS = (
+    ("not idempotent at", Identity(Meet(_x, _x), _x)),
+    ("not associative at", Identity(Meet(Meet(_x, _y), _z), Meet(_x, Meet(_y, _z)))),
+)
+
+# the derived x.y := x /\ (x \/ y) of an algebra
+_BAND_LAWS = (
+    ("dot not idempotent at", Identity(_dot(_x, _x), _x)),
+    ("dot not associative at", Identity(_dot(_dot(_x, _y), _z), _dot(_x, _dot(_y, _z)))),
+)
+_LEFT_NORMAL_LAWS = (
+    (
+        "not left-normal: x.y.z != x.z.y at",
+        Identity(_dot(_dot(_x, _y), _z), _dot(_dot(_x, _z), _y)),
+    ),
+)
+
+
+def _compatibility(g_name: str, g) -> tuple:
+    # the band is compatible with the algebra's own operation g when
+    # a.(b1 g b2) = a.b1.b2 and (b1 g b2).a = (b1.a) g (b2.a)
+    return (
+        (
+            f"compatibility a.g(b1,b2) fails for {g_name} at",
+            Identity(_dot(_a, g(_b1, _b2)), _dot(_dot(_a, _b1), _b2)),
+        ),
+        (
+            f"compatibility g(b1,b2).a fails for {g_name} at",
+            Identity(_dot(g(_b1, _b2), _a), g(_dot(_b1, _a), _dot(_b2, _a))),
+        ),
+    )
+
+
+_NEG_LAWS = (
+    ("negation not involutive at", Identity(Neg(Neg(_x)), _x)),
+    ("not a-involutive: ~(x.y) != ~x.~y at", Identity(Neg(_dot(_x, _y)), _dot(Neg(_x), Neg(_y)))),
+    *_compatibility("/\\", Meet),
+    *_compatibility("\\/", Join),
+)
+
+_xnx = _dot(_x, Neg(_x))
+# (variety, its defining law read on the band reduct, the same law read on the
+# index); the first that holds places the index, ISL when none does
+_INDEX_LAWS = (
+    ("RISL", Identity(_xnx, _x), parse("x = ~x")),
+    ("BISL", Identity(_xnx, _dot(_xnx, _y)), parse("x \\/ ~x = (x \\/ ~x) \\/ y")),
+    (
+        "RBISL",
+        Identity(_dot(_xnx, _y), _dot(_xnx, Neg(_y))),
+        parse("(x \\/ ~x) \\/ y = (x \\/ ~x) \\/ ~y"),
+    ),
+)
+
+
+def _law_failures(algebra: FiniteAlgebra, laws) -> list[str]:
+    out = []
+    for label, law in laws:
+        res = satisfies(algebra, law)
+        if not res:
+            names = [v for _, v in sorted(res.counterexample.items())]
+            where = names[0] if len(names) == 1 else f"({','.join(names)})"
+            out.append(f"{label} {where}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# bands and Green's relations
+
 @dataclass(frozen=True, slots=True)
 class Band:
     """An idempotent semigroup given by its multiplication table, plus an
@@ -37,24 +125,16 @@ class Band:
     neg: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n = self.size
-        d = self.dot
-        if len(d) != n or any(len(r) != n for r in d):
-            raise ValidationError("dot table must be n x n")
-        if any(not (0 <= v < n) for r in d for v in r):
-            raise ValidationError("dot table entry out of range")
-        for x in range(n):
-            if d[x][x] != x:
-                raise ValidationError(f"not idempotent at {x}")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if d[d[x][y]][z] != d[x][d[y][z]]:
-                        raise ValidationError(
-                            f"not associative at ({x},{y},{z})"
-                        )
-        if self.neg is not None and sorted(self.neg) != list(range(n)):
-            raise ValidationError("neg must be a bijection")
+        # shapes, ranges and the bijection are checked by FiniteAlgebra
+        problems = _law_failures(_reduct(self), _SEMIGROUP_LAWS)
+        if problems:
+            raise ValidationError(problems[0])
+
+
+def _reduct(band: Band) -> FiniteAlgebra:
+    # the band as an algebra whose meet and join are both the band operation
+    names = tuple(map(str, range(band.size)))
+    return FiniteAlgebra("band", names, band.dot, band.dot, band.neg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,22 +187,20 @@ def greens(band: Band) -> GreenData:
     )
 
     for name, rel in (("L", leqL), ("R", leqR), ("D", leqD)):
-        for a in range(n):
-            if not rel[a][a]:
-                raise ValidationError(f"leq{name} not reflexive at {a}")
-        for a in range(n):
-            for b in range(n):
-                if not rel[a][b]:
-                    continue
-                for c in range(n):
-                    if rel[b][c] and not rel[a][c]:
-                        raise ValidationError(
-                            f"leq{name} not transitive at ({a},{b},{c})"
-                        )
-    for a in range(n):
-        for b in range(n):
-            if leqH[a][b] and leqH[b][a] and a != b:
-                raise ValidationError("leqH not antisymmetric")
+        r = np.array(rel, dtype=bool)
+        if not r.diagonal().all():
+            raise ValidationError(f"leq{name} not reflexive at {np.argmin(r.diagonal())}")
+        # fail[a, c]: a <= b <= c for some b, but not a <= c; the witness is
+        # the least such (a, b, c)
+        fail = (r @ r) & ~r
+        if fail.any():
+            a = np.argmax(fail.any(axis=1))
+            b = np.argmax(r[a] & (r & fail[a]).any(axis=1))
+            c = np.argmax(r[b] & fail[a])
+            raise ValidationError(f"leq{name} not transitive at ({a},{b},{c})")
+    h = np.array(leqH, dtype=bool)
+    if (h & h.T & ~np.eye(n, dtype=bool)).any():
+        raise ValidationError("leqH not antisymmetric")
 
     block_of = [-1] * n
     classes: list[list[int]] = []
@@ -134,24 +212,9 @@ def greens(band: Band) -> GreenData:
             block_of[x] = len(classes)
         classes.append(cls)
 
-    # D is a congruence of the band...
-    for a in range(n):
-        for b in range(n):
-            if block_of[a] != block_of[b]:
-                continue
-            for c in range(n):
-                if block_of[d[a][c]] != block_of[d[b][c]] or block_of[
-                    d[c][a]
-                ] != block_of[d[c][b]]:
-                    raise ValidationError("D-classes not a band congruence")
-    # ...and of the involution when present
-    if band.neg is not None:
-        for a in range(n):
-            for b in range(n):
-                if block_of[a] == block_of[b] and block_of[
-                    band.neg[a]
-                ] != block_of[band.neg[b]]:
-                    raise ValidationError("D-classes not a neg congruence")
+    # D is a congruence of the band and of its involution when present
+    if not is_congruence(_reduct(band), Congruence(tuple(block_of))):
+        raise ValidationError("D-classes not a congruence of the band")
 
     return GreenData(leqL, leqR, leqD, leqH, tuple(tuple(c) for c in classes))
 
@@ -159,94 +222,18 @@ def greens(band: Band) -> GreenData:
 def check_ailnb(algebra: FiniteAlgebra) -> list[str]:
     r"""Violations (with witnesses) of the a-involutive left-normal-band
     conditions for the derived x.y := x /\ (x \/ y), including the
-    compatibility of . with the algebra's own operations.  Empty = ok."""
-    n = algebra.size
-    meet, join, neg = algebra.meet, algebra.join, algebra.neg
-    names = algebra.elements
-    dot = [[meet[x][join[x][y]] for y in range(n)] for x in range(n)]
-    out: list[str] = []
+    compatibility of . with the algebra's own operations.  Empty = ok.
 
-    for x in range(n):
-        if dot[x][x] != x:
-            out.append(f"dot not idempotent at {names[x]}")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if dot[dot[x][y]][z] != dot[x][dot[y][z]]:
-                    out.append(
-                        "dot not associative at "
-                        f"({names[x]},{names[y]},{names[z]})"
-                    )
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    Each law reports its least counterexample.  The band laws come first and
+    end the check when one fails; without a negation, the negation laws are
+    replaced by the message "algebra has no negation"."""
+    out = _law_failures(algebra, _BAND_LAWS)
     if out:
         return out  # no point checking band identities on a non-band
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if dot[dot[x][y]][z] != dot[dot[x][z]][y]:
-                    out.append(
-                        "not left-normal: x.y.z != x.z.y at "
-                        f"({names[x]},{names[y]},{names[z]})"
-                    )
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-
-    if neg is None:
-        out.append("algebra has no negation")
-        return out
-
-    for x in range(n):
-        if neg[neg[x]] != x:
-            out.append(f"negation not involutive at {names[x]}")
-    for x in range(n):
-        for y in range(n):
-            if neg[dot[x][y]] != dot[neg[x]][neg[y]]:
-                out.append(
-                    "not a-involutive: ~(x.y) != ~x.~y at "
-                    f"({names[x]},{names[y]})"
-                )
-                break
-        else:
-            continue
-        break
-
-    # compatibility of the band with the original operations:
-    #   a.(b1 g b2) = a.b1.b2   and   (b1 g b2).a = (b1.a) g (b2.a)
-    for g_name, g in (("/\\", meet), ("\\/", join)):
-        for a in range(n):
-            for b1 in range(n):
-                for b2 in range(n):
-                    if dot[a][g[b1][b2]] != dot[dot[a][b1]][b2]:
-                        out.append(
-                            f"compatibility a.g(b1,b2) fails for {g_name} at "
-                            f"({names[a]},{names[b1]},{names[b2]})"
-                        )
-                        break
-                    if dot[g[b1][b2]][a] != g[dot[b1][a]][dot[b2][a]]:
-                        out.append(
-                            f"compatibility g(b1,b2).a fails for {g_name} at "
-                            f"({names[a]},{names[b1]},{names[b2]})"
-                        )
-                        break
-                else:
-                    continue
-                break
-            else:
-                continue
-            break
-    return out
+    out += _law_failures(algebra, _LEFT_NORMAL_LAWS)
+    if algebra.neg is None:
+        return out + ["algebra has no negation"]
+    return out + _law_failures(algebra, _NEG_LAWS)
 
 
 def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
@@ -351,68 +338,15 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     return system
 
 
-def _dot_eval(dot, *chain):
-    acc = chain[0]
-    for v in chain[1:]:
-        acc = dot[acc][v]
-    return acc
-
-
 def index_subvariety(algebra: FiniteAlgebra) -> str:
     """Where the involutive semilattice of indices sits: T, RISL, BISL,
     RBISL, or ISL -- decided on the band reduct and cross-checked on the
     quotient against the matching relative axioms."""
-    problems = check_ailnb(algebra)
-    if problems:
-        raise ValidationError(
-            f"{algebra.name} fails the band conditions:\n  - "
-            + "\n  - ".join(problems)
-        )
-    band = band_of(algebra)
-    green = greens(band)
-    n, d, neg = band.size, band.dot, band.neg
-
-    def risl() -> bool:
-        return all(_dot_eval(d, x, neg[x]) == x for x in range(n))
-
-    def bisl() -> bool:
-        return all(
-            _dot_eval(d, x, neg[x]) == _dot_eval(d, x, neg[x], y)
-            for x in range(n)
-            for y in range(n)
-        )
-
-    def rbisl() -> bool:
-        return all(
-            _dot_eval(d, x, neg[x], y) == _dot_eval(d, x, neg[x], neg[y])
-            for x in range(n)
-            for y in range(n)
-        )
-
-    if len(green.d_classes) == 1:
-        by_band = "T"
-    elif risl():
-        by_band = "RISL"
-    elif bisl():
-        by_band = "BISL"
-    elif rbisl():
-        by_band = "RBISL"
-    else:
-        by_band = "ISL"
-
-    # independent route: quotient, then the relative axioms
     index = decompose(algebra).index
     if index.size == 1:
-        by_axioms = "T"
-    elif satisfies(index, parse("x = ~x")):
-        by_axioms = "RISL"
-    elif satisfies(index, parse("x \\/ ~x = (x \\/ ~x) \\/ y")):
-        by_axioms = "BISL"
-    elif satisfies(index, parse("(x \\/ ~x) \\/ y = (x \\/ ~x) \\/ ~y")):
-        by_axioms = "RBISL"
-    else:
-        by_axioms = "ISL"
-
+        return "T"
+    by_band = next((v for v, law, _ in _INDEX_LAWS if satisfies(algebra, law)), "ISL")
+    by_axioms = next((v for v, _, law in _INDEX_LAWS if satisfies(index, law)), "ISL")
     if by_band != by_axioms:
         raise ValidationError(
             f"band test says {by_band} but the quotient's axioms say "

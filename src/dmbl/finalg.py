@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "congruences",
     "dual",
     "eval_term",
+    "homomorphism_failure",
     "is_class",
     "is_isomorphic",
     "is_subdirectly_irreducible",
@@ -80,7 +82,10 @@ class FiniteAlgebra:
             raise ValidationError("element names must be distinct")
 
         def check_table(tbl, label):
-            tbl = tuple(tuple(int(v) for v in row) for row in tbl)
+            try:
+                tbl = tuple(tuple(map(operator.index, row)) for row in tbl)
+            except TypeError:
+                raise ValidationError(f"{label} table must hold integer entries") from None
             if len(tbl) != n or any(len(row) != n for row in tbl):
                 raise ValidationError(f"{label} table must be {n}x{n}")
             for row in tbl:
@@ -98,7 +103,10 @@ class FiniteAlgebra:
         if neg is None:
             self.neg = None
         else:
-            neg = tuple(int(v) for v in neg)
+            try:
+                neg = tuple(map(operator.index, neg))
+            except TypeError:
+                raise ValidationError("neg table must hold integer entries") from None
             if len(neg) != n:
                 raise ValidationError(f"neg table must have length {n}")
             if any(not 0 <= v < n for v in neg):
@@ -674,7 +682,37 @@ def quotient(algebra: FiniteAlgebra, part: Congruence) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
+# homomorphisms and isomorphism
+
+def homomorphism_failure(
+    A: FiniteAlgebra, B: FiniteAlgebra, f: Sequence[int]
+) -> tuple[str, tuple[int, ...]] | None:
+    """Where the map ``f`` (element ``a`` of A to element ``f[a]`` of B) fails
+    to preserve an operation, or None when it is a homomorphism.
+
+    The failure is the first ``(operation, arguments)`` in this order: pairs
+    ``(a, b)`` row by row, ``"meet"`` before ``"join"`` at each pair, then
+    ``("neg", (a,))``.  Negation is checked only when both algebras have one.
+    """
+    f = np.asarray(f, dtype=np.intp)
+    if f.shape != (A.size,) or (f < 0).any() or (f >= B.size).any():
+        raise ValidationError(
+            f"a map {A.name} -> {B.name} needs {A.size} images in [0,{B.size})"
+        )
+    am, aj, an = A.arrays()
+    bm, bj, bn = B.arrays()
+    row, col = f[:, None], f[None, :]
+    # bad[a, b, k]: operation k fails at (a, b)
+    bad = np.stack((f[am] != bm[row, col], f[aj] != bj[row, col]), axis=-1)
+    if bad.any():
+        a, b, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return ("meet", "join")[k], (int(a), int(b))
+    if an is not None and bn is not None:
+        bad = f[an] != bn[f]
+        if bad.any():
+            return "neg", (int(np.argmax(bad)),)
+    return None
+
 
 def _generating_set(A: FiniteAlgebra) -> list[int]:
     # greedy small generating set
@@ -775,17 +813,9 @@ def _extend_map(A: FiniteAlgebra, B: FiniteAlgebra, gen_map: dict[int, int]) -> 
     if len(mapping) != A.size:
         return None  # gens did not generate (shouldn't happen) or map partial
     # bijectivity + full homomorphism check
-    image = set(mapping.values())
-    if len(image) != A.size:
+    f = [mapping[a] for a in range(A.size)]
+    if len(set(f)) != A.size or homomorphism_failure(A, B, f) is not None:
         return None
-    for a in range(A.size):
-        for b in range(A.size):
-            if mapping[A.meet[a][b]] != B.meet[mapping[a]][mapping[b]]:
-                return None
-            if mapping[A.join[a][b]] != B.join[mapping[a]][mapping[b]]:
-                return None
-        if A.neg is not None and mapping[A.neg[a]] != B.neg[mapping[a]]:  # type: ignore[index]
-            return None
     return mapping
 
 
@@ -922,9 +952,14 @@ def algebra_to_json(algebra: FiniteAlgebra) -> dict:
 
 
 def algebra_from_json(data: Mapping) -> FiniteAlgebra:
+    if not isinstance(data, Mapping):
+        raise ValidationError("algebra JSON must be an object")
     try:
+        elements = data["elements"]
+        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+            raise ValidationError("algebra JSON 'elements' must be a list of strings")
         return FiniteAlgebra(
-            data["name"], data["elements"], data["meet"], data["join"], data.get("neg")
+            data["name"], elements, data["meet"], data["join"], data.get("neg")
         )
     except KeyError as exc:
         raise ValidationError(f"algebra JSON missing key {exc}") from None

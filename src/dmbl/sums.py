@@ -11,13 +11,21 @@ indices and whose negation sends the fibre at ``i`` through ``n[i]``.
 
 from __future__ import annotations
 
-import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .finalg import FiniteAlgebra, ValidationError, algebra_from_json, algebra_to_json, is_class
+from .finalg import (
+    FiniteAlgebra,
+    ValidationError,
+    algebra_from_json,
+    algebra_to_json,
+    dual,
+    homomorphism_failure,
+    is_class,
+)
 
 __all__ = [
     "InvSemilatticeSystem",
@@ -83,10 +91,10 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         if not is_class(F, "distributive lattice"):
             out.append(f"fibre at {i} is not a distributive lattice")
 
-    pairs = set(system.comparable_pairs())
-    if set(system.transitions) != pairs:
-        missing = pairs - set(system.transitions)
-        extra = set(system.transitions) - pairs
+    pairs = system.comparable_pairs()
+    if set(system.transitions) != set(pairs):
+        missing = set(pairs) - set(system.transitions)
+        extra = set(system.transitions) - set(pairs)
         out.append(
             f"transition keys mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
         )
@@ -99,23 +107,13 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
             return out
         if i == j and any(p[a] != a for a in range(Fi.size)):
             out.append(f"transition {i}->{i} is not the identity")
-        for a in range(Fi.size):
-            for b in range(Fi.size):
-                if p[Fi.meet[a][b]] != Fj.meet[p[a]][p[b]]:
-                    out.append(
-                        f"transition {i}->{j} not a meet-homomorphism at "
-                        f"({Fi.elements[a]},{Fi.elements[b]})"
-                    )
-                    break
-                if p[Fi.join[a][b]] != Fj.join[p[a]][p[b]]:
-                    out.append(
-                        f"transition {i}->{j} not a join-homomorphism at "
-                        f"({Fi.elements[a]},{Fi.elements[b]})"
-                    )
-                    break
-            else:
-                continue
-            break
+        failure = homomorphism_failure(Fi, Fj, p)
+        if failure is not None:
+            op, args = failure
+            out.append(
+                f"transition {i}->{j} not a {op}-homomorphism at "
+                f"({','.join(Fi.elements[a] for a in args)})"
+            )
 
     for i, j in pairs:
         for k in els:
@@ -137,31 +135,27 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
     for i in els:
         ni = system.neg_of(i)
         n = system.dualisers[i]
-        Fi, Fni = system.fibres[i], system.fibres[ni]
-        if len(n) != Fi.size or any(not 0 <= v < Fni.size for v in n):
+        if len(n) != system.fibres[i].size or any(
+            not 0 <= v < system.fibres[ni].size for v in n
+        ):
             out.append(f"dualiser at {i} is not a map F({i}) -> F({ni})")
             return out
+    for i in els:
+        ni = system.neg_of(i)
+        n = system.dualisers[i]
+        Fi, Fni = system.fibres[i], system.fibres[ni]
         if len(set(n)) != Fi.size or Fi.size != Fni.size:
             out.append(f"dualiser at {i} is not a bijection")
             continue
         back = system.dualisers[ni]
-        for a in range(Fi.size):
-            if back[n[a]] != a:
-                out.append(f"dualiser at {ni} is not the inverse of the one at {i}")
-                break
-        for a in range(Fi.size):
-            for b in range(Fi.size):
-                if n[Fi.meet[a][b]] != Fni.join[n[a]][n[b]] or (
-                    n[Fi.join[a][b]] != Fni.meet[n[a]][n[b]]
-                ):
-                    out.append(
-                        f"dualiser at {i} is not an isomorphism onto the dual "
-                        f"(fails at ({Fi.elements[a]},{Fi.elements[b]}))"
-                    )
-                    break
-            else:
-                continue
-            break
+        if any(back[n[a]] != a for a in range(Fi.size)):
+            out.append(f"dualiser at {ni} is not the inverse of the one at {i}")
+        failure = homomorphism_failure(Fi, dual(Fni), n)
+        if failure is not None:
+            out.append(
+                f"dualiser at {i} is not an isomorphism onto the dual "
+                f"(fails at ({','.join(Fi.elements[a] for a in failure[1])}))"
+            )
 
     for i, j in pairs:
         ni, nj = system.neg_of(i), system.neg_of(j)
@@ -330,58 +324,40 @@ def bilateralise(algebra: FiniteAlgebra) -> FiniteAlgebra:
 # random systems
 
 def _all_homs(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
-    out = []
-    for cand in itertools.product(range(G.size), repeat=F.size):
-        ok = True
-        for a in range(F.size):
-            for b in range(F.size):
-                if cand[F.meet[a][b]] != G.meet[cand[a]][cand[b]] or (
-                    cand[F.join[a][b]] != G.join[cand[a]][cand[b]]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(cand)
-    return out
-
-
-def _self_dualisers(F: FiniteAlgebra) -> list[tuple[int, ...]]:
-    # involutions that are isomorphisms onto the dual
-    out = []
-    for cand in itertools.permutations(range(F.size)):
-        if any(cand[cand[a]] != a for a in range(F.size)):
-            continue
-        ok = True
-        for a in range(F.size):
-            for b in range(F.size):
-                if cand[F.meet[a][b]] != F.join[cand[a]][cand[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    # every map F -> G in lexicographic order; a failure reads the positions
+    # args and op(args) only, so every map that agrees up to the last of them
+    # fails too, and the scan advances that position instead of the last one
+    out, cand, k = [], [0] * F.size, F.size - 1
+    while k >= 0:
+        failure = homomorphism_failure(F, G, cand)
+        if failure is None:
             out.append(tuple(cand))
+            k = F.size - 1
+        else:
+            op, args = failure
+            image = F.neg[args[0]] if op == "neg" else getattr(F, op)[args[0]][args[1]]
+            k = max(*args, image)
+        while k >= 0 and cand[k] == G.size - 1:
+            k -= 1
+        if k >= 0:
+            cand[k:] = [cand[k] + 1] + [0] * (F.size - k - 1)
     return out
 
 
 _HOM_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
-_DUAL_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
 
 
 def _homs_cached(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
-    key = ((F.meet, F.join), (G.meet, G.join))
+    key = ((F.meet, F.join, F.neg), (G.meet, G.join, G.neg))
     if key not in _HOM_CACHE:
         _HOM_CACHE[key] = _all_homs(F, G)
     return _HOM_CACHE[key]
 
 
-def _self_dualisers_cached(F: FiniteAlgebra) -> list[tuple[int, ...]]:
-    key = (F.meet, F.join)
-    if key not in _DUAL_CACHE:
-        _DUAL_CACHE[key] = _self_dualisers(F)
-    return _DUAL_CACHE[key]
+def _self_dualisers(F: FiniteAlgebra) -> list[tuple[int, ...]]:
+    # involutions that are homomorphisms onto the dual, hence isomorphisms
+    homs = _homs_cached(F, _dual_copy(F))
+    return [h for h in homs if all(h[h[a]] == a for a in range(F.size))]
 
 
 def _dual_copy(F: FiniteAlgebra) -> FiniteAlgebra:
@@ -435,7 +411,7 @@ def random_system(
                 continue
             F = rng.choice(list(fibre_pool))
             if neg_of[e] == e:
-                selfduals = _self_dualisers_cached(F)
+                selfduals = _self_dualisers(F)
                 if not selfduals:
                     stuck = True
                     break
@@ -525,7 +501,18 @@ def system_to_json(system: InvSemilatticeSystem) -> dict:
     }
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(f"{what} must be a list of integers") from None
+
+
 def system_from_json(data: Mapping) -> InvSemilatticeSystem:
+    if not isinstance(data, Mapping) or not all(
+        isinstance(data.get(k, {}), Mapping) for k in ("fibres", "transitions", "dualisers")
+    ):
+        raise ValidationError("system JSON and its fibres, transitions, dualisers must be objects")
     try:
         index = algebra_from_json(data["index"])
         fibres = {i: algebra_from_json(F) for i, F in data["fibres"].items()}
@@ -534,8 +521,10 @@ def system_from_json(data: Mapping) -> InvSemilatticeSystem:
             i, _, j = key.partition("<=")
             if not _:
                 raise ValidationError(f"bad transition key {key!r}, expected 'i<=j'")
-            transitions[(i, j)] = tuple(int(v) for v in p)
-        dualisers = {i: tuple(int(v) for v in d) for i, d in data["dualisers"].items()}
+            transitions[(i, j)] = _int_tuple(p, f"transition {key}")
+        dualisers = {
+            i: _int_tuple(d, f"dualiser at {i}") for i, d in data["dualisers"].items()
+        }
     except KeyError as exc:
         raise ValidationError(f"system JSON missing key {exc}") from None
     return InvSemilatticeSystem(index, fibres, transitions, dualisers)

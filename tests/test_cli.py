@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from dmbl.catalog import entry
+from dmbl.catalog import build_U_system, entry
 from dmbl.cli import main
 from dmbl.decomp import decompose
-from dmbl.finalg import algebra_from_json, is_isomorphic, save_algebra
+from dmbl.finalg import algebra_from_json, algebra_to_json, is_isomorphic, save_algebra
 from dmbl.sums import save_system, system_to_json
 
 
@@ -188,6 +188,48 @@ def test_sum_rejects_invalid_system(capsys, tmp_path):
     code, _, err = run(capsys, "sum", "--system", str(path))
     assert code == 2
     assert "invalid system" in err
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("decompose", ("meet", 0, 0), 0.7),
+        ("decompose", ("neg",), [1.2, 0.3]),
+        ("decompose", ("join", 1, 0), "a"),
+        ("decompose", ("meet", 1), 1),
+        ("decompose", ("elements",), "ft"),
+        ("decompose", (), [1, 2]),
+        ("sum", (), []),
+        ("sum", ("fibres",), []),
+        ("sum", ("fibres", "i", "meet", 0, 0), 0.7),
+        ("sum", ("transitions", "i<=j"), ["a"]),
+        ("sum", ("dualisers", "nj"), [0]),
+    ],
+    ids=[
+        "float-entry", "float-neg", "string-entry", "int-row", "string-elements",
+        "top-level-list", "system-list", "fibres-list", "fibre-float-entry",
+        "string-transition", "short-dualiser",
+    ],
+)
+def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, command, path, value):
+    # edits B2 (for decompose) or the U system (for sum) at `path`; the empty
+    # path replaces the whole file
+    if command == "decompose":
+        blob, flag = algebra_to_json(entry("B2").algebra), "--in"
+    else:
+        blob, flag = system_to_json(build_U_system()), "--system"
+    if path:
+        target = blob
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        blob = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(blob))
+    code, _, err = run(capsys, command, flag, str(file))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_decompose_to_stdout(capsys):

@@ -28,6 +28,7 @@ from dmbl.finalg import (
     congruences,
     dual,
     eval_term,
+    homomorphism_failure,
     is_class,
     is_congruence,
     is_isomorphic,
@@ -74,6 +75,11 @@ def test_construction_rejects_bad_tables():
         )  # neg not a bijection
     with pytest.raises(ValidationError):
         FiniteAlgebra("x", ("a", "a"), ((0, 0), (0, 1)), ((0, 1), (1, 1)))  # dup names
+    for bad_meet in (((0.7, 0), (0, 1)), ((0, "a"), (0, 1)), (0, (0, 1))):
+        with pytest.raises(ValidationError, match="integer entries"):
+            FiniteAlgebra("x", ("a", "b"), bad_meet, ((0, 1), (1, 1)))
+    with pytest.raises(ValidationError, match="integer entries"):
+        FiniteAlgebra("x", ("a", "b"), ((0, 0), (0, 1)), ((0, 1), (1, 1)), neg=(1.2, 0.3))
 
 
 def test_element_name_index_lookup():
@@ -502,6 +508,54 @@ def test_isomorphism_witness_is_a_homomorphism():
                 DM4.join[bi(w[x])][bi(w[y])]
             ]
         assert w[a.elements[a.neg[ai(x)]]] == DM4.elements[DM4.neg[bi(w[x])]]
+
+
+def _first_hom_failure(A, B, f):
+    # reference: pairs row by row, meet before join, then neg
+    for a in range(A.size):
+        for b in range(A.size):
+            if f[A.meet[a][b]] != B.meet[f[a]][f[b]]:
+                return "meet", (a, b)
+            if f[A.join[a][b]] != B.join[f[a]][f[b]]:
+                return "join", (a, b)
+    if A.neg is not None and B.neg is not None:
+        for a in range(A.size):
+            if f[A.neg[a]] != B.neg[f[a]]:
+                return "neg", (a,)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_homomorphism_failure_matches_loop(data):
+    # law-free tables, or the left projection x /\ y = x, under which every
+    # map preserves the binary operations and only neg can fail
+    with_neg = data.draw(st.booleans())
+
+    def algebra(name):
+        n = data.draw(st.integers(1, 5))
+        cell = st.integers(0, n - 1)
+        table = st.one_of(
+            st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.just([[x] * n for x in range(n)]),
+        )
+        neg = data.draw(st.permutations(range(n))) if with_neg else None
+        return FiniteAlgebra(name, [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
+
+    A = algebra("A")
+    B = A if data.draw(st.booleans()) else algebra("B")
+    if B is A and data.draw(st.booleans()):
+        f = data.draw(st.permutations(range(A.size)))
+    else:
+        f = data.draw(st.lists(st.integers(0, B.size - 1), min_size=A.size, max_size=A.size))
+    assert homomorphism_failure(A, B, f) == _first_hom_failure(A, B, f)
+
+
+def test_homomorphism_failure_rejects_non_maps():
+    for f in ((0, 1, 2), (0, 1, 2, 4), (0, 1, 2, -1)):
+        with pytest.raises(ValidationError):
+            homomorphism_failure(DM4, DM4, f)
+    assert homomorphism_failure(DM4, DM4, range(4)) is None
 
 
 def test_isomorphism_reflexive_on_catalog():

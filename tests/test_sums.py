@@ -6,14 +6,18 @@ balanced-regular preservation behaviour on randomly generated systems.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmbl.catalog import build_basics, build_U_system, entry, get_algebra
 from dmbl.finalg import (
     FiniteAlgebra,
     ValidationError,
+    homomorphism_failure,
     is_class,
     is_isomorphic,
     product,
@@ -22,6 +26,7 @@ from dmbl.finalg import (
 )
 from dmbl.sums import (
     InvSemilatticeSystem,
+    _all_homs,
     bilateralise,
     dpl_sum,
     plonka_sum,
@@ -77,6 +82,14 @@ def test_validate_reports_broken_dualiser():
     assert msgs and any("dualiser" in m for m in msgs)
 
 
+def test_validate_reports_short_dualiser_before_reading_it():
+    # the inverse check at j reads the dualiser at nj, so every dualiser's
+    # shape is checked first
+    u = build_U_system()
+    bad = dataclasses.replace(u, dualisers={**u.dualisers, "nj": u.dualisers["nj"][:1]})
+    assert validate(bad) == ["dualiser at nj is not a map F(nj) -> F(j)"]
+
+
 def test_validate_reports_broken_functoriality():
     # a 3-chain index (identity negation) with D2 fibres and identity
     # transitions, then corrupt the composite c0 -> c2
@@ -122,6 +135,29 @@ def test_validate_reports_non_hom_transition():
     msgs = validate(bad)
     assert msgs  # either the hom check or equivariance flags it
     assert any("hom" in m or "equivariance" in m for m in msgs)
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ((0, 1, 1, 0), "transition i->j not a meet-homomorphism at ((0,1),(1,0))"),
+        ((0, 0, 0, 1), "transition i->j not a join-homomorphism at ((0,1),(1,0))"),
+    ],
+)
+def test_validate_names_first_failing_operation_of_a_transition(p, message):
+    u = build_U_system()
+    bad = dataclasses.replace(u, transitions={**u.transitions, ("i", "j"): p})
+    assert validate(bad)[0] == message
+
+
+def test_validate_reports_dualiser_that_is_no_anti_isomorphism():
+    # the identity on the self-dual fibre at i is its own inverse, but it
+    # sends meets to meets
+    u = build_U_system()
+    bad = dataclasses.replace(u, dualisers={**u.dualisers, "i": (0, 1, 2, 3)})
+    assert validate(bad)[0] == (
+        "dualiser at i is not an isomorphism onto the dual (fails at ((0,0),(0,1)))"
+    )
 
 
 def test_validate_reports_bad_index():
@@ -308,6 +344,35 @@ def _fresh_product_pools():
         for i, j in (("IS3", "IS2"), ("IS4", "IS2"), ("IS3", "IS3"), ("IS4", "IS3"))
     ]
     return indices, [D2, product(D2, D2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_all_homs_lists_every_homomorphism_in_order(data):
+    # the scan skips maps that share a failing prefix; it must keep exactly
+    # the maps a plain scan in lexicographic order accepts.  Law-free tables,
+    # the left projection (every map preserves it) or small lattices
+    def algebra(name):
+        n = data.draw(st.integers(1, 4))
+        cell = st.integers(0, n - 1)
+        table = st.one_of(
+            st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.just([[x] * n for x in range(n)]),
+        )
+        neg = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+        return FiniteAlgebra(name, [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
+
+    lattices = [D1, D2, product(D2, D2), BASICS["DM4"]]
+    F, G = (
+        data.draw(st.sampled_from(lattices)) if data.draw(st.booleans()) else algebra(name)
+        for name in "FG"
+    )
+    expected = [
+        f
+        for f in itertools.product(range(G.size), repeat=F.size)
+        if homomorphism_failure(F, G, f) is None
+    ]
+    assert _all_homs(F, G) == expected
 
 
 def test_random_system_with_fresh_pools_validates():
