@@ -30,6 +30,7 @@ from functools import lru_cache
 from .finalg import (
     FiniteAlgebra,
     ValidationError,
+    dual,
     is_class,
     product,
 )
@@ -143,10 +144,9 @@ def build_A5() -> FiniteAlgebra:
     """
     basics = _basics()
     d2 = basics["D2"]
-    dual_d2 = FiniteAlgebra("D2^op", d2.elements, d2.join, d2.meet, None)
     system = InvSemilatticeSystem(
         index=basics["IS3"],
-        fibres={"i": d2, "ni": dual_d2, "j": basics["D1"]},
+        fibres={"i": d2, "ni": dual(d2), "j": basics["D1"]},
         transitions={
             ("i", "i"): (0, 1),
             ("ni", "ni"): (0, 1),
@@ -175,11 +175,10 @@ def build_U_system() -> InvSemilatticeSystem:
     basics = _basics()
     d2 = basics["D2"]
     d2xd2 = product(d2, d2)  # elements (0,0),(0,1),(1,0),(1,1)
-    dual_d2 = FiniteAlgebra("D2^op", d2.elements, d2.join, d2.meet, None)
     twist = (3, 1, 2, 0)
     return InvSemilatticeSystem(
         index=basics["IS4"],
-        fibres={"i": d2xd2, "j": d2, "nj": dual_d2, "k": basics["D1"]},
+        fibres={"i": d2xd2, "j": d2, "nj": dual(d2), "k": basics["D1"]},
         transitions={
             ("i", "i"): (0, 1, 2, 3),
             ("j", "j"): (0, 1),

@@ -31,7 +31,7 @@ from .finalg import (
     satisfies,
     save_algebra,
 )
-from .sums import dpl_sum, load_system, save_system, system_to_json, validate
+from .sums import dpl_sum, load_system, save_system, system_to_json
 from .terms import IdentityClass, ParseError, classify, parse_identity
 from .varieties import build_lattice, verify_theorems
 
@@ -90,13 +90,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    system = load_system(args.system)
-    problems = validate(system)
-    if problems:
-        raise ValidationError(
-            "invalid system:\n  - " + "\n  - ".join(problems)
-        )
-    s = dpl_sum(system)
+    s = dpl_sum(load_system(args.system))
     if args.out:
         save_algebra(s, args.out)
         print(f"wrote {s.name} ({s.size} elements) to {args.out}")

@@ -18,6 +18,7 @@ from .finalg import (
     Congruence,
     FiniteAlgebra,
     ValidationError,
+    _induced,
     is_class,
     is_congruence,
     satisfies,
@@ -250,46 +251,35 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     classes = green.d_classes
     n = algebra.size
     block_of = [0] * n
+    pos_in_class = [0] * n
     for b, cls in enumerate(classes):
-        for x in cls:
+        for p, x in enumerate(cls):
             block_of[x] = b
+            pos_in_class[x] = p
     names = algebra.elements
     key_of = [names[cls[0]] for cls in classes]
     nblocks = len(classes)
 
     # index involutive semilattice: quotient of the band by D
-    idx_op = tuple(
-        tuple(block_of[band.dot[classes[i][0]][classes[j][0]]] for j in range(nblocks))
-        for i in range(nblocks)
+    index = _induced(
+        f"{algebra.name}/D", key_of, _reduct(band).arrays(),
+        [cls[0] for cls in classes], block_of,
     )
-    idx_neg = tuple(block_of[band.neg[cls[0]]] for cls in classes)
-    index = FiniteAlgebra(
-        f"{algebra.name}/D", tuple(key_of), idx_op, idx_op, idx_neg
-    )
+    idx_op, idx_neg = index.meet, index.neg
 
     # fibres: the sliced <meet, join> tables, negation-free
+    meet, join, _ = algebra.arrays()
+    bo = np.array(block_of)
     fibres: dict[str, FiniteAlgebra] = {}
-    pos_in_class = {}
     for b, cls in enumerate(classes):
-        for p, x in enumerate(cls):
-            pos_in_class[x] = p
-        for x in cls:
-            for y in cls:
-                if block_of[algebra.meet[x][y]] != b or block_of[algebra.join[x][y]] != b:
-                    raise ValidationError(
-                        f"D-class of {key_of[b]} not closed under the lattice inside"
-                    )
-        fmeet = tuple(
-            tuple(pos_in_class[algebra.meet[x][y]] for y in cls) for x in cls
-        )
-        fjoin = tuple(
-            tuple(pos_in_class[algebra.join[x][y]] for y in cls) for x in cls
-        )
-        fibres[key_of[b]] = FiniteAlgebra(
-            f"{algebra.name}[{key_of[b]}]",
-            tuple(names[x] for x in cls),
-            fmeet,
-            fjoin,
+        square = np.ix_(cls, cls)
+        if (bo[meet[square]] != b).any() or (bo[join[square]] != b).any():
+            raise ValidationError(
+                f"D-class of {key_of[b]} not closed under the lattice inside"
+            )
+        fibres[key_of[b]] = _induced(
+            f"{algebra.name}[{key_of[b]}]", [names[x] for x in cls], (meet, join, None),
+            cls, pos_in_class,
         )
 
     # transitions p_ij(a) = a.b for any b in class j; the choice of b must

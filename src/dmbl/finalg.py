@@ -164,13 +164,9 @@ class FiniteAlgebra:
         perm = [self.index(e) for e in order]
         if sorted(perm) != list(range(self.size)):
             raise ValidationError("permutation must mention every element once")
-        pos = {old: new for new, old in enumerate(perm)}
-        n = self.size
-        meet = [[pos[self.meet[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-        join = [[pos[self.join[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-        neg = None if self.neg is None else [pos[self.neg[perm[a]]] for a in range(n)]
-        return FiniteAlgebra(
-            self.name, [self.elements[p] for p in perm], meet, join, neg
+        return _induced(
+            self.name, [self.elements[p] for p in perm], self.arrays(), perm,
+            np.argsort(perm),
         )
 
 
@@ -270,39 +266,30 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     return SatisfactionResult(True, None)
 
 
-def satisfies_all(algebra: FiniteAlgebra, identities: Iterable[Identity]) -> SatisfactionResult:
-    for e in identities:
-        res = satisfies(algebra, e)
-        if not res:
-            return res
-    return SatisfactionResult(True, None)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
 def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
-    """Direct product; both factors must have negation, or neither."""
+    """Direct product; both factors must have negation, or neither.  The pair
+    (i, j) is element ``i * b.size + j``."""
     if (a.neg is None) != (b.neg is None):
         raise ValidationError("cannot form a product of a <2,2,1> and a <2,2> algebra")
-    na, nb = a.size, b.size
+    nb = b.size
     names = [f"({p},{q})" for p in a.elements for q in b.elements]
 
-    def pair(i, j):
-        return i * nb + j
+    def pair(x: np.ndarray, y: np.ndarray) -> list:
+        # x is a table of `a`, y the same table of `b`: the outer sum has the
+        # axes of x, then of y, and each argument of the product is an axis
+        # of x followed by one of y
+        d = x.ndim
+        v = np.add.outer(x.astype(np.intp) * nb, y).transpose(
+            [i + d * k for i in range(d) for k in (0, 1)]
+        )
+        return v.reshape((len(x) * nb,) * d).tolist()
 
-    meet = [[0] * (na * nb) for _ in range(na * nb)]
-    join = [[0] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(nb):
-            for k in range(na):
-                for l in range(nb):
-                    meet[pair(i, j)][pair(k, l)] = pair(a.meet[i][k], b.meet[j][l])
-                    join[pair(i, j)][pair(k, l)] = pair(a.join[i][k], b.join[j][l])
-    neg = None
-    if a.neg is not None:
-        neg = [pair(a.neg[i], b.neg[j]) for i in range(na) for j in range(nb)]
-    return FiniteAlgebra(f"{a.name}x{b.name}", names, meet, join, neg)
+    (am, aj, an), (bm, bj, bn) = a.arrays(), b.arrays()
+    neg = None if an is None else pair(an, bn)
+    return FiniteAlgebra(f"{a.name}x{b.name}", names, pair(am, bm), pair(aj, bj), neg)
 
 
 def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
@@ -333,15 +320,11 @@ def subalgebra_generated(
     if not idx:
         raise ValidationError("seed must be nonempty")
     inclusion = tuple(sorted(_closure(algebra, idx)))
-    pos = {p: i for i, p in enumerate(inclusion)}
-    meet = [[pos[algebra.meet[p][q]] for q in inclusion] for p in inclusion]
-    join = [[pos[algebra.join[p][q]] for q in inclusion] for p in inclusion]
-    neg = None
-    if algebra.neg is not None:
-        neg = [pos[algebra.neg[p]] for p in inclusion]
+    label = np.full(algebra.size, -1)
+    label[list(inclusion)] = range(len(inclusion))
     names = [algebra.elements[p] for p in inclusion]
-    sub = FiniteAlgebra(f"<{algebra.name}:{len(inclusion)}>", names, meet, join, neg)
-    return sub, inclusion
+    name = f"<{algebra.name}:{len(inclusion)}>"
+    return _induced(name, names, algebra.arrays(), inclusion, label), inclusion
 
 
 def _closure(A: FiniteAlgebra, seed: set[int]) -> set[int]:
@@ -362,6 +345,31 @@ def _closure(A: FiniteAlgebra, seed: set[int]) -> set[int]:
         fresh = new - current
         current |= fresh
     return current
+
+
+def _induced(
+    name: str,
+    names: Sequence[str],
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    keep: Sequence[int],
+    label: Sequence[int] | np.ndarray,
+) -> FiniteAlgebra:
+    """The algebra whose (meet, join, neg) tables are `tables` read on the
+    elements `keep`, in that order, with every value v renamed ``label[v]``.
+
+    Subalgebras, quotients, permutations and decomposition slices are all
+    built here; `FiniteAlgebra` checks that the result is well formed."""
+    keep = np.asarray(keep, dtype=np.intp)
+    label = np.asarray(label, dtype=np.intp)
+    meet, join, neg = tables
+    square = np.ix_(keep, keep)
+    return FiniteAlgebra(
+        name,
+        names,
+        label[meet[square]].tolist(),
+        label[join[square]].tolist(),
+        None if neg is None else label[neg[keep]].tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +672,18 @@ def is_subdirectly_irreducible(algebra: FiniteAlgebra) -> bool:
 
 
 def quotient(algebra: FiniteAlgebra, part: Congruence) -> FiniteAlgebra:
+    if part.block_of != _canon(part.block_of):
+        raise ValidationError("partition block ids must be numbered by first occurrence")
     if not is_congruence(algebra, part):
         raise ValidationError("partition is not a congruence of the algebra")
     blocks = part.blocks
+    names = [
+        "{" + ",".join(algebra.elements[x] for x in b) + "}" if len(b) > 1
+        else algebra.elements[b[0]]
+        for b in blocks
+    ]
     reps = [b[0] for b in blocks]
-    names = []
-    for b in blocks:
-        if len(b) == 1:
-            names.append(algebra.elements[b[0]])
-        else:
-            names.append("{" + ",".join(algebra.elements[x] for x in b) + "}")
-    bo = part.block_of
-    meet = [[bo[algebra.meet[r][s]] for s in reps] for r in reps]
-    join = [[bo[algebra.join[r][s]] for s in reps] for r in reps]
-    neg = None if algebra.neg is None else [bo[algebra.neg[r]] for r in reps]
-    return FiniteAlgebra(f"{algebra.name}/~", names, meet, join, neg)
+    return _induced(f"{algebra.name}/~", names, algebra.arrays(), reps, part.block_of)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +940,7 @@ def is_class(algebra: FiniteAlgebra, cls: str) -> bool:
         return False
     if cls not in _AXIOM_CACHE:
         _AXIOM_CACHE[cls] = _parse_axioms(texts)
-    return bool(satisfies_all(algebra, _AXIOM_CACHE[cls]))
+    return all(satisfies(algebra, e) for e in _AXIOM_CACHE[cls])
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .finalg import (
     dual,
     homomorphism_failure,
     is_class,
+    product,
 )
 
 __all__ = [
@@ -298,26 +299,9 @@ def bilateralise(algebra: FiniteAlgebra) -> FiniteAlgebra:
     if algebra.neg is not None:
         raise ValidationError("bilateralisation applies to negation-free algebras")
     n = algebra.size
-    names = [f"({a},{b})" for a in algebra.elements for b in algebra.elements]
-
-    def pair(i: int, j: int) -> int:
-        return i * n + j
-
-    meet = [[0] * (n * n) for _ in range(n * n)]
-    join = [[0] * (n * n) for _ in range(n * n)]
-    neg = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            neg[pair(i, j)] = pair(j, i)
-            for k in range(n):
-                for l in range(n):
-                    meet[pair(i, j)][pair(k, l)] = pair(
-                        algebra.meet[i][k], algebra.join[j][l]
-                    )
-                    join[pair(i, j)][pair(k, l)] = pair(
-                        algebra.join[i][k], algebra.meet[j][l]
-                    )
-    return FiniteAlgebra(f"Bl({algebra.name})", names, meet, join, neg)
+    pairs = product(algebra, dual(algebra))
+    swap = [j * n + i for i in range(n) for j in range(n)]
+    return FiniteAlgebra(f"Bl({algebra.name})", pairs.elements, pairs.meet, pairs.join, swap)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +340,8 @@ def _homs_cached(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 def _self_dualisers(F: FiniteAlgebra) -> list[tuple[int, ...]]:
     # involutions that are homomorphisms onto the dual, hence isomorphisms
-    homs = _homs_cached(F, _dual_copy(F))
+    homs = _homs_cached(F, dual(F))
     return [h for h in homs if all(h[h[a]] == a for a in range(F.size))]
-
-
-def _dual_copy(F: FiniteAlgebra) -> FiniteAlgebra:
-    return FiniteAlgebra(f"{F.name}^op", F.elements, F.join, F.meet, None)
 
 
 def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
@@ -370,7 +350,6 @@ def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
 
 def _default_pools() -> tuple[list[FiniteAlgebra], list[FiniteAlgebra]]:
     from . import catalog  # deferred: catalog builds on sums
-    from .finalg import product
 
     basics = catalog.build_basics()
     d2 = basics["D2"]
@@ -419,7 +398,7 @@ def random_system(
                 dualisers[e] = rng.choice(selfduals)
             else:
                 fibres[e] = F
-                fibres[neg_of[e]] = _dual_copy(F)
+                fibres[neg_of[e]] = dual(F)
                 ident = tuple(range(F.size))
                 dualisers[e] = ident
                 dualisers[neg_of[e]] = ident

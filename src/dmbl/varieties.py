@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,9 +24,11 @@ from .finalg import (
     CONGRUENCE_SIZE_LIMIT,
     FiniteAlgebra,
     ValidationError,
+    _closure,
     congruences,
     is_isomorphic,
     isomorphism_key,
+    power,
     product,
     quotient,
     satisfies,
@@ -468,8 +470,7 @@ def _subuniverses(P: FiniteAlgebra, max_generators: int) -> list[tuple[int, ...]
     seen: set[frozenset[int]] = set()
     for size in range(1, take + 1):
         for seed in itertools.combinations(range(n), size):
-            _, incl = subalgebra_generated(P, seed)
-            seen.add(frozenset(incl))
+            seen.add(frozenset(_closure(P, set(seed))))
     seen.add(frozenset(range(n)))
     return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))
 
@@ -537,9 +538,7 @@ def hsp_membership(
     for ms in multisets:
         if prod_size(ms) > product_budget:
             continue
-        P = gens[ms[0]]
-        for i in ms[1:]:
-            P = product(P, gens[i])
+        P = reduce(product, [gens[i] for i in ms])
         for sub in _subuniverses(P, max_subalgebra_generators):
             if len(sub) < algebra.size or len(sub) > congruence_budget:
                 continue
@@ -798,13 +797,14 @@ def _si_quotients_embed(
     """
     # every subalgebra of U, as targets for the embedding check; algebras are
     # bucketed by isomorphism_key, so is_isomorphic runs only within a bucket
-    u_subs: dict[frozenset[int], FiniteAlgebra] = {}
-    for size in range(1, U.size + 1):
-        for seed in itertools.combinations(range(U.size), size):
-            sub, incl = subalgebra_generated(U, seed)
-            u_subs.setdefault(frozenset(incl), sub)
+    carriers = dict.fromkeys(
+        frozenset(_closure(U, set(seed)))
+        for size in range(1, U.size + 1)
+        for seed in itertools.combinations(range(U.size), size)
+    )
     targets: dict[tuple, list[FiniteAlgebra]] = {}
-    for t in u_subs.values():
+    for carrier in carriers:
+        t, _ = subalgebra_generated(U, carrier)
         targets.setdefault(isomorphism_key(t), []).append(t)
 
     report = {
@@ -818,11 +818,8 @@ def _si_quotients_embed(
     si_verdicts: dict[tuple, list[tuple[FiniteAlgebra, bool]]] = {}
 
     for k in powers:
-        P = U
-        for _ in range(k - 1):
-            P = product(P, U)
+        P = power(U, k)
         n = P.size
-        meet, join, neg = P.arrays()
         base = U.size
 
         # perm_index[i][x]: x with its coordinates permuted by the i-th
@@ -856,33 +853,14 @@ def _si_quotients_embed(
                     keep &= np.sort(image[seeds], axis=1) @ weights >= code
                 yield from seeds[keep]
 
-        def closure(seed: np.ndarray) -> np.ndarray:
-            mask = np.zeros(n, dtype=bool)
-            mask[seed] = True
-            while True:
-                idx = np.flatnonzero(mask)
-                new = np.unique(
-                    np.concatenate(
-                        (
-                            meet[np.ix_(idx, idx)].ravel(),
-                            join[np.ix_(idx, idx)].ravel(),
-                            neg[idx],
-                        )
-                    )
-                )
-                fresh = new[~mask[new]]
-                if fresh.size == 0:
-                    return idx
-                mask[fresh] = True
-
-        closures: set[bytes] = set()  # each closure is canonicalised once
+        closures: set[tuple[int, ...]] = set()  # each closure is canonicalised once
         subuniverses: set[tuple[int, ...]] = set()
         for size in range(1, generator_count + 1):
             for seed in canonical_seeds(size):
-                closed = closure(seed)
-                if closed.tobytes() not in closures:
-                    closures.add(closed.tobytes())
-                    subuniverses.add(canonical(closed))
+                closed = tuple(sorted(_closure(P, set(seed.tolist()))))
+                if closed not in closures:
+                    closures.add(closed)
+                    subuniverses.add(canonical(np.array(closed)))
 
         # group by isomorphism before the expensive congruence scan
         reps: dict[tuple, list[FiniteAlgebra]] = {}

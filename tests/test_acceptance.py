@@ -451,11 +451,18 @@ def test_criterion_10_subdirect_irreducibility_bound(capsys):
     t0 = time.monotonic()
     report = jonsson_check(max_power=3)
     elapsed = time.monotonic() - t0
-    ok = report["ok"] and not report["failures"] and elapsed < 600.0
+    counts = (report["subalgebras"], report["quotients"], report["si_quotients"])
+    ok = (
+        report["ok"]
+        and not report["failures"]
+        and counts == (12831, 50129, 6164)
+        and elapsed < 600.0
+    )
     _report(
         capsys,
         10,
-        f"{report['si_quotients']} subdirectly irreducible quotients across "
+        f"{report['si_quotients']} subdirectly irreducible quotients (of "
+        f"{report['quotients']}) across "
         f"{report['subalgebras']} subalgebras of powers of U all embed into U"
         + (f"; failures {report['failures'][:2]}" if report["failures"] else ""),
         ok,

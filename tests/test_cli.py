@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+from dmbl import cli, sums
 from dmbl.catalog import build_U_system, entry
 from dmbl.cli import main
 from dmbl.decomp import decompose
 from dmbl.finalg import algebra_from_json, algebra_to_json, is_isomorphic, save_algebra
-from dmbl.sums import save_system, system_to_json
+from dmbl.sums import save_system, system_to_json, validate
 
 
 def run(capsys, *argv):
@@ -188,6 +189,23 @@ def test_sum_rejects_invalid_system(capsys, tmp_path):
     code, _, err = run(capsys, "sum", "--system", str(path))
     assert code == 2
     assert "invalid system" in err
+
+
+def test_sum_validates_the_system_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return validate(system)
+
+    # also counted if cli calls validate through a binding of its own
+    monkeypatch.setattr(sums, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting, raising=False)
+    path = tmp_path / "u.json"
+    save_system(build_U_system(), path)
+    code, _, _ = run(capsys, "sum", "--system", str(path))
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

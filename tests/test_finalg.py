@@ -263,6 +263,145 @@ def test_subalgebra_closed_under_ops():
                 assert a5.join[x][y] in members
 
 
+# ------------------------------------------ shared builders against plain loops
+#
+# product, permute, quotient, subalgebra_generated and bilateralise build
+# their tables with numpy; each is checked against the loop that states its
+# definition, on tables obeying no law at all
+
+
+def _law_free(data, name, with_neg):
+    n = data.draw(st.integers(1, 5))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    neg = data.draw(st.permutations(range(n))) if with_neg else None
+    return FiniteAlgebra(name, [f"{name}{i}" for i in range(n)], data.draw(table), data.draw(table), neg)
+
+
+def _product_loop(a, b):
+    na, nb = a.size, b.size
+
+    def pair(i, j):
+        return i * nb + j
+
+    meet = [[0] * (na * nb) for _ in range(na * nb)]
+    join = [[0] * (na * nb) for _ in range(na * nb)]
+    for i, j, k, l in itertools.product(range(na), range(nb), range(na), range(nb)):
+        meet[pair(i, j)][pair(k, l)] = pair(a.meet[i][k], b.meet[j][l])
+        join[pair(i, j)][pair(k, l)] = pair(a.join[i][k], b.join[j][l])
+    neg = None
+    if a.neg is not None:
+        neg = [pair(a.neg[i], b.neg[j]) for i in range(na) for j in range(nb)]
+    names = [f"({p},{q})" for p in a.elements for q in b.elements]
+    return FiniteAlgebra(f"{a.name}x{b.name}", names, meet, join, neg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_matches_loop(data):
+    with_neg = data.draw(st.booleans())
+    a, b = _law_free(data, "a", with_neg), _law_free(data, "b", with_neg)
+    assert algebra_to_json(product(a, b)) == algebra_to_json(_product_loop(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_permute_matches_loop(data):
+    a = _law_free(data, "a", data.draw(st.booleans()))
+    perm = data.draw(st.permutations(range(a.size)))
+    pos = {old: new for new, old in enumerate(perm)}
+    n = a.size
+    expected = FiniteAlgebra(
+        a.name,
+        [a.elements[p] for p in perm],
+        [[pos[a.meet[perm[x]][perm[y]]] for y in range(n)] for x in range(n)],
+        [[pos[a.join[perm[x]][perm[y]]] for y in range(n)] for x in range(n)],
+        None if a.neg is None else [pos[a.neg[perm[x]]] for x in range(n)],
+    )
+    assert algebra_to_json(a.permute([a.elements[p] for p in perm])) == algebra_to_json(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_matches_loop_on_every_congruence(data):
+    a = _law_free(data, "a", data.draw(st.booleans()))
+    for theta in congruences(a):
+        bo = theta.block_of
+        reps = [b[0] for b in theta.blocks]
+        names = [
+            a.elements[b[0]] if len(b) == 1 else "{" + ",".join(a.elements[x] for x in b) + "}"
+            for b in theta.blocks
+        ]
+        expected = FiniteAlgebra(
+            f"{a.name}/~",
+            names,
+            [[bo[a.meet[r][s]] for s in reps] for r in reps],
+            [[bo[a.join[r][s]] for s in reps] for r in reps],
+            None if a.neg is None else [bo[a.neg[r]] for r in reps],
+        )
+        assert algebra_to_json(quotient(a, theta)) == algebra_to_json(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subalgebra_generated_is_least_fixpoint_and_restriction(data):
+    a = _law_free(data, "a", data.draw(st.booleans()))
+    seed = data.draw(st.sets(st.integers(0, a.size - 1), min_size=1))
+    carrier = set(seed)
+    while True:
+        step = carrier | {a.meet[x][y] for x in carrier for y in carrier}
+        step |= {a.join[x][y] for x in carrier for y in carrier}
+        if a.neg is not None:
+            step |= {a.neg[x] for x in carrier}
+        if step == carrier:
+            break
+        carrier = step
+    inc = sorted(carrier)
+    pos = {p: i for i, p in enumerate(inc)}
+    expected = FiniteAlgebra(
+        f"<{a.name}:{len(inc)}>",
+        [a.elements[p] for p in inc],
+        [[pos[a.meet[p][q]] for q in inc] for p in inc],
+        [[pos[a.join[p][q]] for q in inc] for p in inc],
+        None if a.neg is None else [pos[a.neg[p]] for p in inc],
+    )
+    sub, inclusion = subalgebra_generated(a, seed)
+    assert inclusion == tuple(inc)
+    assert algebra_to_json(sub) == algebra_to_json(expected)
+
+
+def test_subalgebra_closure_reads_both_argument_orders():
+    # 0 /\ 0 = 1 in the first round, then 2 only as 0 /\ 1, with the older
+    # element on the left; join is the left projection
+    a = FiniteAlgebra(
+        "a", "012", [[1, 2, 0], [1, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    )
+    assert subalgebra_generated(a, [0])[1] == (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bilateralise_matches_four_loops(data):
+    a = _law_free(data, "a", False)
+    n = a.size
+
+    def pair(i, j):
+        return i * n + j
+
+    meet = [[0] * (n * n) for _ in range(n * n)]
+    join = [[0] * (n * n) for _ in range(n * n)]
+    neg = [0] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            neg[pair(i, j)] = pair(j, i)
+            for k in range(n):
+                for l in range(n):
+                    meet[pair(i, j)][pair(k, l)] = pair(a.meet[i][k], a.join[j][l])
+                    join[pair(i, j)][pair(k, l)] = pair(a.join[i][k], a.meet[j][l])
+    names = [f"({x},{y})" for x in a.elements for y in a.elements]
+    expected = FiniteAlgebra(f"Bl({a.name})", names, meet, join, neg)
+    assert algebra_to_json(bilateralise(a)) == algebra_to_json(expected)
+
+
 # ------------------------------------------------------------------ congruences
 
 
@@ -458,6 +597,14 @@ def test_quotient_collapses_blocks():
                 assert c.block_of[a.meet[x][y]] == q.meet[c.block_of[x]][c.block_of[y]]
                 assert c.block_of[a.join[x][y]] == q.join[c.block_of[x]][c.block_of[y]]
             assert c.block_of[a.neg[x]] == q.neg[c.block_of[x]]
+
+
+def test_quotient_rejects_block_ids_out_of_first_occurrence_order():
+    # (0, 2) is the identity partition with an unused block id 1; (1, 0) is
+    # the identity with its ids swapped
+    for block_of in ((0, 2), (1, 0)):
+        with pytest.raises(ValidationError, match="first occurrence"):
+            quotient(IS2, Congruence(block_of))
 
 
 def test_subdirect_irreducibility_examples():

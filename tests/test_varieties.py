@@ -1,5 +1,6 @@
 """Tests for the subvariety lattice machinery."""
 
+import itertools
 import json
 import random
 
@@ -42,6 +43,7 @@ from dmbl.varieties import (
     variety_satisfies,
     verify_theorems,
 )
+from dmbl.varieties import _subuniverses
 
 # ---------------------------------------------------------------------------
 # descriptors and generator sets
@@ -495,6 +497,46 @@ def test_verify_theorems_is_clean():
     assert len(names) == len(set(names))
     for c in report["checks"]:
         assert c["detail"]
+
+
+def test_jonsson_check_counts_are_pinned():
+    # the certified search counts: a closure that finds other subuniverses
+    # moves them even when every quotient still embeds
+    for max_power, counts in ((1, (18, 30, 29)), (2, (522, 3233, 651))):
+        report = jonsson_check(max_power=max_power)
+        got = (report["subalgebras"], report["quotients"], report["si_quotients"])
+        assert got == counts
+        assert report["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "algebra", [product(get_algebra("B2"), get_algebra("IS3")), power(get_algebra("IS2"), 3)],
+    ids=lambda a: a.name,
+)
+def test_subuniverses_match_brute_force(algebra):
+    n = algebra.size
+
+    def closed(s):
+        return all(
+            algebra.meet[x][y] in s and algebra.join[x][y] in s for x in s for y in s
+        ) and all(algebra.neg[x] in s for x in s)
+
+    subsets = (
+        frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(range(n), k)
+    )
+    universes = [s for s in subsets if closed(s)]
+    for k in (1, 2, 3):
+        # a subuniverse is k-generated when some seed of at most k of its
+        # elements lies in no smaller subuniverse
+        generated = {
+            s
+            for s in universes
+            for size in range(1, k + 1)
+            for seed in itertools.combinations(sorted(s), size)
+            if not any(t < s and t >= set(seed) for t in universes)
+        } | {frozenset(range(n))}
+        expected = sorted((tuple(sorted(s)) for s in generated), key=lambda s: (len(s), s))
+        assert _subuniverses(algebra, k) == expected
 
 
 def test_jonsson_check_on_u_itself():
