@@ -9,6 +9,15 @@ Element order matters for one thing only: :func:`satisfies` reports the
 *least* counterexample in the lexicographic order of assignments, variables
 sorted by name, elements by index.  The scan runs over assignments in that
 order, in blocks of bounded size, and stops at the least counterexample.
+
+Terms are evaluated by one function, ``_evaluate``, over numpy index arrays.
+A node over more than ``_CHUNK`` values reads its table as a flat array:
+entry ``left * n + right`` (int16 codes while ``n * n <= 2**15``, int32
+beyond) or, for ``~``, the argument's entry, through ``take`` one chunk of
+``_CHUNK`` indices at a time; smaller nodes index the tables directly.  When
+a block of the scan holds more than ``_CHUNK`` assignments, the subterms that
+read no fixed variable are evaluated once, in the first block, and reused by
+every later one.
 """
 
 from __future__ import annotations
@@ -88,12 +97,11 @@ class FiniteAlgebra:
                 raise ValidationError(f"{label} table must hold integer entries") from None
             if len(tbl) != n or any(len(row) != n for row in tbl):
                 raise ValidationError(f"{label} table must be {n}x{n}")
-            for row in tbl:
-                for v in row:
-                    if not 0 <= v < n:
-                        raise ValidationError(
-                            f"{label} table entry {v} out of range [0,{n})"
-                        )
+            # the distinct entries are few; find the offender only on failure
+            seen = set().union(*tbl)
+            if min(seen) < 0 or max(seen) >= n:
+                v = next(v for row in tbl for v in row if not 0 <= v < n)
+                raise ValidationError(f"{label} table entry {v} out of range [0,{n})")
             return tbl
 
         self.name = str(name)
@@ -184,10 +192,23 @@ def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, str |
 
 
 def _evaluate(
-    A: FiniteAlgebra, t: Term, grids: Mapping[str, np.ndarray], memo: dict
+    A: FiniteAlgebra,
+    t: Term,
+    grids: Mapping[str, np.ndarray],
+    memo: dict,
+    keep: set[int] | None = None,
 ) -> np.ndarray:
     """Values of `t` with each variable bound to an index array; the arrays
-    broadcast against each other, and so does the result."""
+    broadcast against each other, and so does the result.
+
+    A node over more than ``_CHUNK`` values reads its table through
+    :func:`_gather`: a binary node reads entry ``left * n + right`` of the
+    flat table, a ``~`` node its argument's entry of `neg`.  Smaller nodes
+    index the tables directly.  Values are memoised in `memo` by ``id``: every
+    subterm's when `keep` is None, else only those whose ids are in `keep`, so
+    any other array is freed once its parent has read it.  A value already in
+    `memo` is not computed again: `satisfies` puts there the subterms that
+    read no fixed variable, computed in its first block."""
     # keyed by id(): the caller holds every term it passes for as long as memo
     # lives, so no id can be recycled within one call
     key = id(t)
@@ -201,15 +222,49 @@ def _evaluate(
     elif isinstance(t, Neg):
         if neg is None:
             raise ValidationError(f"term uses ~ but {A.name} has no negation")
-        val = neg[_evaluate(A, t.child, grids, memo)]
-    elif isinstance(t, Meet):
-        val = meet[_evaluate(A, t.left, grids, memo), _evaluate(A, t.right, grids, memo)]
-    elif isinstance(t, Join):
-        val = join[_evaluate(A, t.left, grids, memo), _evaluate(A, t.right, grids, memo)]
+        arg = _evaluate(A, t.child, grids, memo, keep)
+        val = _gather(neg, arg) if arg.size > _CHUNK else neg[arg]
+    elif isinstance(t, (Meet, Join)):
+        table = meet if isinstance(t, Meet) else join
+        left = _evaluate(A, t.left, grids, memo, keep)
+        right = _evaluate(A, t.right, grids, memo, keep)
+        if left.size * right.size > _CHUNK:
+            n = A.size
+            code = np.multiply(left, n, dtype=np.int16 if n * n <= 1 << 15 else np.int32)
+            if code.shape == np.broadcast_shapes(code.shape, right.shape):
+                np.add(code, right, out=code)  # left spans the result
+            else:
+                code = code + right
+            del left, right
+            # the codes are this node's own, so int16 values can replace them
+            val = _gather(table, code, code if code.dtype == table.dtype else None)
+        else:
+            val = table[left, right]
     else:
         raise TypeError(f"not a term: {t!r}")
-    memo[key] = val
+    if keep is None or key in keep:
+        memo[key] = val
     return val
+
+
+# nodes over more values than this read their tables by chunked `take`
+_CHUNK = 1 << 14
+
+
+def _gather(
+    table: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``table.ravel()[idx]``, read ``_CHUNK`` indices at a time into `out`
+    (a new array when None): `take` copies each chunk of indices to intp
+    before it writes, so chunking keeps that copy small, and `out` may be
+    `idx` itself."""
+    flat = table.ravel()
+    if out is None:
+        out = np.empty(idx.shape, dtype=table.dtype)
+    idx, dst = idx.ravel(), out.ravel()
+    for s in range(0, idx.size, _CHUNK):
+        flat.take(idx[s : s + _CHUNK], out=dst[s : s + _CHUNK])
+    return out
 
 
 @dataclass(frozen=True)
@@ -235,6 +290,9 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     Assignments are scanned in that order, in blocks of at most ``_BLOCK``:
     each block fixes as few leading variables as it must, the rest span
     broadcast axes, and the scan stops at the first block with a failure.
+    A block of more than ``_CHUNK`` assignments evaluates the subterms that
+    read no fixed variable only once, in the first block, and within a block
+    keeps only the values of subterms with more than one parent.
     """
     names = sorted(variables(identity.lhs) | variables(identity.rhs))
     k = len(names)
@@ -251,19 +309,56 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
         v: ar.reshape((-1,) + (1,) * (free - 1 - axis))
         for axis, v in enumerate(names[fixed:])
     }
+    keep, hoist = None, set()
+    if n**free > _CHUNK:
+        keep, hoist = _block_plan(identity, set(names[:fixed]))
+    hoisted: dict = {}
     for prefix in itertools.product(range(n), repeat=fixed):
         for v, c in zip(names, prefix):
             grids[v] = np.array(c, dtype=np.int16)
-        memo: dict = {}
-        bad = _evaluate(algebra, identity.lhs, grids, memo) != _evaluate(
-            algebra, identity.rhs, grids, memo
+        memo = dict(hoisted)
+        bad = _evaluate(algebra, identity.lhs, grids, memo, keep) != _evaluate(
+            algebra, identity.rhs, grids, memo, keep
         )
         if bad.any():
             # every free variable occurs, so bad spans all `free` axes
             coords = prefix + np.unravel_index(int(np.argmax(bad)), bad.shape)
             cex = {v: algebra.elements[int(c)] for v, c in zip(names, coords)}
             return SatisfactionResult(False, cex)
+        hoisted = {key: memo[key] for key in hoist}
     return SatisfactionResult(True, None)
+
+
+def _block_plan(identity: Identity, fixed: set[str]) -> tuple[set[int], set[int]]:
+    """Ids of the subterms a block of `satisfies` keeps, and of those it
+    keeps for every later block.
+
+    A block keeps the subterms with more than one parent (each side counts
+    the identity as a parent) and the hoisted ones.  The hoisted subterms are
+    the largest that read no variable in `fixed`: each is a side, or has a
+    parent that reads such a variable."""
+    parents: dict[int, int] = {}
+    reads: dict[int, bool] = {}  # does the subterm read a fixed variable
+    hoist: set[int] = set()
+
+    def walk(t: Term) -> bool:
+        key = id(t)
+        parents[key] = parents.get(key, 0) + 1
+        if key not in reads:
+            if isinstance(t, Var):
+                reads[key] = t.name in fixed
+            else:
+                kids = (t.child,) if isinstance(t, Neg) else (t.left, t.right)
+                # a list, so that every child is walked and counted
+                reads[key] = any([walk(c) for c in kids])
+                if reads[key]:
+                    hoist.update(id(c) for c in kids if not reads[id(c)])
+        return reads[key]
+
+    for side in (identity.lhs, identity.rhs):
+        if not walk(side):
+            hoist.add(id(side))
+    return {key for key, c in parents.items() if c > 1} | hoist, hoist
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,18 @@ def term_size(t: Term) -> int:
 
 
 def variables(t: Term) -> frozenset[str]:
-    return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            names.add(s.name)
+        elif isinstance(s, Neg):
+            stack.append(s.child)
+        elif isinstance(s, (Meet, Join)):
+            stack.append(s.left)
+            stack.append(s.right)
+    return frozenset(names)
 
 
 def polarities(t: Term) -> PolaritySets:

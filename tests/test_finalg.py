@@ -51,7 +51,7 @@ from dmbl.sweep import (
     same_partition,
     value_matrix,
 )
-from dmbl.terms import dualise_identity, parse, parse_term
+from dmbl.terms import Identity, Var, dualise_identity, parse, parse_term
 
 
 BASICS = build_basics()
@@ -143,25 +143,74 @@ def _least_counterexample(a, e):
 
 
 def test_satisfies_blocks_match_brute_force(monkeypatch):
+    v, w, x, y, z = (Var(c) for c in "vwxyz")
+    shared = x & ~y  # one object under two parents
+    late = y | ~z  # reads only the last variables
+    rest = (shared | late) & (shared | w)
     cases = [
-        (DM4, "x /\\ y = x \\/ y"),
-        (IS4, "~(x /\\ y) = ~x \\/ ~y"),
-        (get_algebra("A5"), "x /\\ ~x = y \\/ ~y"),
-        (U, "~(v /\\ w) \\/ (x /\\ (y \\/ z)) = ~(v /\\ w) \\/ ((x /\\ y) \\/ (x /\\ z))"),
-        (U, "(v \\/ w) /\\ up(x) /\\ dn(y) = (w \\/ v) /\\ dn(y) /\\ up(z)"),
-        (U, "~~v \\/ (w \\/ x \\/ y \\/ z) = (~v /\\ v) \\/ (w \\/ x \\/ y \\/ z)"),
+        (DM4, parse("x /\\ y = x \\/ y")),
+        (IS4, parse("~(x /\\ y) = ~x \\/ ~y")),
+        (get_algebra("A5"), parse("x /\\ ~x = y \\/ ~y")),
+        (U, parse("~(v /\\ w) \\/ (x /\\ (y \\/ z)) = ~(v /\\ w) \\/ ((x /\\ y) \\/ (x /\\ z))")),
+        (U, parse("(v \\/ w) /\\ up(x) /\\ dn(y) = (w \\/ v) /\\ dn(y) /\\ up(z)")),
+        (U, Identity((shared | v) & (shared | (w & z)), shared | (v & (w & z)))),
+        (U, Identity(~~v | rest, (~v & v) | rest)),
+        (U, parse("~~v \\/ (w \\/ x \\/ y \\/ z) = (~v /\\ v) \\/ (w \\/ x \\/ y \\/ z)")),
     ]
-    expected = [_least_counterexample(a, parse(s)) for a, s in cases]
-    # some hold, and the last one's least counterexample moves v off U's
-    # first element, so the scan must reach a later block to find it
-    assert None in expected and expected[-1]["v"] != U.elements[0]
+    expected = [_least_counterexample(a, e) for a, e in cases]
+    # some hold, and the last two's least counterexamples move v off U's
+    # first element, so the scan must reach a later block to find them
+    assert None in expected
+    assert expected[-2]["v"] != U.elements[0] and expected[-1]["v"] != U.elements[0]
     # blocks of one assignment, and blocks that fix all but one or two of
-    # the five variables over U's nine elements
-    for block in (1, 10, 100):
+    # the five variables over U's nine elements; every node of a block over
+    # more than one assignment gathers one entry at a time, or none does
+    for chunk, block in itertools.product((1, 2**40), (1, 10, 100)):
+        monkeypatch.setattr(finalg, "_CHUNK", chunk)
         monkeypatch.setattr(finalg, "_BLOCK", block)
-        for (a, s), cex in zip(cases, expected):
-            r = satisfies(a, parse(s))
-            assert (bool(r), r.counterexample) == (cex is None, cex), (block, s)
+        for (a, e), cex in zip(cases, expected):
+            r = satisfies(a, e)
+            assert (bool(r), r.counterexample) == (cex is None, cex), (chunk, block, e)
+
+
+def test_satisfies_reads_243_elements_through_int32_codes(monkeypatch):
+    # 243^2 table entries overflow int16 codes
+    p = product(product(U, U), IS3)
+    cases = [
+        parse("~(x /\\ y) = ~x \\/ ~y"),
+        parse("x /\\ (x \\/ y) = x"),
+        parse("~~x \\/ (y /\\ ~y) = (~x /\\ x) \\/ (y /\\ ~y)"),
+    ]
+    expected = []
+    for e in cases:
+        if all(satisfies(f, e) for f in (U, IS3)):
+            expected.append(None)
+        else:
+            expected.append(_least_counterexample(p, e))
+    assert expected[0] is None
+    assert expected[1]["y"] != p.elements[0] and expected[2]["x"] != p.elements[0]
+    # one block of 243^2 assignments, and blocks of 243 with x fixed
+    for chunk, block in itertools.product((1, 2**40, finalg._CHUNK), (1 << 20, 243)):
+        monkeypatch.setattr(finalg, "_CHUNK", chunk)
+        monkeypatch.setattr(finalg, "_BLOCK", block)
+        for e, cex in zip(cases, expected):
+            r = satisfies(p, e)
+            assert (bool(r), r.counterexample) == (cex is None, cex), (chunk, block, e)
+
+
+def test_value_matrix_does_not_depend_on_the_gather(monkeypatch):
+    # U's rows of 9^3 values gather only at chunk 1; the int16 rows of
+    # 243^2 values of the product gather at the default chunk too
+    p = product(product(U, U), IS3)
+    spaces = [(U, enumerate_terms(5, 3), 3), (p, enumerate_terms(4, 2), 2)]
+    default = finalg._CHUNK
+    for a, terms, k in spaces:
+        mats = []
+        for chunk in (1, 2**40, default):
+            monkeypatch.setattr(finalg, "_CHUNK", chunk)
+            m = value_matrix(a, terms, k)
+            mats.append((m.dtype, m.shape, m.tobytes()))
+        assert mats[0] == mats[1] == mats[2], a.name
 
 
 def test_satisfies_memory_is_bounded_by_block():
