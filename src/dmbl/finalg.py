@@ -364,43 +364,48 @@ def _block_plan(identity: Identity, fixed: set[str]) -> tuple[set[int], set[int]
 # ---------------------------------------------------------------------------
 # constructions
 
+def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The table of a product built from the same table x of the first
+    factor and y of the second: argument ``(i, j)`` is ``i * len(y) + j``."""
+    # the outer sum has the axes of x, then of y, and each argument of the
+    # product is an axis of x followed by one of y
+    d, nb = x.ndim, len(y)
+    v = np.add.outer(x.astype(np.intp) * nb, y).transpose(
+        [i + d * k for i in range(d) for k in (0, 1)]
+    )
+    return v.reshape((len(x) * nb,) * d)
+
+
 def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; both factors must have negation, or neither.  The pair
     (i, j) is element ``i * b.size + j``."""
     if (a.neg is None) != (b.neg is None):
         raise ValidationError("cannot form a product of a <2,2,1> and a <2,2> algebra")
-    nb = b.size
     names = [f"({p},{q})" for p in a.elements for q in b.elements]
-
-    def pair(x: np.ndarray, y: np.ndarray) -> list:
-        # x is a table of `a`, y the same table of `b`: the outer sum has the
-        # axes of x, then of y, and each argument of the product is an axis
-        # of x followed by one of y
-        d = x.ndim
-        v = np.add.outer(x.astype(np.intp) * nb, y).transpose(
-            [i + d * k for i in range(d) for k in (0, 1)]
-        )
-        return v.reshape((len(x) * nb,) * d).tolist()
-
     (am, aj, an), (bm, bj, bn) = a.arrays(), b.arrays()
-    neg = None if an is None else pair(an, bn)
-    return FiniteAlgebra(f"{a.name}x{b.name}", names, pair(am, bm), pair(aj, bj), neg)
+    neg = None if an is None else _pair(an, bn).tolist()
+    return FiniteAlgebra(
+        f"{a.name}x{b.name}", names, _pair(am, bm).tolist(), _pair(aj, bj).tolist(), neg
+    )
 
 
 def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
-    """Direct power with flat tuple names "(a,b,...)"."""
+    """Direct power with flat tuple names "(a,b,...)", built as one algebra.
+    Element ``x`` has the digits of ``x`` in base ``a.size`` as coordinates,
+    the first most significant, as in ``product(product(a, a), a)``;
+    parentheses inside the factor's names are dropped."""
     if k < 1:
         raise ValidationError("power needs k >= 1")
-    out = a
+    if k == 1:
+        return a
+    tables = a.arrays()
+    out = tables
     for _ in range(k - 1):
-        out = product(out, a)
-    if k > 1:
-        # flatten "((a,b),c)"-style names
-        flat = [
-            "(" + nm.replace("(", "").replace(")", "") + ")" for nm in out.elements
-        ]
-        out = FiniteAlgebra(f"{a.name}^{k}", flat, out.meet, out.join, out.neg)
-    return out
+        out = tuple(None if t is None else _pair(o, t) for o, t in zip(out, tables))
+    bare = [e.replace("(", "").replace(")", "") for e in a.elements]
+    names = ["(" + ",".join(c) + ")" for c in itertools.product(bare, repeat=k)]
+    meet, join, neg = (None if t is None else t.tolist() for t in out)
+    return FiniteAlgebra(f"{a.name}^{k}", names, meet, join, neg)
 
 
 def subalgebra_generated(
@@ -480,6 +485,11 @@ class Congruence:
     ``block_of[x]`` is the block id of element x; ids are numbered by first
     occurrence, so equal partitions are equal tuples.  ``blocks`` groups the
     element indices.
+
+    The constructor takes ``block_of`` as given; :func:`quotient`,
+    :func:`join_partitions`, :func:`meet_partitions`, :meth:`refines` and
+    :func:`si_quotient_flags` reject ids not numbered by first occurrence.
+    :meth:`from_blocks` builds the canonical form from any list of blocks.
     """
 
     block_of: tuple[int, ...]
@@ -521,6 +531,7 @@ class Congruence:
         return self.num_blocks == 1
 
     def refines(self, other: "Congruence") -> bool:
+        _require_canonical((self, other))
         seen: dict[int, int] = {}
         for mine, theirs in zip(self.block_of, other.block_of):
             if mine in seen:
@@ -534,6 +545,16 @@ class Congruence:
 def _canon(block_of: Sequence[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
     return tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
+
+
+def _require_canonical(parts: Iterable[Congruence]) -> None:
+    # the public partition operations read block ids as a canonical form;
+    # the engine builds its congruences through _canon and skips this check
+    for p in parts:
+        if p.block_of != _canon(p.block_of):
+            raise ValidationError(
+                "partition block ids must be numbered by first occurrence"
+            )
 
 
 def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
@@ -627,11 +648,13 @@ def _join_pairs(p: Congruence, pairs: Sequence[tuple[int, int]]) -> Congruence |
 
 def join_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Transitive closure of the union; for congruences this is their join."""
+    _require_canonical((p, q))
     j = _join_pairs(p, _block_pairs(q))
     return p if j is None else j
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
+    _require_canonical((p, q))
     pairs = {}
     out = []
     for a, b in zip(p.block_of, q.block_of):
@@ -707,6 +730,7 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
     so S/θ is subdirectly irreducible exactly when θ is total or has a single
     upper cover.
     """
+    _require_canonical(cons)
     m = len(cons)
     if m == 0:
         return []
@@ -767,8 +791,7 @@ def is_subdirectly_irreducible(algebra: FiniteAlgebra) -> bool:
 
 
 def quotient(algebra: FiniteAlgebra, part: Congruence) -> FiniteAlgebra:
-    if part.block_of != _canon(part.block_of):
-        raise ValidationError("partition block ids must be numbered by first occurrence")
+    _require_canonical((part,))
     if not is_congruence(algebra, part):
         raise ValidationError("partition is not a congruence of the algebra")
     blocks = part.blocks

@@ -7,9 +7,17 @@ pair in a bounded term space reduces to comparing two partitions of the term
 list — linear in the number of terms instead of quadratic.
 
 Terms are enumerated over the fixed variable pool x1..xk with every labelling
-(children always precede parents); value matrices evaluate every term on the
-full assignment grid, one numpy row per term.  Assignments are in C order
-with x1 slowest, matching the counterexample order of `finalg.satisfies`.
+(children always precede parents).  A value row holds a term's values on the
+full assignment grid, in C order with x1 slowest, matching the counterexample
+order of `finalg.satisfies`; `value_matrix` stacks one row per term.
+
+Equal value rows are a congruence of the term algebra: the row of f(s, t)
+depends only on the rows of s and t.  So `theory_partition` labels terms by
+class without the matrix.  A term's key is its variable, ``(Neg, class of
+the child)`` or ``(Meet or Join, class of left, class of right)``; only a key
+not seen before is evaluated, and its row is interned by content.  The 8427
+terms of at most 7 nodes over x1..x3 fall into at most 235 classes in each
+named algebra (235 in U), so one row per class is kept, not one per term.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ __all__ = [
     "refines",
     "same_partition",
     "signatures",
+    "theory_partition",
     "value_matrix",
 ]
 
@@ -57,6 +66,15 @@ def enumerate_terms(max_nodes: int = 7, num_vars: int = 3) -> tuple[Term, ...]:
     return tuple(out)
 
 
+def _grids(n: int, num_vars: int) -> dict[str, np.ndarray]:
+    # x1 varies slowest
+    ar = np.arange(n, dtype=np.int16)
+    return {
+        f"x{i + 1}": ar.reshape((-1,) + (1,) * (num_vars - 1 - i))
+        for i in range(num_vars)
+    }
+
+
 def value_matrix(
     algebra: FiniteAlgebra, terms: Sequence[Term], num_vars: int = 3
 ) -> np.ndarray:
@@ -64,18 +82,60 @@ def value_matrix(
     n = algebra.size
     out = np.empty((len(terms), n ** num_vars), dtype=np.int8 if n <= 127 else np.int16)
     grid = out.reshape((len(terms),) + (n,) * num_vars)
-    ar = np.arange(n, dtype=np.int16)
-    # x1 varies slowest
-    grids = {
-        f"x{i + 1}": ar.reshape((-1,) + (1,) * (num_vars - 1 - i))
-        for i in range(num_vars)
-    }
+    grids = _grids(n, num_vars)
     memo: dict = {}
     for idx, t in enumerate(terms):
         grid[idx] = _evaluate(algebra, t, grids, memo)
         # later terms read this row back instead of a second copy of it
         memo[id(t)] = grid[idx]
     return out
+
+
+def theory_partition(
+    algebra: FiniteAlgebra, terms: Sequence[Term], num_vars: int = 3
+) -> np.ndarray:
+    """``partition_ids(value_matrix(algebra, terms, num_vars))``, computed one
+    value row per term class.
+
+    Terms are classified in order by their keys (see the module docstring);
+    a child without a class yet is classified first.  A new key costs one
+    `_evaluate` call whose memo holds each child's class row."""
+    shape = (algebra.size,) * num_vars
+    grids = _grids(algebra.size, num_vars)
+    rows: list[np.ndarray] = []  # class -> int16 row over the full grid
+    by_row: dict[bytes, int] = {}
+    by_key: dict = {}
+    # keyed by id(): every term reached is held by `terms` for the whole call
+    class_of: dict[int, int] = {}
+
+    def classify(t: Term) -> int:
+        c = class_of.get(id(t))
+        if c is not None:
+            return c
+        if isinstance(t, Var):
+            children: tuple[Term, ...] = ()
+        elif isinstance(t, Neg):
+            children = (t.child,)
+        elif isinstance(t, (Meet, Join)):
+            children = (t.left, t.right)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        classes = [classify(s) for s in children]
+        key = (type(t), *classes) if children else t.name
+        c = by_key.get(key)
+        if c is None:
+            memo = {id(s): rows[k] for s, k in zip(children, classes)}
+            val = _evaluate(algebra, t, grids, memo)
+            data = np.broadcast_to(val, shape).astype(np.int16).tobytes()
+            c = by_row.setdefault(data, len(rows))
+            if c == len(rows):
+                rows.append(np.frombuffer(data, dtype=np.int16).reshape(shape))
+            by_key[key] = c
+        class_of[id(t)] = c
+        return c
+
+    classes = np.fromiter(map(classify, terms), dtype=np.int64, count=len(terms))
+    return _first_occurrence(classes)
 
 
 def signatures(terms: Sequence[Term]) -> list[tuple[int, int, int]]:
@@ -115,6 +175,14 @@ def partition_ids(keys: Sequence) -> np.ndarray:
     for i, k in enumerate(keys):
         out[i] = groups.setdefault(k, len(groups))
     return out
+
+
+def _first_occurrence(codes: np.ndarray) -> np.ndarray:
+    """Integer codes relabelled 0, 1, ... by first occurrence."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
 
 def refines(p: np.ndarray, q: np.ndarray) -> bool:

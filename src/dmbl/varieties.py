@@ -36,12 +36,13 @@ from .finalg import (
     subalgebra_generated,
 )
 from .sweep import (
+    _first_occurrence,
     enumerate_terms,
     first_violation,
     partition_ids,
     same_partition,
     signatures,
-    value_matrix,
+    theory_partition,
 )
 from .terms import Identity, IdentityClass, classify, parse_identity
 
@@ -372,7 +373,7 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
     out: dict = {"terms": len(terms), "agree": True, "classes": {}}
     for label, _, alg_name in _SEMANTIC_TESTS:
         syntactic = partition_ids(keys[label])
-        semantic = partition_ids(value_matrix(algebras[alg_name], terms))
+        semantic = theory_partition(algebras[alg_name], terms)
         ok = same_partition(syntactic, semantic)
         row: dict = {"algebra": alg_name, "agree": ok}
         if not ok:
@@ -411,19 +412,22 @@ class HspResult:
         }
 
 
-_MATRICES: dict[tuple, np.ndarray] = {}
-
-
-def _matrix(a: FiniteAlgebra) -> np.ndarray:
-    key = (a.meet, a.join, a.neg)
-    if key not in _MATRICES:
-        _MATRICES[key] = value_matrix(a, enumerate_terms())
-    return _MATRICES[key]
+# theory partition of enumerate_terms() per algebra, keyed by table content
+_PARTITIONS: dict[tuple, np.ndarray] = {}
 
 
 def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
-    mats = [_matrix(a) for a in algebras]
-    return partition_ids(mats[0] if len(mats) == 1 else np.hstack(mats))
+    """Joint theory partition of the bounded term space: two terms share a
+    label exactly when they share one in every algebra."""
+    terms = enumerate_terms()
+    joint = np.zeros(len(terms), dtype=np.int64)
+    for a in algebras:
+        key = (a.meet, a.join, a.neg)
+        if key not in _PARTITIONS:
+            _PARTITIONS[key] = theory_partition(a, terms)
+        labels = _PARTITIONS[key]
+        joint = _first_occurrence(joint * (labels.max() + 1) + labels)
+    return joint
 
 
 def _resolve(g) -> FiniteAlgebra:

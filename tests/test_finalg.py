@@ -12,12 +12,13 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmbl import finalg
-from dmbl.catalog import build_basics, catalog_entries, get_algebra
+from dmbl import finalg, varieties
+from dmbl.catalog import build_basics, catalog_entries, get_algebra, known_algebra_names
 from dmbl.finalg import (
     ALGEBRA_CLASSES,
     Congruence,
@@ -33,13 +34,16 @@ from dmbl.finalg import (
     is_congruence,
     is_isomorphic,
     is_subdirectly_irreducible,
+    join_partitions,
     load_algebra,
+    meet_partitions,
     monolith,
     power,
     product,
     quotient,
     satisfies,
     save_algebra,
+    si_quotient_flags,
     subalgebra_generated,
 )
 from dmbl.sums import bilateralise
@@ -49,9 +53,10 @@ from dmbl.sweep import (
     random_identity,
     refines,
     same_partition,
+    theory_partition,
     value_matrix,
 )
-from dmbl.terms import Identity, Var, dualise_identity, parse, parse_term
+from dmbl.terms import Identity, Join, Meet, Neg, Var, dualise_identity, parse, parse_term
 
 
 BASICS = build_basics()
@@ -278,6 +283,23 @@ def test_power_names_are_flat():
     cube = power(IS2, 3)
     assert cube.size == 8
     assert cube.elements[0] == "(i,i,i)"
+
+
+@pytest.mark.parametrize("a", [U, IS3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_is_the_iterated_product_with_flat_names(a, k):
+    nested = a
+    for _ in range(k - 1):
+        nested = product(nested, a)
+    p = power(a, k)
+    assert (p.meet, p.join, p.neg) == (nested.meet, nested.join, nested.neg)
+    if k == 1:
+        assert p is a
+    else:
+        assert p.name == f"{a.name}^{k}"
+        assert list(p.elements) == [
+            "(" + e.replace("(", "").replace(")", "") + ")" for e in nested.elements
+        ]
 
 
 def test_subalgebra_examples():
@@ -648,6 +670,26 @@ def test_quotient_collapses_blocks():
             assert c.block_of[a.neg[x]] == q.neg[c.block_of[x]]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, q: join_partitions(p, q),
+        lambda p, q: join_partitions(q, p),
+        lambda p, q: meet_partitions(p, q),
+        lambda p, q: meet_partitions(q, p),
+        lambda p, q: p.refines(q),
+        lambda p, q: q.refines(p),
+        lambda p, q: si_quotient_flags([q, p]),
+    ],
+    ids=["join", "join-right", "meet", "meet-right", "refines", "refined-by", "si-flags"],
+)
+def test_partition_operations_reject_block_ids_out_of_first_occurrence_order(call):
+    # (0, 2) would count 3 blocks, and (1, 0) would differ from (0, 1)
+    for bad in ((0, 2), (1, 0)):
+        with pytest.raises(ValidationError, match="first occurrence"):
+            call(Congruence(bad), Congruence((0, 0)))
+
+
 def test_quotient_rejects_block_ids_out_of_first_occurrence_order():
     # (0, 2) is the identity partition with an unused block id 1; (1, 0) is
     # the identity with its ids swapped
@@ -952,3 +994,95 @@ def test_products_have_intersection_theory_exhaustively():
             list(zip(_theory_partition(a).tolist(), _theory_partition(b).tolist()))
         )
         assert same_partition(p_ab, combined)
+
+
+# ------------------------------------------- theory partitions by term class
+#
+# theory_partition must label terms exactly as partition_ids labels the rows
+# of value_matrix, which evaluates every term on its own
+
+
+def _labels_or_error(algebra, terms, num_vars, partition):
+    try:
+        return partition(algebra, terms, num_vars)
+    except ValidationError as e:
+        return str(e)
+
+
+def _assert_same_theory(algebra, terms, num_vars=3):
+    old = _labels_or_error(
+        algebra, terms, num_vars, lambda a, t, k: partition_ids(value_matrix(a, t, k))
+    )
+    new = _labels_or_error(algebra, terms, num_vars, theory_partition)
+    if isinstance(old, str) or isinstance(new, str):
+        assert isinstance(old, str) and isinstance(new, str), algebra.name
+        assert old == new, algebra.name
+    else:
+        assert new.dtype == old.dtype == np.int64
+        assert np.array_equal(new, old), algebra.name
+
+
+@pytest.mark.parametrize("name", known_algebra_names())
+def test_theory_partition_matches_value_rows_on_named_algebras(name):
+    a = get_algebra(name)
+    _assert_same_theory(a, enumerate_terms())
+    if a.neg is None:
+        with pytest.raises(ValidationError, match="no negation"):
+            theory_partition(a, enumerate_terms())
+
+
+TERM_SPACES = [(enumerate_terms(), 3), (enumerate_terms(5, 2), 2), (enumerate_terms(4, 1), 1)]
+NEG_FREE_TERMS = [t for t in enumerate_terms(5) if "~" not in str(t)]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [("IS2", "IS3"), ("B2", "K3+"), ("A5", "IS3"), ("DM4", "IS4"), ("D2", "D2xD2")],
+)
+def test_theory_partition_matches_value_rows_on_small_products(factors):
+    a = product(*map(get_algebra, factors))
+    assert a.size <= 16
+    for terms, k in TERM_SPACES:
+        _assert_same_theory(a, terms, k)
+    if a.neg is None:
+        _assert_same_theory(a, NEG_FREE_TERMS)
+
+
+def test_theory_partition_accepts_any_term_order():
+    # one subterm object under two parents, and parents before children
+    x1, x2, x3 = Var("x1"), Var("x2"), Var("x3")
+    shared = Meet(x1, Neg(x2))
+    terms = [Join(shared, x3), Neg(shared), Meet(shared, shared), x1, shared]
+    terms += enumerate_terms(5)
+    random.Random(3).shuffle(terms)
+    for a in (IS3, DM4, U):
+        _assert_same_theory(a, terms)
+
+
+def test_theory_partition_of_no_terms_is_empty():
+    out = theory_partition(DM4, [])
+    assert out.dtype == np.int64 and out.shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_theory_partition_matches_value_rows_on_law_free_tables(data):
+    with_neg = data.draw(st.booleans())
+    a = _law_free(data, "a", with_neg)
+    _assert_same_theory(a, enumerate_terms(5) if with_neg else NEG_FREE_TERMS)
+
+
+def test_theory_partition_memory_is_bounded(monkeypatch):
+    # the value matrix of DM4 x IS4 is 8427 rows of 16^3 int8 values, 34.5
+    # MB, and partitioning its rows as bytes copies them once more
+    a = product(DM4, IS4)
+    enumerate_terms()  # the cached term list is not part of the partition
+    monkeypatch.setattr(varieties, "_PARTITIONS", {})
+    tracemalloc.start()
+    try:
+        labels = varieties._theory_partition([a])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.max() + 1 == 235
+    assert peak < 16 * 2**20
