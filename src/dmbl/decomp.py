@@ -19,6 +19,7 @@ from .finalg import (
     FiniteAlgebra,
     ValidationError,
     _induced,
+    _memoised,
     is_class,
     is_congruence,
     satisfies,
@@ -132,6 +133,19 @@ class Band:
             raise ValidationError(problems[0])
 
 
+def _band_law_failures(algebra: FiniteAlgebra) -> list[str]:
+    # read through _memoised, so check_ailnb and band_of check them once
+    return _law_failures(algebra, _BAND_LAWS)
+
+
+def _checked_band(size: int, dot, neg) -> Band:
+    # a Band whose laws are already checked: __post_init__ does not run
+    band = object.__new__(Band)
+    for field, value in (("size", size), ("dot", dot), ("neg", neg)):
+        object.__setattr__(band, field, value)
+    return band
+
+
 def _reduct(band: Band) -> FiniteAlgebra:
     # the band as an algebra whose meet and join are both the band operation
     names = tuple(map(str, range(band.size)))
@@ -172,7 +186,11 @@ def band_of(algebra: FiniteAlgebra) -> Band:
     dot = tuple(
         tuple(meet[x][join[x][y]] for y in range(n)) for x in range(n)
     )
-    return Band(n, dot, algebra.neg)
+    # the band laws of x.y on the algebra are the semigroup laws of dot
+    problems = _memoised(algebra, _band_law_failures)
+    if problems:
+        raise ValidationError(problems[0])
+    return _checked_band(n, dot, algebra.neg)
 
 
 def greens(band: Band) -> GreenData:
@@ -228,7 +246,7 @@ def check_ailnb(algebra: FiniteAlgebra) -> list[str]:
     Each law reports its least counterexample.  The band laws come first and
     end the check when one fails; without a negation, the negation laws are
     replaced by the message "algebra has no negation"."""
-    out = _law_failures(algebra, _BAND_LAWS)
+    out = list(_memoised(algebra, _band_law_failures))
     if out:
         return out  # no point checking band identities on a non-band
     out += _law_failures(algebra, _LEFT_NORMAL_LAWS)

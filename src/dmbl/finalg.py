@@ -18,6 +18,14 @@ beyond) or, for ``~``, the argument's entry, through ``take`` one chunk of
 a block of the scan holds more than ``_CHUNK`` assignments, the subterms that
 read no fixed variable are evaluated once, in the first block, and reused by
 every later one.
+
+Congruences are computed on rows of least-element labels (entry x is the
+least element of x's block), so equal partitions are equal rows, and one
+``np.unique`` over whole rows deduplicates them.  By Mal'cev's lemma all
+principal congruences come from one reachability closure on the graph of
+unordered pairs, squared as a bit-packed boolean matrix; the join closure
+then adds one principal at a time, joining it with every congruence found
+so far, ``_BATCH`` labels at a time, by scatter-min label propagation.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -393,7 +401,8 @@ def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
     """Direct power with flat tuple names "(a,b,...)", built as one algebra.
     Element ``x`` has the digits of ``x`` in base ``a.size`` as coordinates,
     the first most significant, as in ``product(product(a, a), a)``;
-    parentheses inside the factor's names are dropped."""
+    parentheses inside the factor's names are dropped unless that makes two
+    names equal."""
     if k < 1:
         raise ValidationError("power needs k >= 1")
     if k == 1:
@@ -402,8 +411,10 @@ def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
     out = tables
     for _ in range(k - 1):
         out = tuple(None if t is None else _pair(o, t) for o, t in zip(out, tables))
-    bare = [e.replace("(", "").replace(")", "") for e in a.elements]
-    names = ["(" + ",".join(c) + ")" for c in itertools.product(bare, repeat=k)]
+    for parts in ([e.replace("(", "").replace(")", "") for e in a.elements], a.elements):
+        names = ["(" + ",".join(c) + ")" for c in itertools.product(parts, repeat=k)]
+        if len(set(names)) == len(names):
+            break
     meet, join, neg = (None if t is None else t.tolist() for t in out)
     return FiniteAlgebra(f"{a.name}^{k}", names, meet, join, neg)
 
@@ -531,25 +542,19 @@ class Congruence:
         return self.num_blocks == 1
 
     def refines(self, other: "Congruence") -> bool:
-        _require_canonical((self, other))
-        seen: dict[int, int] = {}
-        for mine, theirs in zip(self.block_of, other.block_of):
-            if mine in seen:
-                if seen[mine] != theirs:
-                    return False
-            else:
-                seen[mine] = theirs
-        return True
+        # self refines other when its meet with other is self
+        return meet_partitions(self, other) == self
 
 
-def _canon(block_of: Sequence[int]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
+def _canon(block_of: Sequence) -> tuple[int, ...]:
+    # number the distinct labels, of any hashable kind, by first occurrence
+    relabel: dict = {}
     return tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
 
 
 def _require_canonical(parts: Iterable[Congruence]) -> None:
     # the public partition operations read block ids as a canonical form;
-    # the engine builds its congruences through _canon and skips this check
+    # the engine's own rows are canonical by construction and skip this check
     for p in parts:
         if p.block_of != _canon(p.block_of):
             raise ValidationError(
@@ -558,111 +563,135 @@ def _require_canonical(parts: Iterable[Congruence]) -> None:
 
 
 def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
-    ops: list[tuple[int, Sequence]] = [(2, A.meet), (2, A.join)]
-    if A.neg is not None:
-        ops.append((1, A.neg))
-    return ops
+    meet, join, neg = A.arrays()
+    return [(2, meet), (2, join)] + ([] if neg is None else [(1, neg)])
 
 
-# the pairs a congruence must also identify once it identifies two elements
-_Spread = Callable[[int, int], list[tuple[int, int]]]
+# most rows times elements one batch of the join closure holds
+_BATCH = 1 << 16
 
 
-def _union_find(
-    size: int, pairs: list[tuple[int, int]], spread: _Spread | None = None
-) -> list[int]:
-    """Merge every pair of `pairs` over ``range(size)``; each merge of u and v
-    also queues the pairs ``spread(u, v)``.  Returns the root of each element."""
-    parent = list(range(size))
-    # finds are inlined, with path halving: this loop is the hot spot of
-    # congruence enumeration
-    while pairs:
-        u, v = pairs.pop()
-        ru = u
-        while parent[ru] != ru:
-            parent[ru] = ru = parent[parent[ru]]
-        rv = v
-        while parent[rv] != rv:
-            parent[rv] = rv = parent[parent[rv]]
-        if ru == rv:
-            continue
-        parent[ru] = rv
-        if spread is not None:
-            pairs.extend(spread(u, v))
-    roots = []
-    for x in range(size):
-        while parent[x] != x:
-            x = parent[x]
-        roots.append(x)
-    return roots
+def _components(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component in the graph on
+    ``range(size)`` with the edges ``(u[e], v[e])``.  Until the ends of
+    every edge agree, each pass lowers both ends to the lesser label (a
+    scatter-min), then gives each vertex the label of its label (pointer
+    jumping): labels only fall, and stay inside the component."""
+    lab = np.arange(size)
+    lu, lv = u, v
+    while not np.array_equal(lu, lv):
+        np.minimum.at(lab, u, lv)
+        np.minimum.at(lab, v, lu)
+        lab = lab[lab]
+        lu, lv = lab[u], lab[v]
+    return lab
 
 
-def _spreader(ops: Sequence[tuple[int, Sequence]]) -> _Spread:
-    # rows u and v of every binary table, and its columns unless it is
-    # symmetric, then the unary images; pairs of equal values are dropped
-    rows, unary = [], []
+def _joins_above(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] ∨ b`` for each row i of `a`, in order, that `b` does not
+    refine, all as least-element label rows.  Element x links the least
+    elements of the a-blocks of x and of ``b[x]``; only those are merged."""
+    linked = a[:, b]  # the a-label of b[x]
+    rows = (linked != a).any(axis=1)
+    a, linked = a[rows], linked[rows]
+    m, n = a.shape
+    base = (np.arange(m) * n)[:, None]
+    u, v = a + base, linked + base
+    moved = u != v
+    lab = _components(m * n, u[moved], v[moved])
+    return (lab[u] - base).astype(a.dtype)
+
+
+def _canonical(lab: np.ndarray) -> np.ndarray:
+    # least-element labels -> block ids numbered by first occurrence: the
+    # block of least element x is the number of blocks opened before x
+    rank = np.cumsum(lab == np.arange(lab.shape[1]), axis=1) - 1
+    return np.take_along_axis(rank, lab.astype(np.intp), axis=1)
+
+
+def _least(block_of: np.ndarray) -> np.ndarray:
+    # block ids -> least-element labels: where each id first occurs
+    first = (block_of[:, None, :] == np.arange(block_of.shape[1])[:, None]).argmax(axis=2)
+    return np.take_along_axis(first, block_of, axis=1)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    # one fixed-width bytes item per row, so that np.unique compares rows
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    return rows[np.unique(_row_keys(rows), return_index=True)[1]]
+
+
+def _principal_rows(n: int, ops: Sequence[tuple[int, Sequence]]) -> np.ndarray:
+    """Cg(a, b) for every pair a < b, in ``np.triu_indices`` order, as
+    least-element label rows.  By Mal'cev's lemma Cg(a, b) is generated by
+    the images of {a, b} under composed translations x -> f(x, c), f(c, x),
+    ~x: the pairs reachable from {a, b} in the graph of unordered pairs whose
+    edges are single translations (columns only for a table that is not
+    symmetric; images of two equal elements are dropped)."""
+    if n > CONGRUENCE_SIZE_LIMIT:
+        raise ValidationError(
+            f"congruence enumeration limited to {CONGRUENCE_SIZE_LIMIT} elements, got {n}"
+        )
+    pa, pb = np.triu_indices(n, 1)
+    m = len(pa)
+    if m == 0:
+        return np.zeros((0, n), dtype=np.int8)
+    pid = np.full((n, n), m)  # column m collects the dropped images
+    pid[pa, pb] = pid[pb, pa] = np.arange(m)
+    targets = [np.empty((m, 0), dtype=np.intp)]
     for arity, table in ops:
-        if arity == 1:
-            unary.append(table)
-            continue
-        table = tuple(tuple(r) for r in table)
-        rows.append(table)
-        cols = tuple(zip(*table))
-        if cols != table:
-            rows.append(cols)
-
-    def spread(u: int, v: int) -> list[tuple[int, int]]:
-        out = [(x, y) for t in rows for x, y in zip(t[u], t[v]) if x != y]
-        out.extend((t[u], t[v]) for t in unary if t[u] != t[v])
-        return out
-
-    return spread
-
-
-def _principal(n: int, spread: _Spread, a: int, b: int) -> Congruence:
-    return Congruence(_canon(_union_find(n, [(a, b)], spread)))
+        t = np.asarray(table, dtype=np.intp)
+        for t in (t, t.T) if arity == 2 and not (t == t.T).all() else (t,):
+            targets.append(pid[t[pa], t[pb]].reshape(m, t.size // n))
+    reach = np.zeros((m, m + 1), dtype=bool)
+    reach[np.arange(m)[:, None], np.hstack(targets)] = True
+    reach = np.ascontiguousarray(reach[:, :m])
+    np.fill_diagonal(reach, True)
+    nxt = _boolean_product(reach, reach)
+    while not np.array_equal(nxt, reach):  # reflexive-transitive closure
+        reach, nxt = nxt, _boolean_product(nxt, nxt)
+    # row r is the equivalence generated by the pairs it reaches
+    r, k = np.nonzero(reach)
+    lab = _components(m * n, r * n + pa[k], r * n + pb[k]).reshape(m, n)
+    return (lab - (np.arange(m) * n)[:, None]).astype(np.int8)
 
 
-def _block_pairs(part: Congruence) -> list[tuple[int, int]]:
-    # (x, first element of x's block) for every x not first in its block
-    first: dict[int, int] = {}
-    out = []
-    for x, b in enumerate(part.block_of):
-        if b in first:
-            out.append((x, first[b]))
-        else:
-            first[b] = x
-    return out
-
-
-def _join_pairs(p: Congruence, pairs: Sequence[tuple[int, int]]) -> Congruence | None:
-    # join of p with the equivalence generated by `pairs`, as a union-find
-    # over p's block labels; None when p already identifies every pair
-    bo = p.block_of
-    merges = [(bo[x], bo[y]) for x, y in pairs if bo[x] != bo[y]]
-    if not merges:
-        return None
-    root = _union_find(max(bo) + 1, merges)
-    return Congruence(_canon([root[b] for b in bo]))
+def _boolean_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The boolean matrix product of x and y by table lookup (the "four
+    Russians" method): the rows of y go 8 to a block, each block tabulates
+    the OR of each of its 256 subsets of rows, 64 columns to a word, and
+    each byte of a row of x picks one subset per block."""
+    q, r = y.shape
+    words = np.zeros((q + -q % 8, -(-r // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:q, : -(-r // 8)] = np.packbits(y, axis=1, bitorder="little")
+    blocks = words.reshape(-1, 8, words.shape[1])
+    table = np.zeros((len(blocks), 256, words.shape[1]), dtype=np.uint64)
+    for j in range(8):
+        table[:, 1 << j : 2 << j] = table[:, : 1 << j] | blocks[:, j, None]
+    picks = np.packbits(x, axis=1, bitorder="little")
+    out = np.empty((len(x), words.shape[1]), dtype=np.uint64)
+    step = max(1, _BATCH // max(words.size // 8, 1))  # rows of x per lookup
+    for lo in range(0, len(x), step):
+        chosen = table[np.arange(len(blocks)), picks[lo : lo + step]]
+        out[lo : lo + step] = np.bitwise_or.reduce(chosen, axis=1)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=r, bitorder="little") > 0
 
 
 def join_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Transitive closure of the union; for congruences this is their join."""
     _require_canonical((p, q))
-    j = _join_pairs(p, _block_pairs(q))
-    return p if j is None else j
+    lab = _least(np.array([p.block_of, q.block_of]))
+    j = _joins_above(lab[:1], lab[1])
+    return Congruence(tuple(_canonical(j)[0].tolist())) if len(j) else p
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
     _require_canonical((p, q))
-    pairs = {}
-    out = []
-    for a, b in zip(p.block_of, q.block_of):
-        key = (a, b)
-        if key not in pairs:
-            pairs[key] = len(pairs)
-        out.append(pairs[key])
-    return Congruence(tuple(out))
+    return Congruence(_canon(list(zip(p.block_of, q.block_of))))
 
 
 def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
@@ -685,41 +714,29 @@ def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
 
 
 def congruences_ops(n: int, ops: Sequence[tuple[int, Sequence]]) -> list[Congruence]:
-    """All congruences: principal ones closed under join."""
-    if n > CONGRUENCE_SIZE_LIMIT:
-        raise ValidationError(
-            f"congruence enumeration limited to {CONGRUENCE_SIZE_LIMIT} elements, got {n}"
-        )
-    spread = _spreader(ops)
-    delta = Congruence(tuple(range(n)))
-    principals = {
-        _principal(n, spread, a, b) for a in range(n) for b in range(a + 1, n)
-    }
-    # closing under joins with the join-irreducible principals alone reaches
-    # every congruence: q is join-reducible when the principals strictly
-    # below it join to q
-    pairs_of = {q: _block_pairs(q) for q in principals}
-    principal_pairs = []
-    for q in principals:
-        below = delta
-        for r, pairs in pairs_of.items():
-            if r.num_blocks > q.num_blocks and _join_pairs(q, pairs) is None:
-                j = _join_pairs(below, pairs)
-                below = below if j is None else j
-        if below != q:
-            principal_pairs.append(pairs_of[q])
-    found = {delta} | principals
-    frontier = set(found)
-    while frontier:
-        new = set()
-        for p in frontier:
-            for pairs in principal_pairs:
-                j = _join_pairs(p, pairs)
-                if j is not None and j not in found:
-                    new.add(j)
-        found |= new
-        frontier = new
-    return sorted(found, key=lambda c: (c.num_blocks, c.block_of), reverse=True)
+    """All congruences of the algebra on ``range(n)`` with the operations
+    `ops`, ``(arity, table)`` pairs: the joins of sets of principal ones
+    (:func:`_principal_rows`).  Starting from the identity, each principal
+    in turn is joined with every congruence found so far, ``_BATCH // n``
+    int8 least-element label rows at a time; only the final distinct rows
+    become `Congruence` objects."""
+    prin = _distinct(_principal_rows(n, ops))
+    found = np.arange(n, dtype=np.int8)[None]  # sorted by _row_keys
+    per = _BATCH // n
+    # finer principals first, so a principal that is the join of those below
+    # it is already found, and adds nothing
+    for p in prin[np.argsort(-(prin == np.arange(n)).sum(axis=1), kind="stable")]:
+        keys, key = _row_keys(found), _row_keys(p[None])
+        at = min(np.searchsorted(keys, key)[0], len(keys) - 1)
+        if keys[at] == key[0]:
+            continue
+        # found stays the set of joins of the principals taken so far
+        rows = [found]
+        rows += [_joins_above(found[lo : lo + per], p) for lo in range(0, len(found), per)]
+        keys = np.concatenate([_row_keys(r) for r in rows])
+        found = np.vstack(rows)[np.unique(keys, return_index=True)[1]]
+    out = [Congruence(tuple(c)) for c in _canonical(found).tolist()]
+    return sorted(out, key=lambda c: (c.num_blocks, c.block_of), reverse=True)
 
 
 def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
@@ -735,16 +752,15 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
     if m == 0:
         return []
     B = np.array([c.block_of for c in cons])
+    first = _least(B)
     # leq[i, j]: cons[i] refines cons[j], i.e. each element's cons[j]-block
     # holds the first element of its cons[i]-block
     leq = np.empty((m, m), dtype=bool)
-    for i, row in enumerate(B):
-        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
-        leq[i] = (B[:, first[inverse]] == B).all(axis=1)
+    step = max(1, _BATCH // (m * B.shape[1]))
+    for lo in range(0, m, step):
+        leq[lo : lo + step] = (B[:, first[lo : lo + step]] == B[:, None, :]).all(axis=2).T
     strict = leq & ~np.eye(m, dtype=bool)
-    s = strict.astype(np.float32)
-    covers = strict & ~(s @ s > 0)
-    n_covers = covers.sum(axis=1)
+    n_covers = (strict & ~_boolean_product(strict, strict)).sum(axis=1)
     return [bool(k == 1 or c.is_total()) for k, c in zip(n_covers, cons)]
 
 
@@ -756,27 +772,30 @@ def congruences(algebra: FiniteAlgebra) -> list[Congruence]:
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: str | int, b: str | int) -> Congruence:
-    """Cg(a,b): the least congruence identifying a and b."""
-    return _principal(
-        algebra.size, _spreader(_ops_of(algebra)), algebra.index(a), algebra.index(b)
-    )
+    """Cg(a,b): the least congruence identifying a and b, one row of
+    :func:`_principal_rows` (so limited, like :func:`congruences`, to
+    ``CONGRUENCE_SIZE_LIMIT`` elements unless a and b are equal)."""
+    n = algebra.size
+    i, j = sorted((algebra.index(a), algebra.index(b)))
+    if i == j:
+        return Congruence(tuple(range(n)))
+    rows = _principal_rows(n, _ops_of(algebra))
+    k = i * (2 * n - i - 1) // 2 + j - i - 1  # the pair (i, j) in triu order
+    return Congruence(tuple(_canonical(rows[k : k + 1])[0].tolist()))
 
 
 def monolith(algebra: FiniteAlgebra) -> Congruence | None:
     """Least nontrivial congruence, or None if the principals don't intersect
-    above the identity (i.e. the algebra is not subdirectly irreducible)."""
+    above the identity (i.e. the algebra is not subdirectly irreducible).
+    It is the meet of the principals: x and y share a block when every
+    principal's label row gives them the same label.  Limited, like
+    :func:`congruences`, to ``CONGRUENCE_SIZE_LIMIT`` elements."""
     n = algebra.size
     if n == 1:
         return None
-    spread = _spreader(_ops_of(algebra))
-    mono: Congruence | None = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            cg = _principal(n, spread, a, b)
-            mono = cg if mono is None else meet_partitions(mono, cg)
-            if mono.is_identity():
-                return None
-    return mono
+    prin = _distinct(_principal_rows(n, _ops_of(algebra)))
+    mono = Congruence(_canon(list(zip(*prin.tolist()))))
+    return None if mono.is_identity() else mono
 
 
 def is_subdirectly_irreducible(algebra: FiniteAlgebra) -> bool:

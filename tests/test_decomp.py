@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmbl import decomp as decomp_module
+from dmbl import finalg as finalg_module
 from dmbl.catalog import build_basics, catalog_entries, dagger, get_algebra
 from dmbl.decomp import (
     Band,
@@ -294,6 +295,26 @@ def test_index_subvariety_checks_each_condition_once(monkeypatch):
         monkeypatch.setattr(decomp_module, name, counted)
     assert index_subvariety(get_algebra("U")) == "ISL"
     assert calls == {"check_ailnb": 1, "band_of": 1, "greens": 1, "validate": 1}
+
+
+def test_decompose_checks_the_band_laws_once(monkeypatch):
+    # check_ailnb reads the idempotence and associativity of x.y on U, and
+    # band_of builds its Band from the same table without reading them again;
+    # U is copied before counting, because building the catalog checks laws
+    # too and an algebra keeps the band laws' verdict once read
+    u = get_algebra("U").rename("U")
+    laws = {id(law) for _, law in decomp_module._BAND_LAWS + decomp_module._SEMIGROUP_LAWS}
+    calls = collections.Counter()
+
+    def counted(algebra, identity):
+        calls["all"] += 1
+        calls["band laws"] += id(identity) in laws
+        return satisfies(algebra, identity)
+
+    monkeypatch.setattr(decomp_module, "satisfies", counted)
+    monkeypatch.setattr(finalg_module, "satisfies", counted)
+    decompose(u)
+    assert calls == {"all": 72, "band laws": 2}
 
 
 def _band_lemma_flags(a):

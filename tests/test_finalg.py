@@ -7,6 +7,7 @@ every set partition and keeps the compatible ones.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -27,6 +28,7 @@ from dmbl.finalg import (
     algebra_from_json,
     algebra_to_json,
     congruences,
+    congruences_ops,
     dual,
     eval_term,
     homomorphism_failure,
@@ -39,6 +41,7 @@ from dmbl.finalg import (
     meet_partitions,
     monolith,
     power,
+    principal_congruence,
     product,
     quotient,
     satisfies,
@@ -615,15 +618,23 @@ def test_congruences_commute_with_relabelling(data):
     assert set(congruences(permuted)) == image
 
 
+def _law_free_algebra(data) -> FiniteAlgebra:
+    # tables need be neither commutative nor idempotent
+    n = data.draw(st.integers(1, 5))
+    table = st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+    neg = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+    return FiniteAlgebra("T", [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_congruences_of_arbitrary_tables_match_oracle(data):
     # no laws at all: tables need be neither commutative nor idempotent, so
     # rows and columns of a table give different constraints
-    n = data.draw(st.integers(1, 5))
-    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
-    neg = data.draw(st.one_of(st.none(), st.permutations(range(n))))
-    a = FiniteAlgebra("T", [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
+    a = _law_free_algebra(data)
+    n = a.size
     got = [tuple(sorted(c.blocks)) for c in congruences(a)]
     assert len(got) == len(set(got))
     assert set(got) == _oracle_congruences(a)
@@ -719,6 +730,127 @@ def test_congruence_from_blocks_roundtrip():
     c = Congruence.from_blocks(5, [[0, 1], [2], [3, 4]])
     assert c.blocks == ((0, 1), (2,), (3, 4))
     assert c.related(0, 1) and not c.related(1, 2)
+
+
+def _digest(congruence_lists) -> str:
+    h = hashlib.sha256()
+    for cs in congruence_lists:
+        h.update(repr([c.block_of for c in cs]).encode())
+    return h.hexdigest()
+
+
+def test_congruences_are_pinned():
+    # the ordered congruence lists of the 15 named algebras and of the 952
+    # subalgebras of U^2 generated by one or two elements that have at most
+    # CONGRUENCE_SIZE_LIMIT elements: any engine must give these lists, in
+    # this order
+    square = product(U, U)
+    subs = {
+        subalgebra_generated(square, seed)[1]
+        for k in (1, 2)
+        for seed in itertools.combinations(range(square.size), k)
+    }
+    subs = sorted(s for s in subs if len(s) <= finalg.CONGRUENCE_SIZE_LIMIT)
+    assert len(subs) == 952
+    algebras = [get_algebra(name) for name in known_algebra_names()]
+    algebras += [subalgebra_generated(square, s)[0] for s in subs]
+    lists = [congruences(a) for a in algebras]
+    assert sum(map(len, lists)) == 23335
+    assert _digest(lists) == (
+        "aaf2ff3b095256d662a2bc3c3c9d73f31ec9e819020f060fc686e22224d0186b"
+    )
+
+
+def test_congruence_engine_is_bounded():
+    # IS2^4 has 2480 congruences; the joins run in batches because joining
+    # every label row at once takes about 125 MiB here
+    a = power(IS2, 4)
+    a.arrays()
+    tracemalloc.start()
+    try:
+        cs = congruences(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cs) == 2480
+    assert _digest([cs]) == (
+        "663d3edbab20a5fe364061f26f06f5da6cf2db69bbb088692b77d6ce5dca1de9"
+    )
+    assert peak < 8 * 2**20
+
+
+def _oracle_partitions(algebra):
+    return [Congruence.from_blocks(algebra.size, b) for b in _oracle_congruences(algebra)]
+
+
+def _oracle_is_si(algebra) -> bool:
+    # brute force: the nontrivial compatible partitions have a nontrivial meet
+    if algebra.size == 1:
+        return True
+    meet = None
+    for c in _oracle_partitions(algebra):
+        if not c.is_identity():
+            meet = c if meet is None else meet_partitions(meet, c)
+    return meet is not None and not meet.is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_principal_congruences_and_monolith_match_oracle(data):
+    a = _law_free_algebra(data)
+    n = a.size
+    cons = _oracle_partitions(a)
+    for x in range(n):
+        for y in range(n):
+            least = min((c for c in cons if c.related(x, y)), key=lambda c: -c.num_blocks)
+            assert all(least.refines(c) for c in cons if c.related(x, y))
+            assert principal_congruence(a, x, y) == least
+    nontrivial = [c for c in cons if not c.is_identity()]
+    meet = None
+    for c in nontrivial:
+        meet = c if meet is None else meet_partitions(meet, c)
+    expected = None if meet is None or meet.is_identity() else meet
+    assert monolith(a) == expected
+    assert is_subdirectly_irreducible(a) == _oracle_is_si(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_si_flags_match_brute_force_on_law_free_tables(data):
+    a = _law_free_algebra(data)
+    cs = congruences(a)
+    assert si_quotient_flags(cs) == [_oracle_is_si(quotient(a, c)) for c in cs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_operation_congruences_match_oracle(data):
+    # the path decomp's tests take: one binary table, no other operation
+    n = data.draw(st.integers(1, 5))
+    dot = data.draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    got = [tuple(sorted(c.blocks)) for c in congruences_ops(n, [(2, dot)])]
+    assert len(got) == len(set(got))
+    alone = FiniteAlgebra("dot", [str(i) for i in range(n)], dot, dot)
+    assert set(got) == _oracle_congruences(alone)
+
+
+def test_principal_congruence_and_monolith_share_the_size_limit():
+    big = power(IS2, 6)  # 64 elements
+    for call in (
+        lambda: principal_congruence(big, 0, 1),
+        lambda: monolith(big),
+        lambda: is_subdirectly_irreducible(big),
+    ):
+        with pytest.raises(ValidationError, match="limited to 32"):
+            call()
+
+
+def test_power_keeps_names_whole_when_flattening_would_merge_them():
+    a = FiniteAlgebra("a", ["(x)", "x"], [[0, 0], [0, 1]], [[0, 1], [1, 1]])
+    assert power(a, 2).elements == ("((x),(x))", "((x),x)", "(x,(x))", "(x,x)")
+    assert power(a, 3).size == 8
 
 
 # ------------------------------------------------------------------ isomorphism
