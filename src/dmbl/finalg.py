@@ -384,12 +384,28 @@ def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v.reshape((len(x) * nb,) * d)
 
 
+def _tuple_names(factors: Sequence[Sequence[str]]) -> list[str] | None:
+    """The names "(p,q,...)" of the tuples of the factors' element names, or
+    None when two of them are equal (as for "a" and "a,a")."""
+    names = ["(" + ",".join(c) + ")" for c in itertools.product(*factors)]
+    return names if len(set(names)) == len(names) else None
+
+
+def _escaped(names: Sequence[str]) -> list[str]:
+    # with backslashes and commas escaped, the bare commas of a tuple name
+    # separate its parts, so distinct tuples get distinct names
+    return [e.replace("\\", "\\\\").replace(",", "\\,") for e in names]
+
+
 def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; both factors must have negation, or neither.  The pair
-    (i, j) is element ``i * b.size + j``."""
+    (i, j) is element ``i * b.size + j``, named "(p,q)" (with the factors'
+    commas and backslashes escaped if that would make two names equal)."""
     if (a.neg is None) != (b.neg is None):
         raise ValidationError("cannot form a product of a <2,2,1> and a <2,2> algebra")
-    names = [f"({p},{q})" for p in a.elements for q in b.elements]
+    names = _tuple_names([a.elements, b.elements]) or _tuple_names(
+        [_escaped(a.elements), _escaped(b.elements)]
+    )
     (am, aj, an), (bm, bj, bn) = a.arrays(), b.arrays()
     neg = None if an is None else _pair(an, bn).tolist()
     return FiniteAlgebra(
@@ -402,7 +418,8 @@ def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
     Element ``x`` has the digits of ``x`` in base ``a.size`` as coordinates,
     the first most significant, as in ``product(product(a, a), a)``;
     parentheses inside the factor's names are dropped unless that makes two
-    names equal."""
+    names equal, and commas and backslashes escaped if even the whole names
+    collide."""
     if k < 1:
         raise ValidationError("power needs k >= 1")
     if k == 1:
@@ -411,10 +428,12 @@ def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
     out = tables
     for _ in range(k - 1):
         out = tuple(None if t is None else _pair(o, t) for o, t in zip(out, tables))
-    for parts in ([e.replace("(", "").replace(")", "") for e in a.elements], a.elements):
-        names = ["(" + ",".join(c) + ")" for c in itertools.product(parts, repeat=k)]
-        if len(set(names)) == len(names):
-            break
+    bare = [e.replace("(", "").replace(")", "") for e in a.elements]
+    names = (
+        _tuple_names([bare] * k)
+        or _tuple_names([a.elements] * k)
+        or _tuple_names([_escaped(a.elements)] * k)
+    )
     meet, join, neg = (None if t is None else t.tolist() for t in out)
     return FiniteAlgebra(f"{a.name}^{k}", names, meet, join, neg)
 

@@ -23,12 +23,14 @@ from .catalog import catalog_entries, entry, get_algebra
 from .finalg import (
     CONGRUENCE_SIZE_LIMIT,
     FiniteAlgebra,
+    SatisfactionResult,
     ValidationError,
+    _canonical,
     _closure,
+    _memoised,
+    _row_keys,
     congruences,
     is_isomorphic,
-    isomorphism_key,
-    power,
     product,
     quotient,
     satisfies,
@@ -144,6 +146,15 @@ SEPARATOR_POOL = (
 @lru_cache(maxsize=64)
 def _parsed(text: str) -> Identity:
     return parse_identity(text)
+
+
+def _verdict(a: FiniteAlgebra, text: str) -> SatisfactionResult:
+    """``satisfies(a, text)`` for a named identity, computed once per algebra
+    and kept in the algebra's memo (its tables never change)."""
+    verdicts = a._memo.setdefault(_verdict, {})
+    if text not in verdicts:
+        verdicts[text] = satisfies(a, _parsed(text))
+    return verdicts[text]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +275,7 @@ def _axioms_for(gens: frozenset[int]) -> tuple[str, ...]:
     return tuple(
         text
         for text in AXIOM_POOL
-        if all(satisfies(a, _parsed(text)) for a in algebras)
+        if all(_verdict(a, text) for a in algebras)
     )
 
 
@@ -456,13 +467,12 @@ def _pool_separator(
     holds_in: Sequence[FiniteAlgebra], fails_in: Sequence[FiniteAlgebra]
 ) -> tuple[str, FiniteAlgebra, dict[str, str]] | None:
     for text in SEPARATOR_POOL:
-        e = _parsed(text)
-        if not all(satisfies(g, e) for g in holds_in):
+        if not all(_verdict(g, text) for g in holds_in):
             continue
         for a in fails_in:
-            res = satisfies(a, e)
+            res = _verdict(a, text)
             if not res:
-                return text, a, res.counterexample or {}
+                return text, a, dict(res.counterexample or {})
     return None
 
 
@@ -740,9 +750,8 @@ def build_lattice() -> SubvarietyLattice:
     edges = []
     by_name = {v.name: v for v in nodes}
     for lo, up, text, witness in _EXPECTED_COVERS:
-        e = _parsed(text)
         for a in by_name[lo].generator_algebras():
-            if not satisfies(a, e):
+            if not _verdict(a, text):
                 raise ValidationError(
                     f"separating identity {text!r} for {lo} < {up} fails in "
                     f"{a.name}, a generator of {lo}"
@@ -751,7 +760,7 @@ def build_lattice() -> SubvarietyLattice:
             raise ValidationError(
                 f"{witness} is not a generator of {up} (cover {lo} < {up})"
             )
-        res = satisfies(entry(witness).algebra, e)
+        res = _verdict(entry(witness).algebra, text)
         if res:
             raise ValidationError(
                 f"separating identity {text!r} for {lo} < {up} unexpectedly "
@@ -763,11 +772,196 @@ def build_lattice() -> SubvarietyLattice:
 
 
 # ---------------------------------------------------------------------------
+# the Jónsson search, through the free algebra on two generators
+
+_GATHER = 1 << 16  # term values per batch of seeds or pairs
+
+
+def _free_pair(U: FiniteAlgebra) -> np.ndarray:
+    """F(2) of V(U), the free algebra on two generators: the subalgebra of
+    U^(U x U) generated by the two projections, one row per binary term
+    function t of U, with ``T[t, a * n + b] = t(a, b)``.  A semi-naive
+    closure: each round applies the operations to the rows found in the last
+    round and all rows so far, about 2^19 values at a time."""
+    n = U.size
+    meet, join, neg = U.arrays()
+    # a commutative table needs one order of its arguments only
+    flats = {t.tobytes(): t.astype(np.uint8).ravel() for t in (meet, join, meet.T, join.T)}
+    rows = np.array(np.divmod(np.arange(n * n), n), dtype=np.uint8)
+    seen = set(_row_keys(rows).tolist())
+    fresh = rows
+    while len(fresh):
+        new = set() if neg is None else set(_row_keys(neg.astype(np.uint8)[fresh]).tolist())
+        step = max(1, (1 << 19) // (len(rows) * n * n))
+        for lo in range(len(rows) - len(fresh), len(rows), step):
+            left = rows[lo : lo + step, None].astype(np.int16) * n
+            for flat in flats.values():
+                new.update(_row_keys(flat[left + rows].reshape(-1, n * n)).tolist())
+        new -= seen
+        seen |= new
+        fresh = np.frombuffer(b"".join(sorted(new)), dtype=np.uint8).reshape(-1, n * n)
+        rows = np.vstack([rows, fresh])
+    return rows
+
+
+def _term_codes(T: np.ndarray, n: int, place: np.ndarray, a, b) -> np.ndarray:
+    """Row i holds t(a[i], b[i]) for every row t of F(2) (``T``), where a and
+    b are elements of U^k coded with digit weights `place`."""
+    out = np.zeros((len(a), len(T)), dtype=np.int64)
+    columns = np.ascontiguousarray(T.T)
+    for p in place:
+        out += columns[a // p % n * n + b // p % n] * p
+    return out
+
+
+def _kernels(codes: np.ndarray) -> np.ndarray:
+    """The kernel of each row of `codes`, t -> codes[i, t], as block ids
+    numbered by first occurrence: one `np.unique` over all the rows, each
+    offset past the values of the one before."""
+    rows, m = codes.shape
+    flat = (codes + np.arange(rows)[:, None] * (int(codes.max(initial=0)) + 1)).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return _canonical((first[inverse] % m).reshape(rows, m))
+
+
+def _keys(kernels: np.ndarray) -> list[bytes]:
+    # kernel rows as dictionary keys; their labels are below |F(2)| < 2^16
+    return _row_keys(kernels.astype(np.uint16)).tolist()
+
+
+def _masks(codes: np.ndarray, N: int) -> np.ndarray:
+    # mask[i, x]: x occurs in row i
+    mask = np.zeros((len(codes), N), dtype=bool)
+    mask[np.arange(len(codes))[:, None], codes] = True
+    return mask
+
+
+def _generating_kernels(T: np.ndarray, n: int, place: np.ndarray, elements) -> set[bytes]:
+    """The kernels of the pairs of `elements`, a subuniverse of U^k, that
+    generate it: the κ with F(2)/κ isomorphic to it."""
+    size, step, out = len(elements), max(1, _GATHER // len(T)), set()
+    for lo in range(0, size * size, step):
+        pair = np.arange(lo, min(lo + step, size * size))
+        codes = _term_codes(T, n, place, elements[pair // size], elements[pair % size])
+        codes = codes[_masks(codes, n * place[0]).sum(axis=1) == size]
+        out.update(_keys(_kernels(codes)))
+    return out
+
+
+def _subpower(U: FiniteAlgebra, place: np.ndarray, elements: np.ndarray) -> FiniteAlgebra:
+    """The subalgebra of U^k on `elements` (codes with digit weights
+    `place`), in that order; its tables are read coordinatewise from U's."""
+    index = np.zeros(U.size * place[0], dtype=np.intp)
+    index[elements] = np.arange(len(elements))
+    x = elements[:, None] // place % U.size  # the coordinates
+    meet, join, neg = U.arrays()
+    return FiniteAlgebra(
+        f"{U.name}^{len(place)}:{len(elements)}",
+        [str(c) for c in elements],
+        index[meet[x[:, None], x] @ place].tolist(),
+        index[join[x[:, None], x] @ place].tolist(),
+        None if neg is None else index[neg[x] @ place].tolist(),
+    )
+
+
+def _canonical_seeds(perms: np.ndarray, batch: int) -> Iterable[tuple[np.ndarray, ...]]:
+    """The seeds a <= b of U^k (a == b: one element) that are the least image
+    of themselves under the coordinate permutations `perms`, in batches."""
+    N = perms.shape[1]
+    span = max(1, (1 << 16) // N)
+    for lo in range(0, N, span):
+        a, b = np.nonzero(np.arange(lo, min(lo + span, N))[:, None] <= np.arange(N))
+        a += lo
+        least = np.all(
+            [np.minimum(p[a], p[b]) * N + np.maximum(p[a], p[b]) >= a * N + b for p in perms],
+            axis=0,
+        )
+        a, b = a[least], b[least]
+        for i in range(0, len(a), batch):
+            yield a[i : i + batch], b[i : i + batch]
+
+
+def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap: int) -> dict:
+    """Search quotients of 2-generated subalgebras of powers of U for
+    subdirectly irreducible members; each must embed into U itself.
+
+    The subalgebra S generated by a seed (a, b) of U^k is the set of values
+    t(a, b), t in F(2) (:func:`_free_pair`), so S is F(2)/κ for the kernel κ
+    of t -> t(a, b).  Subuniverses are counted up to coordinate permutations,
+    and those above `congruence_cap` elements are skipped (and counted).
+    S ≅ S' exactly when the kernel of the seed of S' is the kernel of some
+    generating pair of S: each new isomorphism representative registers all
+    those kernels, and later subalgebras of the same power cost one lookup.
+    Congruences are computed on representatives only.  The kernel of S/θ is
+    θ's block of each entry of κ, and S/θ embeds into U exactly when that is
+    the kernel of a pair of elements of U.
+    """
+    T = _memoised(U, _free_pair)
+    n, batch = U.size, max(1, _GATHER // len(T))
+    embeds = set(_keys(_kernels(T.T)))  # the kernels of U's pairs
+    report = dict.fromkeys(("subalgebras", "skipped_large", "quotients", "si_quotients"), 0)
+    report["failures"] = []
+    for k in powers:
+        N, place = n**k, n ** np.arange(k - 1, -1, -1)
+        # perms[i][x]: x with its coordinates permuted by the i-th permutation
+        digits = np.arange(N)[:, None] // place % n
+        perms = np.array([digits[:, list(p)] @ place for p in itertools.permutations(range(k))])
+        # each subuniverse, as its least image under perms, with its size, the
+        # kernel of its first seed, and that seed
+        found: dict[bytes, tuple[int, bytes, tuple[int, int]]] = {}
+        for a, b in _canonical_seeds(perms, batch):
+            codes = _term_codes(T, n, place, a, b)
+            mask = _masks(codes, N)
+            images = np.stack([_row_keys(np.packbits(mask[:, p], 1)) for p in perms], 1)
+            rank = np.unique(images, return_inverse=True)[1].reshape(images.shape)
+            least = images[np.arange(len(a)), rank.argmin(axis=1)].tolist()
+            new = {key: i for i, key in enumerate(least) if key not in found}
+            pick = np.fromiter(new.values(), dtype=np.intp, count=len(new))
+            sizes, kernels = mask[pick].sum(axis=1).tolist(), _keys(_kernels(codes[pick]))
+            found.update(zip(new, zip(sizes, kernels, zip(a[pick], b[pick]))))
+
+        known: set[bytes] = set()  # kernels of the representatives' generating pairs
+        for size, kernel, seed in sorted(found.values()):
+            report["subalgebras"] += 1
+            if size > congruence_cap:
+                report["skipped_large"] += 1
+                continue
+            if kernel in known:
+                continue
+            # a new representative, its elements in the order of κ's blocks
+            kappa = np.frombuffer(kernel, dtype=np.uint16).astype(np.intp)
+            codes = _term_codes(T, n, place, *np.array(seed)[:, None])[0]
+            elements = codes[np.unique(kappa, return_index=True)[1]]
+            known |= _generating_kernels(T, n, place, elements)
+            cons = congruences(_subpower(U, place, elements))
+            si = [c for c, flag in zip(cons, si_quotient_flags(cons)) if flag]
+            report["quotients"] += len(cons)
+            report["si_quotients"] += len(si)
+            # θ and κ both number blocks by first occurrence, so θ.block_of[κ]
+            # is the kernel of t -> t(a, b)/θ as it stands
+            for theta, q in zip(si, _keys(np.array([c.block_of for c in si])[:, kappa])):
+                if q not in embeds:
+                    blocks = theta.num_blocks
+                    report["failures"].append(
+                        {"power": k, "subalgebra_size": size,
+                         "quotient_size": blocks, "blocks": blocks}
+                    )
+    report["ok"] = not report["failures"]
+    return report
+
+
+def jonsson_check(max_power: int = 2, congruence_cap: int = CONGRUENCE_SIZE_LIMIT) -> dict:
+    """Subdirectly irreducible quotients of 2-generated subalgebras of U, U^2
+    (and up to U^`max_power`) all embed into U -- the bounded sanity check
+    behind using generator sets of subdirectly irreducibles.  The search runs
+    through the free algebra F(2) of V(U) (:func:`_si_quotients_embed`).
+    Returns search counts and failures (expected none)."""
+    U = get_algebra("U")
+    return _si_quotients_embed(U, range(1, max_power + 1), congruence_cap)
+
+
+# ---------------------------------------------------------------------------
 # generation results
-
-def _bipolar_flags(terms) -> list[bool]:
-    return [bool(p & m) for (_, p, m) in signatures(terms)]
-
 
 def _theory_formula_check(
     joint: Sequence[FiniteAlgebra], keyed_by, label: str
@@ -784,146 +978,6 @@ def _theory_formula_check(
         )
         out["detail"] = f"disagree at {Identity(terms[viol[0]], terms[viol[1]])}"
     return out
-
-
-def _si_quotients_embed(
-    U: FiniteAlgebra,
-    powers: Iterable[int],
-    generator_count: int,
-    congruence_cap: int,
-) -> dict:
-    """Search quotients of small-generated subalgebras of powers of U for
-    subdirectly irreducible members; each must embed into U itself.
-
-    Subalgebras are generated by up to `generator_count` elements, with seed
-    tuples deduplicated under coordinate permutations; subalgebras above
-    `congruence_cap` elements are skipped (and counted).
-    """
-    # every subalgebra of U, as targets for the embedding check; algebras are
-    # bucketed by isomorphism_key, so is_isomorphic runs only within a bucket
-    carriers = dict.fromkeys(
-        frozenset(_closure(U, set(seed)))
-        for size in range(1, U.size + 1)
-        for seed in itertools.combinations(range(U.size), size)
-    )
-    targets: dict[tuple, list[FiniteAlgebra]] = {}
-    for carrier in carriers:
-        t, _ = subalgebra_generated(U, carrier)
-        targets.setdefault(isomorphism_key(t), []).append(t)
-
-    report = {
-        "subalgebras": 0,
-        "skipped_large": 0,
-        "quotients": 0,
-        "si_quotients": 0,
-        "failures": [],
-    }
-    # iso representatives with their embedding verdicts
-    si_verdicts: dict[tuple, list[tuple[FiniteAlgebra, bool]]] = {}
-
-    for k in powers:
-        P = power(U, k)
-        n = P.size
-        base = U.size
-
-        # perm_index[i][x]: x with its coordinates permuted by the i-th
-        # permutation of range(k), the first coordinate most significant
-        place = base ** np.arange(k - 1, -1, -1)
-        digits = np.arange(n)[:, None] // place % base
-        perm_index = np.array(
-            [digits[:, list(perm)] @ place for perm in itertools.permutations(range(k))]
-        )
-
-        def canonical(carrier: np.ndarray) -> tuple[int, ...]:
-            # least sorted image of the carrier under a coordinate permutation
-            images = np.sort(perm_index[:, carrier], axis=1)
-            return min(map(tuple, images.tolist()))
-
-        def canonical_seeds(size: int) -> Iterable[np.ndarray]:
-            # the sorted seeds of this size that are their own canonical form,
-            # tested in chunks of 2^16 seeds to bound memory
-            combos = itertools.combinations(range(n), size)
-            weights = n ** np.arange(size - 1, -1, -1, dtype=np.int64)
-            while True:
-                seeds = np.fromiter(
-                    itertools.chain.from_iterable(itertools.islice(combos, 1 << 16)),
-                    dtype=np.int64,
-                ).reshape(-1, size)
-                if not len(seeds):
-                    return
-                code = seeds @ weights
-                keep = np.ones(len(seeds), dtype=bool)
-                for image in perm_index:
-                    keep &= np.sort(image[seeds], axis=1) @ weights >= code
-                yield from seeds[keep]
-
-        closures: set[tuple[int, ...]] = set()  # each closure is canonicalised once
-        subuniverses: set[tuple[int, ...]] = set()
-        for size in range(1, generator_count + 1):
-            for seed in canonical_seeds(size):
-                closed = tuple(sorted(_closure(P, set(seed.tolist()))))
-                if closed not in closures:
-                    closures.add(closed)
-                    subuniverses.add(canonical(np.array(closed)))
-
-        # group by isomorphism before the expensive congruence scan
-        reps: dict[tuple, list[FiniteAlgebra]] = {}
-        for sub in sorted(subuniverses, key=lambda s: (len(s), s)):
-            report["subalgebras"] += 1
-            if len(sub) > congruence_cap:
-                report["skipped_large"] += 1
-                continue
-            S, _ = subalgebra_generated(P, sub)
-            same = reps.setdefault(isomorphism_key(S), [])
-            if any(is_isomorphic(S, r) is not None for r in same):
-                continue
-            same.append(S)
-            # one Con(S) per representative; only the subdirectly
-            # irreducible quotients are built
-            cons = congruences(S)
-            report["quotients"] += len(cons)
-            for theta, si in zip(cons, si_quotient_flags(cons)):
-                if not si:
-                    continue
-                Q = quotient(S, theta)
-                report["si_quotients"] += 1
-                key = isomorphism_key(Q)
-                seen = si_verdicts.setdefault(key, [])
-                known = next(
-                    (ok for rep, ok in seen if is_isomorphic(Q, rep) is not None),
-                    None,
-                )
-                if known is None:
-                    known = any(
-                        is_isomorphic(Q, t) is not None for t in targets.get(key, ())
-                    )
-                    seen.append((Q, known))
-                if not known:
-                    report["failures"].append(
-                        {
-                            "power": k,
-                            "subalgebra_size": S.size,
-                            "quotient_size": Q.size,
-                            "blocks": theta.num_blocks,
-                        }
-                    )
-    report["ok"] = not report["failures"]
-    return report
-
-
-def jonsson_check(
-    max_power: int = 2,
-    generator_count: int = 2,
-    congruence_cap: int = CONGRUENCE_SIZE_LIMIT,
-) -> dict:
-    """Subdirectly irreducible quotients of subalgebras of U, U^2 (and up to
-    U^`max_power`) all embed into U -- the bounded sanity check behind using
-    generator sets of subdirectly irreducibles.  Returns search counts and
-    failures (expected none)."""
-    U = get_algebra("U")
-    return _si_quotients_embed(
-        U, range(1, max_power + 1), generator_count, congruence_cap
-    )
 
 
 def _membership_entry(label: str, result: HspResult) -> dict:
@@ -950,162 +1004,85 @@ def verify_theorems(include_jonsson: bool = True) -> dict:
     basics = {name: entry(name).algebra for name in ("B2", "K3", "DM4", "IS2", "IS3", "IS4")}
     U = get_algebra("U")
     terms = enumerate_terms()
-    bip = _bipolar_flags(terms)
     sig = signatures(terms)
+    bip = [bool(p & m) for (_, p, m) in sig]
 
     def theory_groups(a: FiniteAlgebra) -> np.ndarray:
         return _theory_partition([a])
 
-    # regularised De Morgan lattices: V(A+) = V(A, IS2)
-    for name in ("B2", "K3", "DM4"):
-        plus = entry(f"{name}+").algebra
-        A = basics[name]
+    def member(label: str, algebra: FiniteAlgebra, gens: list[FiniteAlgebra]) -> None:
+        checks.append(_membership_entry(label, hsp_membership(algebra, gens)))
+
+    def same_theory(label: str, xs: list[FiniteAlgebra], ys: list[FiniteAlgebra]) -> None:
+        ok = same_partition(_theory_partition(xs), _theory_partition(ys))
         checks.append(
-            _membership_entry(
-                f"{name}+ in HSP({name}, IS2)",
-                hsp_membership(plus, [A, basics["IS2"]]),
-            )
-        )
-        checks.append(
-            _membership_entry(f"{name} in HSP({name}+)", hsp_membership(A, [plus]))
-        )
-        checks.append(
-            _membership_entry(
-                f"IS2 in HSP({name}+)", hsp_membership(basics["IS2"], [plus])
-            )
-        )
-        joint = _theory_partition([A, basics["IS2"]])
-        ok = same_partition(joint, _theory_partition([plus]))
-        checks.append(
-            {
-                "check": f"bounded theory of {name}+ equals that of {{{name}, IS2}}",
-                "ok": ok,
-                "detail": f"{len(terms)} terms",
-            }
+            {"check": f"bounded theory of {label}", "ok": ok, "detail": f"{len(terms)} terms"}
         )
 
+    # regularised De Morgan lattices: V(A+) = V(A, IS2)
+    IS2, IS4, DM4 = basics["IS2"], basics["IS4"], basics["DM4"]
+    for name in ("B2", "K3", "DM4"):
+        plus, A = entry(f"{name}+").algebra, basics[name]
+        member(f"{name}+ in HSP({name}, IS2)", plus, [A, IS2])
+        member(f"{name} in HSP({name}+)", A, [plus])
+        member(f"IS2 in HSP({name}+)", IS2, [plus])
+        same_theory(f"{name}+ equals that of {{{name}, IS2}}", [A, IS2], [plus])
+
     # U generates the same variety as {DM4, IS4}
-    checks.append(
-        _membership_entry(
-            "U in HSP(DM4, IS4)", hsp_membership(U, [basics["DM4"], basics["IS4"]])
-        )
-    )
-    checks.append(_membership_entry("DM4 in HSP(U)", hsp_membership(basics["DM4"], [U])))
-    checks.append(_membership_entry("IS4 in HSP(U)", hsp_membership(basics["IS4"], [U])))
-    checks.append(
-        {
-            "check": "bounded theory of U equals that of {DM4, IS4}",
-            "ok": same_partition(
-                _theory_partition([U]),
-                _theory_partition([basics["DM4"], basics["IS4"]]),
-            ),
-            "detail": f"{len(terms)} terms",
-        }
-    )
+    member("U in HSP(DM4, IS4)", U, [DM4, IS4])
+    member("DM4 in HSP(U)", DM4, [U])
+    member("IS4 in HSP(U)", IS4, [U])
+    same_theory("U equals that of {DM4, IS4}", [U], [DM4, IS4])
 
     # ... and as the single product DM4 x IS4 (a sum with its bottom fibre
     # bilateralised): both factors are homomorphic images of the product, so
     # the two memberships above close the circle through U
-    dm4xis4 = product(basics["DM4"], basics["IS4"])
-    checks.append(
-        _membership_entry("U in HSP(DM4 x IS4)", hsp_membership(U, [dm4xis4]))
-    )
-    checks.append(
-        _membership_entry(
-            "DM4 in HSP(DM4 x IS4)", hsp_membership(basics["DM4"], [dm4xis4])
-        )
-    )
-    checks.append(
-        _membership_entry(
-            "IS4 in HSP(DM4 x IS4)", hsp_membership(basics["IS4"], [dm4xis4])
-        )
-    )
-    checks.append(
-        {
-            "check": "bounded theory of U equals that of DM4 x IS4",
-            "ok": same_partition(
-                _theory_partition([U]), _theory_partition([dm4xis4])
-            ),
-            "detail": f"{len(terms)} terms",
-        }
-    )
+    dm4xis4 = product(DM4, IS4)
+    member("U in HSP(DM4 x IS4)", U, [dm4xis4])
+    member("DM4 in HSP(DM4 x IS4)", DM4, [dm4xis4])
+    member("IS4 in HSP(DM4 x IS4)", IS4, [dm4xis4])
+    same_theory("U equals that of DM4 x IS4", [U], [dm4xis4])
 
     # A5 sits between IS3 and B2 x IS3
-    checks.append(
-        _membership_entry(
-            "A5 in HSP(B2, IS3)",
-            hsp_membership(entry("A5").algebra, [basics["B2"], basics["IS3"]]),
-        )
-    )
-    checks.append(
-        _membership_entry(
-            "IS3 in HSP(A5)", hsp_membership(basics["IS3"], [entry("A5").algebra])
-        )
-    )
+    A5 = entry("A5").algebra
+    member("A5 in HSP(B2, IS3)", A5, [basics["B2"], basics["IS3"]])
+    member("IS3 in HSP(A5)", basics["IS3"], [A5])
+
+    def formula(joint: list[FiniteAlgebra], groups: list, key, label: str) -> None:
+        # key(bipolar, (variables, positive, negative), group) per term
+        keyed = [key(b, s, g) for b, s, g in zip(bip, sig, groups)]
+        checks.append(_theory_formula_check(joint, keyed, f"identities of {label}"))
 
     # syntactic descriptions of the bipolar theories
-    dm4_groups = theory_groups(basics["DM4"]).tolist()
-    checks.append(
-        _theory_formula_check(
-            [entry("A5").algebra],
-            [
-                "b" if b else (p, m, g)
-                for b, (_, p, m), g in zip(bip, sig, dm4_groups)
-            ],
-            "identities of A5 = bipolar ones plus balanced ones valid in DM4",
-        )
+    dm4_groups = theory_groups(DM4).tolist()
+    formula(
+        [A5], dm4_groups, lambda b, s, g: "b" if b else (*s[1:], g),
+        "A5 = bipolar ones plus balanced ones valid in DM4",
     )
-    checks.append(
-        _theory_formula_check(
-            [entry("A5").algebra, basics["IS2"]],
-            [
-                ("b", v) if b else (p, m, g)
-                for b, (v, p, m), g in zip(bip, sig, dm4_groups)
-            ],
-            "identities of {A5, IS2} = regular bipolar plus balanced DM4-valid",
-        )
+    formula(
+        [A5, IS2], dm4_groups, lambda b, s, g: ("b", s[0]) if b else (*s[1:], g),
+        "{A5, IS2} = regular bipolar plus balanced DM4-valid",
     )
-    checks.append(
-        _theory_formula_check(
-            [entry("A5").algebra, basics["IS4"]],
-            [
-                ("b", p, m) if b else (p, m, g)
-                for b, (_, p, m), g in zip(bip, sig, dm4_groups)
-            ],
-            "identities of {A5, IS4} = balanced bipolar plus balanced DM4-valid",
-        )
+    formula(
+        [A5, IS4], dm4_groups, lambda b, s, g: ("b", *s[1:]) if b else (*s[1:], g),
+        "{A5, IS4} = balanced bipolar plus balanced DM4-valid",
     )
 
     # regularisation operators on the lattice-generated varieties
     for name in ("B2", "K3", "DM4"):
-        groups = theory_groups(basics[name]).tolist()
-        checks.append(
-            _theory_formula_check(
-                [basics[name], basics["IS3"]],
-                [
-                    (g, "b") if b else (g, p, m)
-                    for b, (_, p, m), g in zip(bip, sig, groups)
-                ],
-                f"identities of {{{name}, IS3}} = bipolarly balanced ones of {name}",
-            )
+        A, groups = basics[name], theory_groups(basics[name]).tolist()
+        formula(
+            [A, basics["IS3"]], groups, lambda b, s, g: (g, "b") if b else (g, *s[1:]),
+            f"{{{name}, IS3}} = bipolarly balanced ones of {name}",
         )
-        checks.append(
-            _theory_formula_check(
-                [basics[name], basics["IS2"], basics["IS3"]],
-                [
-                    (g, "b", v) if b else (g, p, m)
-                    for b, (v, p, m), g in zip(bip, sig, groups)
-                ],
-                f"identities of {{{name}, IS2, IS3}} = regular bipolarly "
-                f"balanced ones of {name}",
-            )
+        formula(
+            [A, IS2, basics["IS3"]], groups,
+            lambda b, s, g: (g, "b", s[0]) if b else (g, *s[1:]),
+            f"{{{name}, IS2, IS3}} = regular bipolarly balanced ones of {name}",
         )
-        checks.append(
-            _theory_formula_check(
-                [basics[name], basics["IS4"]],
-                [(g, p, m) for (_, p, m), g in zip(sig, groups)],
-                f"identities of {{{name}, IS4}} = balanced ones of {name}",
-            )
+        formula(
+            [A, IS4], groups, lambda b, s, g: (g, *s[1:]),
+            f"{{{name}, IS4}} = balanced ones of {name}",
         )
 
     # the lattice itself, plus the absorption-family alignment

@@ -456,6 +456,7 @@ def test_criterion_10_subdirect_irreducibility_bound(capsys):
         report["ok"]
         and not report["failures"]
         and counts == (12831, 50129, 6164)
+        and report["skipped_large"] == 435
         and elapsed < 600.0
     )
     _report(

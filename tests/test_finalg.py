@@ -853,6 +853,21 @@ def test_power_keeps_names_whole_when_flattening_would_merge_them():
     assert power(a, 3).size == 8
 
 
+def test_product_and_power_escape_names_only_when_they_collide():
+    b = FiniteAlgebra("b", ["a", "a,a"], [[0, 0], [0, 1]], [[0, 1], [1, 1]])
+    escaped = ("(a,a)", "(a,a\\,a)", "(a\\,a,a)", "(a\\,a,a\\,a)")
+    assert product(b, b).elements == escaped
+    assert power(b, 2).elements == escaped
+    assert len(set(power(b, 3).elements)) == 8
+    c = FiniteAlgebra("c", ["\\", "\\,", ","], [[0] * 3] * 3, [[0] * 3] * 3)
+    assert len(set(product(c, c).elements)) == 9
+    # names that are distinct unescaped keep their spelling
+    assert product(IS2, IS3).elements[0] == f"({IS2.elements[0]},{IS3.elements[0]})"
+    assert power(IS3, 2).elements == tuple(
+        f"({p},{q})" for p in IS3.elements for q in IS3.elements
+    )
+
+
 # ------------------------------------------------------------------ isomorphism
 
 

@@ -1,22 +1,32 @@
 """Tests for the subvariety lattice machinery."""
 
+import collections
+import functools
+import hashlib
 import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmbl.catalog import entry, get_algebra
+from dmbl.catalog import catalog_entries, entry, get_algebra
+from dmbl import varieties
 from dmbl.finalg import (
     Congruence,
     ValidationError,
+    _canon,
+    _closure,
+    congruences,
     eval_term,
     is_congruence,
+    is_isomorphic,
     power,
     product,
     quotient,
     satisfies,
+    si_quotient_flags,
     subalgebra_generated,
 )
 from dmbl.sweep import random_identity
@@ -43,7 +53,15 @@ from dmbl.varieties import (
     variety_satisfies,
     verify_theorems,
 )
-from dmbl.varieties import _subuniverses
+from dmbl.varieties import (
+    _free_pair,
+    _generating_kernels,
+    _kernels,
+    _keys,
+    _subpower,
+    _subuniverses,
+    _term_codes,
+)
 
 # ---------------------------------------------------------------------------
 # descriptors and generator sets
@@ -506,6 +524,7 @@ def test_jonsson_check_counts_are_pinned():
         report = jonsson_check(max_power=max_power)
         got = (report["subalgebras"], report["quotients"], report["si_quotients"])
         assert got == counts
+        assert report["skipped_large"] == 0
         assert report["failures"] == []
 
 
@@ -545,3 +564,162 @@ def test_jonsson_check_on_u_itself():
     assert report["failures"] == []
     assert report["subalgebras"] > 0
     assert report["si_quotients"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the Jónsson search through the free algebra F(2) of V(U)
+
+U = get_algebra("U")
+F2 = _free_pair(U)
+
+
+def _free_pair_by_brute_force(a):
+    # binary term functions as tuples over the pairs (x, y), row by row
+    pairs = [(x, y) for x in range(a.size) for y in range(a.size)]
+    rows = {tuple(x for x, _ in pairs), tuple(y for _, y in pairs)}
+    while True:
+        grown = rows | {tuple(a.neg[v] for v in r) for r in rows}
+        for r, s in itertools.product(rows, repeat=2):
+            grown.add(tuple(a.meet[v][w] for v, w in zip(r, s)))
+            grown.add(tuple(a.join[v][w] for v, w in zip(r, s)))
+        if grown == rows:
+            return rows
+        rows = grown
+
+
+def test_free_algebra_on_two_generators_is_pinned():
+    assert F2.shape == (266, 81) and F2.dtype == np.uint8
+    assert hashlib.sha256(F2.tobytes()).hexdigest() == (
+        "5ceef1aaae8a61792db1cf88143f145bc44963b2134d4b5733b16537457e0348"
+    )
+    # the projections come first, and the rows are distinct and closed
+    x, y = np.divmod(np.arange(81), 9)
+    assert (F2[0] == x).all() and (F2[1] == y).all()
+    assert len({r.tobytes() for r in F2}) == 266
+    meet, join, neg = U.arrays()
+    rows = {r.tobytes() for r in F2}
+    assert {r.tobytes() for r in neg[F2].astype(np.uint8)} <= rows
+    for table in (meet, join):
+        made = table[F2[:, None], F2[None]].astype(np.uint8).reshape(-1, 81)
+        assert {r.tobytes() for r in made} == rows
+    for name, size in (("DM4", 166), ("IS4", 15)):
+        a = entry(name).algebra
+        assert {tuple(r) for r in _free_pair(a).tolist()} == _free_pair_by_brute_force(a)
+        assert len(_free_pair(a)) == size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.data())
+def test_kernels_are_first_occurrence_labels(rows, width, data):
+    codes = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(0, 9), min_size=width, max_size=width),
+                min_size=rows,
+                max_size=rows,
+            )
+        ),
+        dtype=np.int32,
+    )
+    assert _kernels(codes).tolist() == [list(_canon(r)) for r in codes.tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def _power_of_u(k):
+    return power(U, k)
+
+
+def _seed(data, k):
+    # one element of U^k, or two, as a pair of codes
+    a = data.draw(st.integers(0, 9**k - 1))
+    return a, data.draw(st.one_of(st.just(a), st.integers(0, 9**k - 1)))
+
+
+def _generated(k, seed):
+    # the codes t(a, b) of every term t of F(2), and the subalgebra's elements
+    # in the order of the blocks of the seed's kernel
+    place = 9 ** np.arange(k - 1, -1, -1)
+    codes = _term_codes(F2, 9, place, *np.array(seed)[:, None])[0]
+    kernel = _kernels(codes[None])[0]
+    return place, codes, kernel, codes[np.unique(kernel, return_index=True)[1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_free_pair_closures_match_the_closure_on_the_power(k, data):
+    seed = _seed(data, k)
+    _, codes, _, _ = _generated(k, seed)
+    assert set(codes.tolist()) == _closure(_power_of_u(k), set(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_kernel_isomorphism_matches_is_isomorphic(k, data):
+    seed = _seed(data, k)
+    place, _, _, elements = _generated(k, seed)
+    how = data.draw(st.sampled_from(["swap", "permute", "inside", "anywhere"]))
+    a, b = seed
+    if how == "swap":
+        other = (b, a)
+    elif how == "permute":
+        order = data.draw(st.permutations(range(k)))
+        digits = np.array(seed)[:, None] // place % 9
+        other = tuple((digits[:, order] @ place).tolist())
+    elif how == "inside":
+        other = tuple(data.draw(st.sampled_from(elements.tolist())) for _ in "ab")
+    else:
+        other = _seed(data, k)
+    _, _, kernel, others = _generated(k, other)
+    if max(len(elements), len(others)) > 32:
+        return  # the search does not compare subalgebras this large
+    S, _ = subalgebra_generated(_power_of_u(k), elements.tolist())
+    R, _ = subalgebra_generated(_power_of_u(k), others.tolist())
+    by_kernel = _keys(kernel[None])[0] in _generating_kernels(F2, 9, place, elements)
+    assert by_kernel == (is_isomorphic(S, R) is not None)
+
+
+_U_SUBALGEBRAS = [
+    subalgebra_generated(U, carrier)[0]
+    for carrier in {
+        frozenset(_closure(U, set(s)))
+        for size in range(1, 10)
+        for s in itertools.combinations(range(9), size)
+    }
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.data())
+def test_kernel_embedding_matches_is_isomorphic(k, data):
+    seed = _seed(data, k)
+    place, _, kernel, elements = _generated(k, seed)
+    if len(elements) > 32:
+        return  # the search skips subalgebras this large
+    S = _subpower(U, place, elements)
+    cons = congruences(S)
+    flags = si_quotient_flags(cons)
+    theta, si = data.draw(st.sampled_from(list(zip(cons, flags))))
+    # θ's block of each term's value is a first-occurrence kernel as it stands
+    row = np.array(theta.block_of)[kernel]
+    assert row.tolist() == list(_canon(row.tolist()))
+    embeds = _keys(row[None])[0] in set(_keys(_kernels(F2.T)))
+    Q = quotient(S, theta)
+    assert embeds == any(is_isomorphic(Q, t) is not None for t in _U_SUBALGEBRAS)
+    if si:
+        assert embeds  # what the search certifies
+
+
+def test_build_lattice_checks_each_identity_once_per_algebra(monkeypatch):
+    for e in catalog_entries():
+        e.algebra._memo.pop(varieties._verdict, None)
+    calls = collections.Counter()
+    real = varieties.satisfies
+
+    def counting(a, e):
+        calls[(a.meet, a.join, a.neg, str(e))] += 1
+        return real(a, e)
+
+    monkeypatch.setattr(varieties, "satisfies", counting)
+    build_lattice.cache_clear()
+    build_lattice()
+    assert calls and max(calls.values()) == 1
