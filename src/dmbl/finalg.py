@@ -571,14 +571,24 @@ def _canon(block_of: Sequence) -> tuple[int, ...]:
     return tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
 
 
+_NOT_CANONICAL = "partition block ids must be numbered by first occurrence"
+
+
 def _require_canonical(parts: Iterable[Congruence]) -> None:
     # the public partition operations read block ids as a canonical form;
     # the engine's own rows are canonical by construction and skip this check
-    for p in parts:
-        if p.block_of != _canon(p.block_of):
-            raise ValidationError(
-                "partition block ids must be numbered by first occurrence"
-            )
+    if any(p.block_of != _canon(p.block_of) for p in parts):
+        raise ValidationError(_NOT_CANONICAL)
+
+
+def _canonical_ids(B: np.ndarray) -> bool:
+    """Does each row of `B` number its blocks by first occurrence?  It does
+    when its first id is 0 and each later one is at least 0 and at most one
+    above the greatest before it."""
+    if B.dtype.kind not in "iu":
+        return False
+    top = np.maximum.accumulate(B, axis=1)
+    return bool((B[:, :1] == 0).all() and (B >= 0).all() and (B[:, 1:] <= top[:, :-1] + 1).all())
 
 
 def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
@@ -766,11 +776,12 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
     so S/θ is subdirectly irreducible exactly when θ is total or has a single
     upper cover.
     """
-    _require_canonical(cons)
     m = len(cons)
     if m == 0:
         return []
     B = np.array([c.block_of for c in cons])
+    if not _canonical_ids(B):
+        raise ValidationError(_NOT_CANONICAL)
     first = _least(B)
     # leq[i, j]: cons[i] refines cons[j], i.e. each element's cons[j]-block
     # holds the first element of its cons[i]-block

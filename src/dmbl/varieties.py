@@ -44,6 +44,7 @@ from .sweep import (
     partition_ids,
     same_partition,
     signatures,
+    term_index,
     theory_partition,
 )
 from .terms import Identity, IdentityClass, classify, parse_identity
@@ -370,8 +371,8 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
     iff they share the syntactic key, so agreement over every pair is one
     partition comparison per class.
     """
-    terms = enumerate_terms(max_nodes)
-    sig = signatures(terms)
+    index = term_index(max_nodes)
+    sig = signatures(index)
     keys = {
         "regular": [v for (v, _, _) in sig],
         "balanced-regular": [(p, m) for (_, p, m) in sig],
@@ -381,17 +382,17 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
         ],
     }
     algebras = _test_algebras()
-    out: dict = {"terms": len(terms), "agree": True, "classes": {}}
+    out: dict = {"terms": len(index.roots), "agree": True, "classes": {}}
     for label, _, alg_name in _SEMANTIC_TESTS:
         syntactic = partition_ids(keys[label])
-        semantic = theory_partition(algebras[alg_name], terms)
+        semantic = theory_partition(algebras[alg_name], index)
         ok = same_partition(syntactic, semantic)
         row: dict = {"algebra": alg_name, "agree": ok}
         if not ok:
             viol = first_violation(syntactic, semantic) or first_violation(
                 semantic, syntactic
             )
-            row["disagreement"] = str(Identity(terms[viol[0]], terms[viol[1]]))
+            row["disagreement"] = str(_identity_at(viol, max_nodes))
         out["classes"][label] = row
         out["agree"] = out["agree"] and ok
     return out
@@ -430,15 +431,21 @@ _PARTITIONS: dict[tuple, np.ndarray] = {}
 def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
     """Joint theory partition of the bounded term space: two terms share a
     label exactly when they share one in every algebra."""
-    terms = enumerate_terms()
-    joint = np.zeros(len(terms), dtype=np.int64)
+    index = term_index()
+    joint = np.zeros(len(index.roots), dtype=np.int64)
     for a in algebras:
         key = (a.meet, a.join, a.neg)
         if key not in _PARTITIONS:
-            _PARTITIONS[key] = theory_partition(a, terms)
+            _PARTITIONS[key] = theory_partition(a, index)
         labels = _PARTITIONS[key]
         joint = _first_occurrence(joint * (labels.max() + 1) + labels)
     return joint
+
+
+def _identity_at(pair: tuple[int, int], max_nodes: int = 7) -> Identity:
+    # the enumerated terms are built only to name a disagreement
+    terms = enumerate_terms(max_nodes)
+    return Identity(terms[pair[0]], terms[pair[1]])
 
 
 def _resolve(g) -> FiniteAlgebra:
@@ -455,11 +462,10 @@ def _sweep_separator(
     """A bounded-space identity valid in all of `holds_in` but not everywhere
     in `fails_in`, with the offending algebra."""
     joint = _theory_partition(holds_in)
-    terms = enumerate_terms()
     for a in fails_in:
         viol = first_violation(joint, _theory_partition([a]))
         if viol is not None:
-            return Identity(terms[viol[0]], terms[viol[1]]), a
+            return _identity_at(viol), a
     return None
 
 
@@ -967,16 +973,15 @@ def _theory_formula_check(
     joint: Sequence[FiniteAlgebra], keyed_by, label: str
 ) -> dict:
     """Compare the joint bounded theory of `joint` with a syntactic keying."""
-    terms = enumerate_terms()
     semantic = _theory_partition(list(joint))
     syntactic = partition_ids(keyed_by)
     ok = same_partition(semantic, syntactic)
-    out = {"check": label, "ok": ok, "detail": f"{len(terms)} terms"}
+    out = {"check": label, "ok": ok, "detail": f"{len(semantic)} terms"}
     if not ok:
         viol = first_violation(semantic, syntactic) or first_violation(
             syntactic, semantic
         )
-        out["detail"] = f"disagree at {Identity(terms[viol[0]], terms[viol[1]])}"
+        out["detail"] = f"disagree at {_identity_at(viol)}"
     return out
 
 
@@ -1003,8 +1008,7 @@ def verify_theorems(include_jonsson: bool = True) -> dict:
     checks: list[dict] = []
     basics = {name: entry(name).algebra for name in ("B2", "K3", "DM4", "IS2", "IS3", "IS4")}
     U = get_algebra("U")
-    terms = enumerate_terms()
-    sig = signatures(terms)
+    sig = signatures(term_index())
     bip = [bool(p & m) for (_, p, m) in sig]
 
     def theory_groups(a: FiniteAlgebra) -> np.ndarray:
@@ -1016,7 +1020,7 @@ def verify_theorems(include_jonsson: bool = True) -> dict:
     def same_theory(label: str, xs: list[FiniteAlgebra], ys: list[FiniteAlgebra]) -> None:
         ok = same_partition(_theory_partition(xs), _theory_partition(ys))
         checks.append(
-            {"check": f"bounded theory of {label}", "ok": ok, "detail": f"{len(terms)} terms"}
+            {"check": f"bounded theory of {label}", "ok": ok, "detail": f"{len(sig)} terms"}
         )
 
     # regularised De Morgan lattices: V(A+) = V(A, IS2)

@@ -10,7 +10,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmbl import finalg, varieties
+from dmbl import finalg, sweep, varieties
 from dmbl.catalog import build_basics, catalog_entries, get_algebra, known_algebra_names
 from dmbl.finalg import (
     ALGEBRA_CLASSES,
@@ -51,15 +54,33 @@ from dmbl.finalg import (
 )
 from dmbl.sums import bilateralise
 from dmbl.sweep import (
+    MEET,
+    NEG,
+    JOIN,
+    VAR,
+    _walk,
     enumerate_terms,
+    first_violation,
     partition_ids,
     random_identity,
     refines,
     same_partition,
+    signatures,
+    term_index,
     theory_partition,
     value_matrix,
 )
-from dmbl.terms import Identity, Join, Meet, Neg, Var, dualise_identity, parse, parse_term
+from dmbl.terms import (
+    Identity,
+    Join,
+    Meet,
+    Neg,
+    Var,
+    dualise_identity,
+    parse,
+    parse_term,
+    polarities,
+)
 
 
 BASICS = build_basics()
@@ -701,6 +722,23 @@ def test_partition_operations_reject_block_ids_out_of_first_occurrence_order(cal
             call(Congruence(bad), Congruence((0, 0)))
 
 
+def test_si_flags_reject_one_non_canonical_congruence_in_a_full_list():
+    cons = congruences(U)
+    assert si_quotient_flags(cons) == si_quotient_flags(list(cons))
+    mid = len(cons) // 2
+    ids = cons[mid].block_of
+    assert max(ids) >= 1
+    top = max(ids)
+    for bad in (
+        tuple(top - i for i in ids),  # ids in reverse order
+        tuple(2 * i for i in ids),  # ids with gaps
+        tuple(-i for i in ids),  # negative ids
+        tuple(str(i) for i in ids),  # not integers
+    ):
+        with pytest.raises(ValidationError, match="first occurrence"):
+            si_quotient_flags(cons[:mid] + [Congruence(bad)] + cons[mid + 1 :])
+
+
 def test_quotient_rejects_block_ids_out_of_first_occurrence_order():
     # (0, 2) is the identity partition with an unused block id 1; (1, 0) is
     # the identity with its ids swapped
@@ -1233,3 +1271,167 @@ def test_theory_partition_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert labels.max() + 1 == 235
     assert peak < 16 * 2**20
+
+
+def test_theory_partition_does_not_depend_on_the_gather_chunk(monkeypatch):
+    # one value per gather, a row split into spans, and the whole code list
+    # at once; U's rows are 9^3 values, the product's 243^2
+    spaces = [(U, term_index(), 3), (product(product(U, U), IS3), term_index(4, 2), 2)]
+    for a, index, k in spaces:
+        labels = [theory_partition(a, index, k)]
+        for chunk in (1, 100, 2**40):
+            monkeypatch.setattr(sweep, "_VALUES", chunk)
+            labels.append(theory_partition(a, index, k))
+        assert all(np.array_equal(labels[0], x) for x in labels[1:]), a.name
+
+
+# ---------------------------------------------------------- term space index
+
+SHARED = Meet(Var("x1"), Neg(Var("x2")))
+
+
+def _shuffled_shared_terms():
+    # one subterm object under several parents, and parents before children
+    terms = [Join(SHARED, Var("x3")), Neg(SHARED), Meet(SHARED, SHARED), Var("x1"), SHARED]
+    terms += enumerate_terms(5)
+    random.Random(3).shuffle(terms)
+    return terms
+
+
+def _index_fields(index):
+    return [index.op, index.left, index.right, index.var, index.level, index.roots]
+
+
+def test_term_index_puts_children_before_parents():
+    for index in (term_index(), _walk(_shuffled_shared_terms())):
+        nodes = np.arange(len(index.op))
+        for child in (index.left, index.right):
+            has = child >= 0
+            assert (child[has] < nodes[has]).all()
+            assert (index.level[child[has]] < index.level[has]).all()
+        assert ((index.op == VAR) == (index.level == 0)).all()
+        assert ((index.op == VAR) == (index.var >= 0)).all()
+
+
+def test_term_index_visits_a_shared_subterm_once():
+    x1, neg_x2 = SHARED.left, SHARED.right
+    twin = Meet(x1, Neg(neg_x2.child))  # equal to SHARED, but other objects
+    index = _walk([Join(SHARED, SHARED), Neg(SHARED), SHARED, twin])
+    # x1, x2, ~x2, SHARED, the join and the negation, then twin's ~x2 and itself
+    assert index.op.tolist() == [VAR, VAR, NEG, MEET, JOIN, NEG, NEG, MEET]
+    assert index.roots.tolist() == [4, 5, 3, 7]
+    assert index.left.tolist() == [-1, -1, 1, 0, 3, 3, 1, 0]
+    assert index.right.tolist() == [-1, -1, -1, 2, 3, -1, -1, 6]
+    assert index.level.tolist() == [0, 0, 1, 2, 3, 3, 1, 2]
+    assert index.names == ("x1", "x2")
+
+
+@pytest.mark.parametrize("space", [(7, 3), (5, 2), (4, 1)])
+def test_cached_index_equals_a_walk_of_the_enumeration(space):
+    cached, walked = term_index(*space), _walk(enumerate_terms(*space))
+    assert cached is term_index(*space)
+    assert cached.names == walked.names
+    for got, want in zip(_index_fields(cached), _index_fields(walked)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _signature_oracle(term):
+    sets = polarities(term)
+    return tuple(
+        sum(1 << (int(v[1:]) - 1) for v in vs) for vs in (sets.plain, sets.positive, sets.negative)
+    )
+
+
+def test_signatures_match_the_polarities_of_each_term():
+    terms = enumerate_terms()
+    expected = [_signature_oracle(t) for t in terms]
+    assert signatures(term_index()) == signatures(terms) == expected
+    shuffled = _shuffled_shared_terms() + [Neg(Meet(Var("x70"), Neg(Var("x1"))))]
+    assert signatures(shuffled) == [_signature_oracle(t) for t in shuffled]
+
+
+def test_theory_partition_raises_the_first_error_of_value_matrix():
+    # value_matrix checks a ~ before its argument, a variable when it gets there
+    y, x1 = Var("y"), Var("x1")
+    cases = [[y, Neg(x1)], [Neg(x1), y], [Neg(y)], [Meet(y, Neg(x1))], [Meet(Neg(x1), y)]]
+    for terms in cases:
+        for a in (D2, DM4):
+            _assert_same_theory(a, terms)
+    with pytest.raises(ValidationError, match="no assignment for variable 'y'"):
+        theory_partition(D2, cases[0])
+    with pytest.raises(ValidationError, match="no negation"):
+        theory_partition(D2, cases[2])
+
+
+def test_sweeps_of_the_enumerated_index_make_no_call_per_term():
+    index = term_index()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    for sweep_once in (lambda: theory_partition(U, index), lambda: signatures(index)):
+        calls = 0
+        sys.setprofile(count)
+        try:
+            sweep_once()
+        finally:
+            sys.setprofile(None)
+        assert calls < len(index.roots) // 8
+
+
+def test_importing_the_cli_builds_no_term_index():
+    code = (
+        "import dmbl.cli, dmbl.sweep as s; "
+        "print(s._enumerated_index.cache_info().currsize, s.enumerate_terms.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "0"]
+
+
+# ------------------------------------------------- label partition comparisons
+#
+# the loops the array versions replaced, kept as oracles
+
+
+def _refines_loop(p, q):
+    seen = {}
+    for a, b in zip(p.tolist(), q.tolist()):
+        if seen.setdefault(a, b) != b:
+            return False
+    return True
+
+
+def _first_violation_loop(p, q):
+    first, rep = {}, {}
+    for i, (a, b) in enumerate(zip(p.tolist(), q.tolist())):
+        if a in first:
+            if first[a] != b:
+                return rep[a], i
+        else:
+            first[a], rep[a] = b, i
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_comparisons_match_the_loops(data):
+    n = data.draw(st.integers(0, 30))
+    labels = st.lists(st.integers(-3, 4), min_size=n, max_size=n)
+    p = np.array(data.draw(labels), dtype=np.int64)
+    # q coarsens p sometimes, so that both verdicts occur
+    if data.draw(st.booleans()):
+        q = np.array([abs(x) % 3 for x in p.tolist()], dtype=np.int64)
+    else:
+        q = np.array(data.draw(labels), dtype=np.int64)
+    q = q[: data.draw(st.integers(0, n))] if data.draw(st.booleans()) else q
+    for x, y in ((p, q), (q, p)):
+        assert refines(x, y) is _refines_loop(x, y)
+        assert first_violation(x, y) == _first_violation_loop(x, y)
+        got = first_violation(x, y)
+        assert got is None or all(type(i) is int for i in got)
+    assert same_partition(p, q) is (_refines_loop(p, q) and _refines_loop(q, p))
