@@ -577,18 +577,21 @@ _NOT_CANONICAL = "partition block ids must be numbered by first occurrence"
 def _require_canonical(parts: Iterable[Congruence]) -> None:
     # the public partition operations read block ids as a canonical form;
     # the engine's own rows are canonical by construction and skip this check
-    if any(p.block_of != _canon(p.block_of) for p in parts):
-        raise ValidationError(_NOT_CANONICAL)
+    for p in parts:
+        _require_canonical_rows(np.array([p.block_of]))
 
 
-def _canonical_ids(B: np.ndarray) -> bool:
-    """Does each row of `B` number its blocks by first occurrence?  It does
-    when its first id is 0 and each later one is at least 0 and at most one
-    above the greatest before it."""
+def _require_canonical_rows(B: np.ndarray) -> None:
+    """Raise unless each row of `B` numbers its blocks by first occurrence:
+    its first id is 0 and each later one is at least 0 and at most one above
+    the greatest before it."""
+    if B.size == 0:
+        return
     if B.dtype.kind not in "iu":
-        return False
+        raise ValidationError(_NOT_CANONICAL)
     top = np.maximum.accumulate(B, axis=1)
-    return bool((B[:, :1] == 0).all() and (B >= 0).all() and (B[:, 1:] <= top[:, :-1] + 1).all())
+    if not ((B[:, :1] == 0).all() and (B >= 0).all() and (B[:, 1:] <= top[:, :-1] + 1).all()):
+        raise ValidationError(_NOT_CANONICAL)
 
 
 def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
@@ -780,8 +783,7 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
     if m == 0:
         return []
     B = np.array([c.block_of for c in cons])
-    if not _canonical_ids(B):
-        raise ValidationError(_NOT_CANONICAL)
+    _require_canonical_rows(B)
     first = _least(B)
     # leq[i, j]: cons[i] refines cons[j], i.e. each element's cons[j]-block
     # holds the first element of its cons[i]-block

@@ -15,19 +15,18 @@ A term list is read as a graph of nodes, a `TermIndex`: one post-order walk
 numbers children before parents, left before right, and a subterm object
 shared by several terms once.  Each node has a level, 0 for a variable and
 otherwise one more than its highest child.  The index of
-``enumerate_terms(m, k)`` is built from the enumeration order alone, without
-the terms, and cached by ``(m, k)`` (`term_index`).
+``enumerate_terms(m, k)`` is walked once and cached by ``(m, k)``
+(`term_index`).
 
 Equal value rows are a congruence of the term algebra: the row of f(s, t)
 depends only on the rows of s and t.  So `theory_partition` labels nodes by
 class, level by level, without the matrix.  A node's code is its operation
-and the classes of its children (its variable, for a variable; the lesser
-class first when the operation's table is symmetric); `np.unique` groups the
-codes of one level, and only a code not seen at a lower level is evaluated,
-by one flat-table gather per chunk of at most ``_VALUES`` values.  Its row is
-interned by content.  The 8427 terms of at most 7 nodes over x1..x3 fall
-into at most 235 classes in each named algebra (235 in U) and 712 codes in
-U, so one row per class is kept and one per code computed.  `signatures`
+and the classes of its children (its variable, for a variable); `np.unique`
+groups the codes of one level, and only a code not seen at a lower level is
+evaluated, by one flat-table gather per chunk of at most ``_VALUES`` values.
+Its row is interned by content.  The 8427 terms of at most 7 nodes over
+x1..x3 fall into at most 235 classes in each named algebra (235 in U) and
+1216 codes in U, so one row per class is kept and one per code computed.  `signatures`
 propagates occurrence bitmasks over the same levels.
 """
 
@@ -57,9 +56,14 @@ __all__ = [
     "value_matrix",
 ]
 
-@lru_cache(maxsize=8)
 def enumerate_terms(max_nodes: int = 7, num_vars: int = 3) -> tuple[Term, ...]:
-    """Every term with at most `max_nodes` nodes over x1..x`num_vars`."""
+    """Every term with at most `max_nodes` nodes over x1..x`num_vars`, built
+    once per pair of ints."""
+    return _enumerated_terms(max_nodes, num_vars)
+
+
+@lru_cache(maxsize=8)
+def _enumerated_terms(max_nodes: int, num_vars: int) -> tuple[Term, ...]:
     pool = [Var(f"x{i}") for i in range(1, num_vars + 1)]
     by_size: list[list[Term]] = [[]]  # index = node count
     by_size.append(list(pool))
@@ -140,35 +144,14 @@ def _walk(terms: Sequence[Term]) -> TermIndex:
 
 
 def term_index(max_nodes: int = 7, num_vars: int = 3) -> TermIndex:
-    """The index of ``enumerate_terms(max_nodes, num_vars)``, equal to a walk
-    of it: built once per pair of ints, from the enumeration order."""
+    """The index of ``enumerate_terms(max_nodes, num_vars)``, walked once per
+    pair of ints."""
     return _enumerated_index(max_nodes, num_vars)
 
 
 @lru_cache(maxsize=8)
 def _enumerated_index(max_nodes: int, num_vars: int) -> TermIndex:
-    # every enumerated term is a new object whose children come earlier, so
-    # its node is its position; sizes are enumerated in order, from 1
-    parts = [(np.full(num_vars, VAR), np.full(num_vars, -1), np.full(num_vars, -1))]
-    start, count = [0, 0], [0, num_vars]  # first node and count per size
-    for n in range(2, max_nodes + 1):
-        start.append(start[-1] + count[-1])
-        child = start[n - 1] + np.arange(count[n - 1])
-        parts.append((np.full(len(child), NEG), child, np.full(len(child), -1)))
-        for left_n in range(1, n - 1):
-            right_n = n - 1 - left_n
-            l = start[left_n] + np.repeat(np.arange(count[left_n]), count[right_n])
-            r = start[right_n] + np.tile(np.arange(count[right_n]), count[left_n])
-            parts += [(np.full(len(l), MEET), l, r), (np.full(len(l), JOIN), l, r)]
-        count.append(sum(len(p[0]) for p in parts) - start[n])
-    op, left, right = (np.concatenate(a).astype(np.int64) for a in zip(*parts))
-    level = np.zeros(len(op), dtype=np.int64)
-    for n in range(2, max_nodes + 1):
-        at = slice(start[n], start[n] + count[n])
-        level[at] = 1 + np.maximum(level[left[at]], np.where(right[at] < 0, 0, level[right[at]]))
-    var = np.where(op == VAR, np.arange(len(op)), -1)
-    names = tuple(f"x{i}" for i in range(1, num_vars + 1))
-    return TermIndex(op.astype(np.int8), left, right, var, level, np.arange(len(op)), names)
+    return _walk(enumerate_terms(max_nodes, num_vars))
 
 
 def _grids(n: int, num_vars: int) -> dict[str, np.ndarray]:
@@ -244,7 +227,6 @@ def theory_partition(
     dtype = np.int8 if n <= 127 else np.int16  # of values, as in value_matrix
     meet, join, neg = (None if t is None else t.astype(dtype) for t in algebra.arrays())
     flat = {MEET: meet.ravel(), JOIN: join.ravel()}
-    commutes = np.array([False, False, (meet == meet.T).all(), (join == join.T).all()])
     grids = _grids(n, num_vars)
     shape = (n,) * num_vars
     width = n**num_vars
@@ -294,9 +276,6 @@ def theory_partition(
         # cls[-1], read for a missing child, is masked out
         a = np.where(op == VAR, index.var[at], cls[index.left[at]])
         b = np.where(op >= MEET, cls[index.right[at]], 0)
-        # f(a, b) and f(b, a) share a row when f's table is symmetric
-        swap = commutes[op] & (a > b)
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
         codes, inverse = np.unique((op * radix + a) * radix + b, return_inverse=True)
         pos = np.searchsorted(seen, codes)
         known = seen[pos] == codes

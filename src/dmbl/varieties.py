@@ -371,6 +371,7 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
     iff they share the syntactic key, so agreement over every pair is one
     partition comparison per class.
     """
+    terms = enumerate_terms(max_nodes)
     index = term_index(max_nodes)
     sig = signatures(index)
     keys = {
@@ -382,7 +383,7 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
         ],
     }
     algebras = _test_algebras()
-    out: dict = {"terms": len(index.roots), "agree": True, "classes": {}}
+    out: dict = {"terms": len(terms), "agree": True, "classes": {}}
     for label, _, alg_name in _SEMANTIC_TESTS:
         syntactic = partition_ids(keys[label])
         semantic = theory_partition(algebras[alg_name], index)
@@ -392,7 +393,7 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
             viol = first_violation(syntactic, semantic) or first_violation(
                 semantic, syntactic
             )
-            row["disagreement"] = str(_identity_at(viol, max_nodes))
+            row["disagreement"] = str(Identity(terms[viol[0]], terms[viol[1]]))
         out["classes"][label] = row
         out["agree"] = out["agree"] and ok
     return out
@@ -442,12 +443,6 @@ def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
     return joint
 
 
-def _identity_at(pair: tuple[int, int], max_nodes: int = 7) -> Identity:
-    # the enumerated terms are built only to name a disagreement
-    terms = enumerate_terms(max_nodes)
-    return Identity(terms[pair[0]], terms[pair[1]])
-
-
 def _resolve(g) -> FiniteAlgebra:
     if isinstance(g, FiniteAlgebra):
         return g
@@ -462,10 +457,11 @@ def _sweep_separator(
     """A bounded-space identity valid in all of `holds_in` but not everywhere
     in `fails_in`, with the offending algebra."""
     joint = _theory_partition(holds_in)
+    terms = enumerate_terms()
     for a in fails_in:
         viol = first_violation(joint, _theory_partition([a]))
         if viol is not None:
-            return _identity_at(viol), a
+            return Identity(terms[viol[0]], terms[viol[1]]), a
     return None
 
 
@@ -973,15 +969,16 @@ def _theory_formula_check(
     joint: Sequence[FiniteAlgebra], keyed_by, label: str
 ) -> dict:
     """Compare the joint bounded theory of `joint` with a syntactic keying."""
+    terms = enumerate_terms()
     semantic = _theory_partition(list(joint))
     syntactic = partition_ids(keyed_by)
     ok = same_partition(semantic, syntactic)
-    out = {"check": label, "ok": ok, "detail": f"{len(semantic)} terms"}
+    out = {"check": label, "ok": ok, "detail": f"{len(terms)} terms"}
     if not ok:
         viol = first_violation(semantic, syntactic) or first_violation(
             syntactic, semantic
         )
-        out["detail"] = f"disagree at {_identity_at(viol)}"
+        out["detail"] = f"disagree at {Identity(terms[viol[0]], terms[viol[1]])}"
     return out
 
 

@@ -1274,12 +1274,12 @@ def test_theory_partition_memory_is_bounded(monkeypatch):
 
 
 def test_theory_partition_does_not_depend_on_the_gather_chunk(monkeypatch):
-    # one value per gather, a row split into spans, and the whole code list
+    # a row split into spans with a shorter last one, and the whole code list
     # at once; U's rows are 9^3 values, the product's 243^2
     spaces = [(U, term_index(), 3), (product(product(U, U), IS3), term_index(4, 2), 2)]
     for a, index, k in spaces:
         labels = [theory_partition(a, index, k)]
-        for chunk in (1, 100, 2**40):
+        for chunk in (100, 2**40):
             monkeypatch.setattr(sweep, "_VALUES", chunk)
             labels.append(theory_partition(a, index, k))
         assert all(np.array_equal(labels[0], x) for x in labels[1:]), a.name
@@ -1384,7 +1384,7 @@ def test_sweeps_of_the_enumerated_index_make_no_call_per_term():
 def test_importing_the_cli_builds_no_term_index():
     code = (
         "import dmbl.cli, dmbl.sweep as s; "
-        "print(s._enumerated_index.cache_info().currsize, s.enumerate_terms.cache_info().currsize)"
+        "print(s._enumerated_index.cache_info().currsize, s._enumerated_terms.cache_info().currsize)"
     )
     src = os.path.dirname(os.path.dirname(sweep.__file__))
     env = {**os.environ, "PYTHONPATH": src}
