@@ -716,8 +716,9 @@ def test_quotient_collapses_blocks():
     ids=["join", "join-right", "meet", "meet-right", "refines", "refined-by", "si-flags"],
 )
 def test_partition_operations_reject_block_ids_out_of_first_occurrence_order(call):
-    # (0, 2) would count 3 blocks, and (1, 0) would differ from (0, 1)
-    for bad in ((0, 2), (1, 0)):
+    # (0, 2) would count 3 blocks, (1, 0) would differ from (0, 1), and
+    # (0.0, 1.0) compares equal to (0, 1) but does not hold integer ids
+    for bad in ((0, 2), (1, 0), (0.0, 1.0)):
         with pytest.raises(ValidationError, match="first occurrence"):
             call(Congruence(bad), Congruence((0, 0)))
 
