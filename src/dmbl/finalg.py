@@ -41,6 +41,7 @@ import numpy as np
 from .terms import Identity, Meet, Join, Neg, Term, Var, variables
 
 __all__ = [
+    "CONGRUENCE_COUNT_LIMIT",
     "CONGRUENCE_SIZE_LIMIT",
     "Congruence",
     "FiniteAlgebra",
@@ -506,6 +507,9 @@ def _induced(
 # congruences
 
 CONGRUENCE_SIZE_LIMIT = 32
+#: most congruences `congruences` lists: the count, not the carrier, sets
+#: the work, and 32 elements can have far more (IS2^5 has 32 elements)
+CONGRUENCE_COUNT_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -751,7 +755,8 @@ def congruences_ops(n: int, ops: Sequence[tuple[int, Sequence]]) -> list[Congrue
     (:func:`_principal_rows`).  Starting from the identity, each principal
     in turn is joined with every congruence found so far, ``_BATCH // n``
     int8 least-element label rows at a time; only the final distinct rows
-    become `Congruence` objects."""
+    become `Congruence` objects.  More than ``CONGRUENCE_COUNT_LIMIT``
+    congruences after any principal's joins raise ValidationError."""
     prin = _distinct(_principal_rows(n, ops))
     found = np.arange(n, dtype=np.int8)[None]  # sorted by _row_keys
     per = _BATCH // n
@@ -767,6 +772,11 @@ def congruences_ops(n: int, ops: Sequence[tuple[int, Sequence]]) -> list[Congrue
         rows += [_joins_above(found[lo : lo + per], p) for lo in range(0, len(found), per)]
         keys = np.concatenate([_row_keys(r) for r in rows])
         found = np.vstack(rows)[np.unique(keys, return_index=True)[1]]
+        if len(found) > CONGRUENCE_COUNT_LIMIT:
+            raise ValidationError(
+                f"congruence enumeration limited to {CONGRUENCE_COUNT_LIMIT} "
+                f"congruences, found {len(found)} so far"
+            )
     out = [Congruence(tuple(c)) for c in _canonical(found).tolist()]
     return sorted(out, key=lambda c: (c.num_blocks, c.block_of), reverse=True)
 
@@ -797,7 +807,9 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
 
 
 def congruences(algebra: FiniteAlgebra) -> list[Congruence]:
-    """Every congruence of the algebra, identity first, total last."""
+    """Every congruence of the algebra, identity first, total last.  Raises
+    ValidationError above ``CONGRUENCE_SIZE_LIMIT`` elements or
+    ``CONGRUENCE_COUNT_LIMIT`` congruences."""
     out = congruences_ops(algebra.size, _ops_of(algebra))
     out.sort(key=lambda c: (-c.num_blocks, c.block_of))
     return out

@@ -13,9 +13,13 @@ generation results the whole picture rests on (:func:`verify_theorems`).
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .sweep import (
     _first_occurrence,
     enumerate_terms,
     first_violation,
-    partition_ids,
     same_partition,
     signatures,
     term_index,
@@ -363,6 +366,29 @@ def syntactic_vs_semantic(e: Identity | str) -> dict:
     return {"identity": str(e), "checks": checks, "agree": agree}
 
 
+def _signature_columns(index) -> tuple[np.ndarray, ...]:
+    """The variable, positive and negative masks of `signatures` as columns,
+    and the bipolar flag: a variable occurs both positively and negatively."""
+    v, p, m = np.array(signatures(index), dtype=np.int64).reshape(-1, 3).T
+    return v, p, m, (p & m) != 0
+
+
+def _codes(*columns) -> np.ndarray:
+    """One integer per row of the non-negative integer `columns`, equal
+    exactly where the rows are equal: the columns read as mixed-radix
+    digits.  Terms keyed this way form the same partition as by the tuple
+    of their column values, and `same_partition` and `first_violation`
+    read any integer labels."""
+    return reduce(lambda code, c: code * (int(c.max(initial=0)) + 1) + c, columns, 0)
+
+
+def _split(bip: np.ndarray, bipolar: Sequence, other: Sequence) -> np.ndarray:
+    """:func:`_codes` of the key ``("b", *bipolar)`` for a term with the
+    bipolar flag and ``tuple(other)`` for any other term."""
+    pairs = itertools.zip_longest(bipolar, other, fillvalue=0)
+    return _codes(bip.astype(np.int64), *(np.where(bip, b, o) for b, o in pairs))
+
+
 def classifier_sweep(max_nodes: int = 7) -> dict:
     """Exhaustive syntactic-vs-semantic agreement over the bounded term space.
 
@@ -373,20 +399,17 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
     """
     terms = enumerate_terms(max_nodes)
     index = term_index(max_nodes)
-    sig = signatures(index)
+    v, p, m, bip = _signature_columns(index)
     keys = {
-        "regular": [v for (v, _, _) in sig],
-        "balanced-regular": [(p, m) for (_, p, m) in sig],
-        "bipolarly-balanced": ["b" if p & m else (p, m) for (_, p, m) in sig],
-        "regular-bipolarly-balanced": [
-            ("b", v) if p & m else (p, m) for (v, p, m) in sig
-        ],
+        "regular": _codes(v),
+        "balanced-regular": _codes(p, m),
+        "bipolarly-balanced": _split(bip, [], [p, m]),
+        "regular-bipolarly-balanced": _split(bip, [v], [p, m]),
     }
     algebras = _test_algebras()
     out: dict = {"terms": len(terms), "agree": True, "classes": {}}
     for label, _, alg_name in _SEMANTIC_TESTS:
-        syntactic = partition_ids(keys[label])
-        semantic = theory_partition(algebras[alg_name], index)
+        syntactic, semantic = keys[label], theory_partition(algebras[alg_name], index)
         ok = same_partition(syntactic, semantic)
         row: dict = {"algebra": alg_name, "agree": ok}
         if not ok:
@@ -425,22 +448,25 @@ class HspResult:
         }
 
 
-# theory partition of enumerate_terms() per algebra, keyed by table content
+# theory partition of enumerate_terms() per algebra, keyed by table content;
+# the arrays are read-only, as they are handed out as they are
 _PARTITIONS: dict[tuple, np.ndarray] = {}
 
 
 def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
     """Joint theory partition of the bounded term space: two terms share a
-    label exactly when they share one in every algebra."""
+    label exactly when they share one in every algebra.  Labels are numbered
+    by first occurrence; one algebra's are its cached labels themselves."""
     index = term_index()
-    joint = np.zeros(len(index.roots), dtype=np.int64)
+    joint = None
     for a in algebras:
         key = (a.meet, a.join, a.neg)
         if key not in _PARTITIONS:
             _PARTITIONS[key] = theory_partition(a, index)
+            _PARTITIONS[key].flags.writeable = False
         labels = _PARTITIONS[key]
-        joint = _first_occurrence(joint * (labels.max() + 1) + labels)
-    return joint
+        joint = labels if joint is None else _first_occurrence(joint * (labels.max() + 1) + labels)
+    return np.zeros(len(index.roots), dtype=np.int64) if joint is None else joint
 
 
 def _resolve(g) -> FiniteAlgebra:
@@ -966,12 +992,12 @@ def jonsson_check(max_power: int = 2, congruence_cap: int = CONGRUENCE_SIZE_LIMI
 # generation results
 
 def _theory_formula_check(
-    joint: Sequence[FiniteAlgebra], keyed_by, label: str
+    joint: Sequence[FiniteAlgebra], syntactic: np.ndarray, label: str
 ) -> dict:
-    """Compare the joint bounded theory of `joint` with a syntactic keying."""
+    """Compare the joint bounded theory of `joint` with a syntactic keying,
+    given as one integer label per term."""
     terms = enumerate_terms()
     semantic = _theory_partition(list(joint))
-    syntactic = partition_ids(keyed_by)
     ok = same_partition(semantic, syntactic)
     out = {"check": label, "ok": ok, "detail": f"{len(terms)} terms"}
     if not ok:
@@ -996,20 +1022,121 @@ def _membership_entry(label: str, result: HspResult) -> dict:
     return {"check": label, "ok": result.verdict == "in", "detail": detail}
 
 
+def _outcome(work: Callable[[], object]) -> bytes:
+    """``work()``'s result, or the exception it raised, pickled.  An
+    exception the parent could not rebuild goes as a RuntimeError holding
+    its repr."""
+    try:
+        return pickle.dumps((True, work()))
+    # the parent raises it again: this is a process boundary, not a handler
+    except BaseException as exc:
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)
+            return data
+        except Exception:  # any failure to pickle or to rebuild it
+            return pickle.dumps((False, RuntimeError(repr(exc))))
+
+
+@contextmanager
+def _beside(work: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
+    """Start ``work()`` in a forked child and yield a function that waits
+    for it and returns its result, or raises its exception again, with the
+    same type and message.
+
+    The child writes its pickled outcome (:func:`_outcome`) to a pipe and
+    leaves only by ``os._exit``, so no exit handler runs twice and no
+    inherited output buffer is flushed twice.  The parent reads the pipe,
+    then reaps the child; a child that ends without a result raises a
+    RuntimeError naming its exit status or signal.  If the with-block ends
+    without the result, by an error or an interrupt, the child is killed
+    and reaped.  Where ``os.fork`` does not exist, the yielded function is
+    `work` itself, run inline when it is called."""
+    if not hasattr(os, "fork"):
+        yield work
+        return
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: no pipe either
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(_outcome(work))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    pipe = open(read, "rb")
+    reaped = False
+
+    def result() -> dict:
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code or not data:
+            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"the child process of {work.__name__} {ended} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        pipe.close()
+
+
 def verify_theorems(include_jonsson: bool = True) -> dict:
     """Re-check the generation results: mutual membership certificates for
     the named generator-set equalities, the syntactic descriptions of the
     key theories over the bounded term space, the lattice assembly, the
     absorption-family alignment, and (optionally) the subdirect
-    irreducibility sanity search over powers of U."""
+    irreducibility sanity search over powers of U (:func:`jonsson_check`).
+
+    The two groups share no state, so the search runs in a forked child
+    process while this one makes the other 38 checks (:func:`_beside`); its
+    check comes last in the report, which is the same as when everything
+    runs in one process.  The search's exception, if it raises, is raised
+    here again.  Where ``os.fork`` does not exist the search runs inline,
+    after the other checks."""
+    if not include_jonsson:
+        checks = _theorem_checks()
+    else:
+        with _beside(jonsson_check) as search:
+            checks = _theorem_checks()
+            jn = search()
+        checks.append(
+            {
+                "check": "subdirectly irreducible quotients inside powers of U "
+                "embed into U",
+                "ok": jn["ok"],
+                "detail": (
+                    f"{jn['subalgebras']} subalgebras, {jn['quotients']} quotients, "
+                    f"{jn['si_quotients']} subdirectly irreducible, "
+                    f"{len(jn['failures'])} failures"
+                ),
+            }
+        )
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
+
+
+def _theorem_checks() -> list[dict]:
+    """The 38 checks of :func:`verify_theorems` other than the search."""
     checks: list[dict] = []
     basics = {name: entry(name).algebra for name in ("B2", "K3", "DM4", "IS2", "IS3", "IS4")}
     U = get_algebra("U")
-    sig = signatures(term_index())
-    bip = [bool(p & m) for (_, p, m) in sig]
-
-    def theory_groups(a: FiniteAlgebra) -> np.ndarray:
-        return _theory_partition([a])
+    v, p, m, bip = _signature_columns(term_index())
 
     def member(label: str, algebra: FiniteAlgebra, gens: list[FiniteAlgebra]) -> None:
         checks.append(_membership_entry(label, hsp_membership(algebra, gens)))
@@ -1017,7 +1144,7 @@ def verify_theorems(include_jonsson: bool = True) -> dict:
     def same_theory(label: str, xs: list[FiniteAlgebra], ys: list[FiniteAlgebra]) -> None:
         ok = same_partition(_theory_partition(xs), _theory_partition(ys))
         checks.append(
-            {"check": f"bounded theory of {label}", "ok": ok, "detail": f"{len(sig)} terms"}
+            {"check": f"bounded theory of {label}", "ok": ok, "detail": f"{len(v)} terms"}
         )
 
     # regularised De Morgan lattices: V(A+) = V(A, IS2)
@@ -1049,42 +1176,36 @@ def verify_theorems(include_jonsson: bool = True) -> dict:
     member("A5 in HSP(B2, IS3)", A5, [basics["B2"], basics["IS3"]])
     member("IS3 in HSP(A5)", basics["IS3"], [A5])
 
-    def formula(joint: list[FiniteAlgebra], groups: list, key, label: str) -> None:
-        # key(bipolar, (variables, positive, negative), group) per term
-        keyed = [key(b, s, g) for b, s, g in zip(bip, sig, groups)]
-        checks.append(_theory_formula_check(joint, keyed, f"identities of {label}"))
+    def formula(joint: list[FiniteAlgebra], syntactic: np.ndarray, label: str) -> None:
+        checks.append(_theory_formula_check(joint, syntactic, f"identities of {label}"))
 
-    # syntactic descriptions of the bipolar theories
-    dm4_groups = theory_groups(DM4).tolist()
+    # syntactic descriptions of the bipolar theories; a key is ("b", ...)
+    # for a bipolar term, and names the variables (v), the positive (p) and
+    # negative (m) occurrences, and the theory class in an algebra (g)
+    g = _theory_partition([DM4])
+    formula([A5], _split(bip, [], [p, m, g]), "A5 = bipolar ones plus balanced ones valid in DM4")
     formula(
-        [A5], dm4_groups, lambda b, s, g: "b" if b else (*s[1:], g),
-        "A5 = bipolar ones plus balanced ones valid in DM4",
-    )
-    formula(
-        [A5, IS2], dm4_groups, lambda b, s, g: ("b", s[0]) if b else (*s[1:], g),
+        [A5, IS2], _split(bip, [v], [p, m, g]),
         "{A5, IS2} = regular bipolar plus balanced DM4-valid",
     )
     formula(
-        [A5, IS4], dm4_groups, lambda b, s, g: ("b", *s[1:]) if b else (*s[1:], g),
+        [A5, IS4], _split(bip, [p, m], [p, m, g]),
         "{A5, IS4} = balanced bipolar plus balanced DM4-valid",
     )
 
     # regularisation operators on the lattice-generated varieties
     for name in ("B2", "K3", "DM4"):
-        A, groups = basics[name], theory_groups(basics[name]).tolist()
+        A = basics[name]
+        g = _theory_partition([A])
         formula(
-            [A, basics["IS3"]], groups, lambda b, s, g: (g, "b") if b else (g, *s[1:]),
+            [A, basics["IS3"]], _split(bip, [g], [g, p, m]),
             f"{{{name}, IS3}} = bipolarly balanced ones of {name}",
         )
         formula(
-            [A, IS2, basics["IS3"]], groups,
-            lambda b, s, g: (g, "b", s[0]) if b else (g, *s[1:]),
+            [A, IS2, basics["IS3"]], _split(bip, [g, v], [g, p, m]),
             f"{{{name}, IS2, IS3}} = regular bipolarly balanced ones of {name}",
         )
-        formula(
-            [A, IS4], groups, lambda b, s, g: (g, *s[1:]),
-            f"{{{name}, IS4}} = balanced ones of {name}",
-        )
+        formula([A, IS4], _codes(g, p, m), f"{{{name}, IS4}} = balanced ones of {name}")
 
     # the lattice itself, plus the absorption-family alignment
     try:
@@ -1130,19 +1251,4 @@ def verify_theorems(include_jonsson: bool = True) -> dict:
                 }
             )
 
-    if include_jonsson:
-        jn = jonsson_check()
-        checks.append(
-            {
-                "check": "subdirectly irreducible quotients inside powers of U "
-                "embed into U",
-                "ok": jn["ok"],
-                "detail": (
-                    f"{jn['subalgebras']} subalgebras, {jn['quotients']} quotients, "
-                    f"{jn['si_quotients']} subdirectly irreducible, "
-                    f"{len(jn['failures'])} failures"
-                ),
-            }
-        )
-
-    return {"ok": all(c["ok"] for c in checks), "checks": checks}
+    return checks

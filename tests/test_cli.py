@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -336,14 +337,23 @@ def test_verify_clean(capsys):
     assert "FAIL" not in out
 
 
+VERIFY_SHA256 = "1f8f84de0aed896cffe066dda1e6b6ea28a8e194de39a794b24fbe0dbaea66fa"
+
+
 def test_verify_report_is_pinned(capsys):
     # the full report, Jónsson search included: 39 checks, 522 subalgebras,
     # 3233 quotients, 651 subdirectly irreducible ones, no failure
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1f8f84de0aed896cffe066dda1e6b6ea28a8e194de39a794b24fbe0dbaea66fa"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
+
+
+def test_verify_report_without_fork_is_pinned(capsys, monkeypatch):
+    # where os.fork does not exist the search runs inline, with the same report
+    monkeypatch.delattr(os, "fork")
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
 
 
 def test_verify_json(capsys):

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -816,6 +817,28 @@ def test_congruence_engine_is_bounded():
         "663d3edbab20a5fe364061f26f06f5da6cf2db69bbb088692b77d6ce5dca1de9"
     )
     assert peak < 8 * 2**20
+
+
+def test_congruence_count_limit_stops_the_enumeration_early():
+    # IS2^5 has 32 elements, inside the size limit, and more congruences
+    # than the count limit; without the limit it ran for minutes and took
+    # about 0.9 GB
+    a = power(IS2, 5)
+    a.arrays()
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"{finalg.CONGRUENCE_COUNT_LIMIT} congruences"):
+        congruences(a)
+    assert time.perf_counter() - start < 2
+
+
+def test_congruence_count_limit_is_exact(monkeypatch):
+    # an algebra with exactly the limit's number of congruences passes
+    count = len(congruences(U))
+    monkeypatch.setattr(finalg, "CONGRUENCE_COUNT_LIMIT", count)
+    assert len(congruences(U)) == count
+    monkeypatch.setattr(finalg, "CONGRUENCE_COUNT_LIMIT", count - 1)
+    with pytest.raises(ValidationError, match=f"limited to {count - 1} congruences"):
+        congruences(U)
 
 
 def _oracle_partitions(algebra):

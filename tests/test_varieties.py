@@ -5,7 +5,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -29,7 +33,15 @@ from dmbl.finalg import (
     si_quotient_flags,
     subalgebra_generated,
 )
-from dmbl.sweep import random_identity
+from dmbl.sweep import (
+    _first_occurrence,
+    partition_ids,
+    random_identity,
+    same_partition,
+    signatures,
+    term_index,
+    theory_partition,
+)
 from dmbl.terms import parse_identity
 from dmbl.varieties import (
     ABSORPTION,
@@ -54,10 +66,13 @@ from dmbl.varieties import (
     verify_theorems,
 )
 from dmbl.varieties import (
+    _codes,
     _free_pair,
     _generating_kernels,
     _kernels,
     _keys,
+    _signature_columns,
+    _split,
     _subpower,
     _subuniverses,
     _term_codes,
@@ -515,6 +530,166 @@ def test_verify_theorems_is_clean():
     assert len(names) == len(set(names))
     for c in report["checks"]:
         assert c["detail"]
+
+
+# the Jónsson search of verify_theorems runs in a forked child; a child
+# inherits the monkeypatches made before verify_theorems is called
+
+def _search_report():
+    # a report whose first count is the pid of the process that made it
+    return {"subalgebras": os.getpid(), "quotients": 2, "si_quotients": 3, "failures": [], "ok": True}
+
+
+@contextmanager
+def _deadline(seconds):
+    # a hang fails the test instead of stopping the run
+    def expire(*_):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_appends_the_search_of_the_child_last(monkeypatch):
+    monkeypatch.setattr(varieties, "_theorem_checks", lambda: [{"check": "c", "ok": True, "detail": "d"}])
+    monkeypatch.setattr(varieties, "jonsson_check", _search_report)
+    with _deadline(60):
+        report = verify_theorems()
+    assert report["ok"] and report["checks"][0]["check"] == "c"
+    pid, rest = report["checks"][1]["detail"].split(" ", 1)
+    assert int(pid) != os.getpid()
+    assert rest == "subalgebras, 2 quotients, 3 subdirectly irreducible, 0 failures"
+    _assert_no_child_left()
+
+
+def test_verify_raises_the_error_of_the_search_again(monkeypatch):
+    def search():
+        raise ValidationError("no search in this child")
+
+    monkeypatch.setattr(varieties, "jonsson_check", search)
+    with _deadline(60), pytest.raises(ValidationError, match="^no search in this child$"):
+        verify_theorems()
+    _assert_no_child_left()
+
+
+class _TwoArgumentError(Exception):
+    # pickles, but cannot be rebuilt from its args
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_verify_sends_an_error_that_cannot_be_rebuilt_as_its_repr(monkeypatch):
+    def search():
+        raise _TwoArgumentError(1, 2)
+
+    monkeypatch.setattr(varieties, "_theorem_checks", list)
+    monkeypatch.setattr(varieties, "jonsson_check", search)
+    with _deadline(60), pytest.raises(RuntimeError, match=r"_TwoArgumentError\('1 and 2'\)"):
+        verify_theorems()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "end, message",
+    [
+        (lambda: os._exit(3), "exited with status 3 without a result"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9 without a result"),
+    ],
+    ids=["exit", "signal"],
+)
+def test_verify_reports_a_child_that_ends_without_a_result(monkeypatch, end, message):
+    monkeypatch.setattr(varieties, "_theorem_checks", list)
+    monkeypatch.setattr(varieties, "jonsson_check", end)
+    with _deadline(60), pytest.raises(RuntimeError, match=message):
+        verify_theorems()
+    _assert_no_child_left()
+
+
+def test_verify_kills_the_child_when_its_own_checks_raise(monkeypatch):
+    def checks():
+        raise ValidationError("the parent's half failed")
+
+    monkeypatch.setattr(varieties, "_theorem_checks", checks)
+    monkeypatch.setattr(varieties, "jonsson_check", lambda: time.sleep(600))
+    start = time.perf_counter()
+    with _deadline(60), pytest.raises(ValidationError, match="the parent's half failed"):
+        verify_theorems()
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc")
+def test_verify_closes_the_pipe_when_fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        verify_theorems()
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_verify_without_the_search_forks_nothing(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    report = verify_theorems(include_jonsson=False)
+    assert report["ok"] and len(report["checks"]) == 38
+
+
+# ---------------------------------------------------------------------------
+# the keys of the syntactic theory descriptions
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_keys_match_tuple_keys(data):
+    n = data.draw(st.integers(0, 30))
+
+    def column():
+        return np.array(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), dtype=np.int64)
+
+    bip = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    bipolar = [column() for _ in range(data.draw(st.integers(0, 2)))]
+    other = [column() for _ in range(data.draw(st.integers(1, 3)))]
+    rows = [tuple(int(c[i]) for c in other) for i in range(n)]
+    assert same_partition(_codes(*other), partition_ids(rows))
+    keys = [("b", *(int(c[i]) for c in bipolar)) if bip[i] else rows[i] for i in range(n)]
+    assert same_partition(_split(bip, bipolar, other), partition_ids(keys))
+
+
+def test_signature_columns_are_the_signatures():
+    index = term_index()
+    v, p, m, bip = _signature_columns(index)
+    assert list(zip(v.tolist(), p.tolist(), m.tolist())) == signatures(index)
+    assert bip.tolist() == [bool(p & m) for (_, p, m) in signatures(index)]
+
+
+def test_one_algebra_theory_partition_is_its_cached_labels(monkeypatch):
+    dm4, is4 = get_algebra("DM4"), get_algebra("IS4")
+    monkeypatch.setattr(varieties, "_PARTITIONS", {})
+    labels = varieties._theory_partition([dm4])
+    assert np.array_equal(labels, theory_partition(dm4, term_index()))
+    assert not labels.flags.writeable
+    calls = []
+    monkeypatch.setattr(varieties, "_first_occurrence", lambda c: calls.append(1) or _first_occurrence(c))
+    assert varieties._theory_partition([dm4]) is labels
+    assert calls == []
+    joint = varieties._theory_partition([dm4, is4])
+    pairs = zip(labels.tolist(), varieties._theory_partition([is4]).tolist())
+    assert np.array_equal(joint, partition_ids(list(pairs)))
+    assert len(calls) == 1
 
 
 def test_jonsson_check_counts_are_pinned():
