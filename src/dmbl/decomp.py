@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finalg import (
-    Congruence,
     FiniteAlgebra,
     ValidationError,
     _induced,
     _memoised,
+    _partition,
+    _row_keys,
     is_class,
     is_congruence,
     satisfies,
@@ -221,21 +222,14 @@ def greens(band: Band) -> GreenData:
     if (h & h.T & ~np.eye(n, dtype=bool)).any():
         raise ValidationError("leqH not antisymmetric")
 
-    block_of = [-1] * n
-    classes: list[list[int]] = []
-    for a in range(n):
-        if block_of[a] != -1:
-            continue
-        cls = [x for x in range(n) if leqD[a][x] and leqD[x][a]]
-        for x in cls:
-            block_of[x] = len(classes)
-        classes.append(cls)
-
+    # a D-class is a set of elements with the same row of D = leqD ∩ leqD^T
+    d = np.array(leqD, dtype=bool)
+    D = _partition(_row_keys(d & d.T))
     # D is a congruence of the band and of its involution when present
-    if not is_congruence(_reduct(band), Congruence(tuple(block_of))):
+    if not is_congruence(_reduct(band), D):
         raise ValidationError("D-classes not a congruence of the band")
 
-    return GreenData(leqL, leqR, leqD, leqH, tuple(tuple(c) for c in classes))
+    return GreenData(leqL, leqR, leqD, leqH, D.blocks)
 
 
 def check_ailnb(algebra: FiniteAlgebra) -> list[str]:

@@ -522,23 +522,29 @@ class Congruence:
 
     The constructor takes ``block_of`` as given; :func:`quotient`,
     :func:`join_partitions`, :func:`meet_partitions`, :meth:`refines` and
-    :func:`si_quotient_flags` reject ids not numbered by first occurrence.
-    :meth:`from_blocks` builds the canonical form from any list of blocks.
+    :func:`si_quotient_flags` raise ValidationError on ids that are not
+    integers numbered by first occurrence.  :meth:`from_blocks` builds the
+    canonical form from any list of blocks of element indices; an index
+    outside ``range(n)``, negative ones included, raises ValidationError, as
+    do overlapping blocks and blocks that miss an element.
     """
 
     block_of: tuple[int, ...]
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Congruence":
-        bo = [-1] * n
-        for b, members in enumerate(blocks):
-            for x in members:
-                if bo[x] != -1:
-                    raise ValidationError("blocks overlap")
-                bo[x] = b
-        if any(v == -1 for v in bo):
+        blocks = [[operator.index(x) for x in b] for b in blocks]
+        members = [x for b in blocks for x in b]
+        if any(not 0 <= x < n for x in members):
+            raise ValidationError(f"block element out of range [0,{n})")
+        count = np.bincount(np.array(members, dtype=np.intp), minlength=n)
+        if (count > 1).any():
+            raise ValidationError("blocks overlap")
+        if (count == 0).any():
             raise ValidationError("blocks must cover every element")
-        return Congruence(_canon(bo))
+        bo = np.empty(n, dtype=np.intp)
+        bo[members] = [i for i, b in enumerate(blocks) for _ in b]
+        return _partition(bo)
 
     @property
     def size(self) -> int:
@@ -569,33 +575,73 @@ class Congruence:
         return meet_partitions(self, other) == self
 
 
-def _canon(block_of: Sequence) -> tuple[int, ...]:
-    # number the distinct labels, of any hashable kind, by first occurrence
-    relabel: dict = {}
-    return tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
+# ---------------------------------------------------------------------------
+# partition labels: one integer per element, or one partition per row of a
+# 2-D array, equal exactly within a block: least-element labels (`_least`),
+# block ids numbered by first occurrence (`_canonical`) or any integer codes
+
+def _least(labels: np.ndarray) -> np.ndarray:
+    """The index of the first element with the same label, along the last
+    axis: for labels that int64 holds, 1-D or one partition per row, or for
+    the `_row_keys` items of a matrix.  One `np.unique` over all the rows,
+    each offset past the labels of the one before."""
+    flat = labels
+    if labels.ndim == 2 and labels.size:
+        span = int(labels.max()) + 1
+        if labels.min() < 0 or span * len(labels) >= 1 << 63:
+            # negative or huge labels: number them first, so offsets fit
+            flat, span = np.unique(labels, return_inverse=True)[1], labels.size
+            flat = flat.reshape(labels.shape)
+        flat = flat + (np.arange(len(labels)) * span)[:, None]
+    _, first, inverse = np.unique(flat.ravel(), return_index=True, return_inverse=True)
+    return first[inverse].reshape(labels.shape) % max(labels.shape[-1], 1)
+
+
+def _canonical(lab: np.ndarray) -> np.ndarray:
+    """Least-element labels (1-D or per row) as block ids numbered by first
+    occurrence: the block of least element x is the number of blocks opened
+    before x."""
+    rank = np.cumsum(lab == np.arange(lab.shape[-1]), axis=-1) - 1
+    return np.take_along_axis(rank, lab.astype(np.intp, copy=False), axis=-1)
+
+
+def _meet(*labels: np.ndarray) -> np.ndarray:
+    """int64 labels of the meet of the partitions `labels` (integer arrays
+    of one shape, 1-D or per row): equal exactly where every array's labels
+    are.  The arrays are the digits of a mixed-radix code, the first most
+    significant; a digit outside ``[0, 2**31)`` is read through `_least`,
+    and the code is renumbered by `_least` only when the next digit could
+    overflow it."""
+    code, top = np.zeros(labels[0].shape, dtype=np.int64), 0  # top >= code
+    for x in labels:
+        if x.size and not 0 <= x.min() <= x.max() < 1 << 31:
+            x = _least(x)
+        radix = int(x.max(initial=0)) + 1
+        if (top + 1) * radix > 1 << 63:
+            code, top = _least(code), code.shape[-1] - 1
+        code, top = code * radix + x, top * radix + radix - 1
+    return code
+
+
+def _partition(labels: np.ndarray) -> Congruence:
+    # the partition that 1-D labels (integers or `_row_keys` items) induce
+    return Congruence(tuple(_canonical(_least(labels)).tolist()))
 
 
 _NOT_CANONICAL = "partition block ids must be numbered by first occurrence"
 
 
-def _require_canonical(parts: Iterable[Congruence]) -> None:
-    # the public partition operations read block ids as a canonical form;
-    # the engine's own rows are canonical by construction and skip this check
-    for p in parts:
-        _require_canonical_rows(np.array([p.block_of]))
-
-
-def _require_canonical_rows(B: np.ndarray) -> None:
-    """Raise unless each row of `B` numbers its blocks by first occurrence:
-    its first id is 0 and each later one is at least 0 and at most one above
-    the greatest before it."""
-    if B.size == 0:
-        return
-    if B.dtype.kind not in "iu":
+def _require_canonical_rows(B: np.ndarray) -> np.ndarray:
+    """``_least(B)``, after raising unless `B` holds integers and each row
+    numbers its blocks by first occurrence: ``_canonical(_least(B)) == B``.
+    The public partition operations read block ids in this form; the
+    engine's own rows are canonical by construction and skip the check."""
+    if B.size and B.dtype.kind not in "iu":
         raise ValidationError(_NOT_CANONICAL)
-    top = np.maximum.accumulate(B, axis=1)
-    if not ((B[:, :1] == 0).all() and (B >= 0).all() and (B[:, 1:] <= top[:, :-1] + 1).all()):
+    first = _least(B)
+    if not np.array_equal(_canonical(first), B):
         raise ValidationError(_NOT_CANONICAL)
+    return first
 
 
 def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
@@ -636,19 +682,6 @@ def _joins_above(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     moved = u != v
     lab = _components(m * n, u[moved], v[moved])
     return (lab[u] - base).astype(a.dtype)
-
-
-def _canonical(lab: np.ndarray) -> np.ndarray:
-    # least-element labels -> block ids numbered by first occurrence: the
-    # block of least element x is the number of blocks opened before x
-    rank = np.cumsum(lab == np.arange(lab.shape[1]), axis=1) - 1
-    return np.take_along_axis(rank, lab.astype(np.intp), axis=1)
-
-
-def _least(block_of: np.ndarray) -> np.ndarray:
-    # block ids -> least-element labels: where each id first occurs
-    first = (block_of[:, None, :] == np.arange(block_of.shape[1])[:, None]).argmax(axis=2)
-    return np.take_along_axis(first, block_of, axis=1)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -719,15 +752,13 @@ def _boolean_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def join_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Transitive closure of the union; for congruences this is their join."""
-    _require_canonical((p, q))
-    lab = _least(np.array([p.block_of, q.block_of]))
+    lab = _require_canonical_rows(np.array([p.block_of, q.block_of]))
     j = _joins_above(lab[:1], lab[1])
     return Congruence(tuple(_canonical(j)[0].tolist())) if len(j) else p
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
-    _require_canonical((p, q))
-    return Congruence(_canon(list(zip(p.block_of, q.block_of))))
+    return _partition(_meet(*_require_canonical_rows(np.array([p.block_of, q.block_of]))))
 
 
 def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
@@ -736,8 +767,7 @@ def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
     if part.size != algebra.size:
         return False
     bo = np.asarray(part.block_of)
-    _, first, inverse = np.unique(bo, return_index=True, return_inverse=True)
-    rep = first[inverse]
+    rep = _least(bo)
     for table in algebra.arrays():
         if table is None:
             continue
@@ -793,8 +823,7 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
     if m == 0:
         return []
     B = np.array([c.block_of for c in cons])
-    _require_canonical_rows(B)
-    first = _least(B)
+    first = _require_canonical_rows(B)
     # leq[i, j]: cons[i] refines cons[j], i.e. each element's cons[j]-block
     # holds the first element of its cons[i]-block
     leq = np.empty((m, m), dtype=bool)
@@ -825,7 +854,7 @@ def principal_congruence(algebra: FiniteAlgebra, a: str | int, b: str | int) -> 
         return Congruence(tuple(range(n)))
     rows = _principal_rows(n, _ops_of(algebra))
     k = i * (2 * n - i - 1) // 2 + j - i - 1  # the pair (i, j) in triu order
-    return Congruence(tuple(_canonical(rows[k : k + 1])[0].tolist()))
+    return Congruence(tuple(_canonical(rows[k]).tolist()))
 
 
 def monolith(algebra: FiniteAlgebra) -> Congruence | None:
@@ -837,8 +866,7 @@ def monolith(algebra: FiniteAlgebra) -> Congruence | None:
     n = algebra.size
     if n == 1:
         return None
-    prin = _distinct(_principal_rows(n, _ops_of(algebra)))
-    mono = Congruence(_canon(list(zip(*prin.tolist()))))
+    mono = _partition(_row_keys(_principal_rows(n, _ops_of(algebra)).T))
     return None if mono.is_identity() else mono
 
 
@@ -854,7 +882,7 @@ def is_subdirectly_irreducible(algebra: FiniteAlgebra) -> bool:
 
 
 def quotient(algebra: FiniteAlgebra, part: Congruence) -> FiniteAlgebra:
-    _require_canonical((part,))
+    _require_canonical_rows(np.array([part.block_of]))
     if not is_congruence(algebra, part):
         raise ValidationError("partition is not a congruence of the algebra")
     blocks = part.blocks

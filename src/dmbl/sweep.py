@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .finalg import FiniteAlgebra, ValidationError, _evaluate
+from .finalg import FiniteAlgebra, ValidationError, _canonical, _evaluate, _least
 from .terms import Identity, Meet, Join, Neg, Term, Var
 
 __all__ = [
@@ -292,7 +292,7 @@ def theory_partition(
         seen, seen_cls = np.concatenate((new, seen)), np.concatenate((found[~known], seen_cls))
         order = np.argsort(seen, kind="stable")
         seen, seen_cls = seen[order], seen_cls[order]
-    return _first_occurrence(cls[index.roots])
+    return _canonical(_least(cls[index.roots]))
 
 
 def signatures(terms: Sequence[Term] | TermIndex) -> list[tuple[int, int, int]]:
@@ -329,14 +329,6 @@ def partition_ids(keys: Sequence) -> np.ndarray:
     return out
 
 
-def _first_occurrence(codes: np.ndarray) -> np.ndarray:
-    """Integer codes relabelled 0, 1, ... by first occurrence."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse]
-
-
 def _aligned(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # pairs up labels as zip does, up to the shorter array
     k = min(len(p), len(q))
@@ -362,8 +354,7 @@ def first_violation(p: np.ndarray, q: np.ndarray) -> tuple[int, int] | None:
     the least index i whose q-label differs from that of the first index
     with p-label p[i], after it."""
     p, q = _aligned(p, q)
-    _, first, inverse = np.unique(p, return_index=True, return_inverse=True)
-    rep = first[inverse]
+    rep = _least(p)
     bad = np.flatnonzero(q[rep] != q)
     return (int(rep[bad[0]]), int(bad[0])) if len(bad) else None
 

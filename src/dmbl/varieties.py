@@ -31,6 +31,8 @@ from .finalg import (
     ValidationError,
     _canonical,
     _closure,
+    _least,
+    _meet,
     _memoised,
     _row_keys,
     congruences,
@@ -42,7 +44,6 @@ from .finalg import (
     subalgebra_generated,
 )
 from .sweep import (
-    _first_occurrence,
     enumerate_terms,
     first_violation,
     same_partition,
@@ -373,20 +374,11 @@ def _signature_columns(index) -> tuple[np.ndarray, ...]:
     return v, p, m, (p & m) != 0
 
 
-def _codes(*columns) -> np.ndarray:
-    """One integer per row of the non-negative integer `columns`, equal
-    exactly where the rows are equal: the columns read as mixed-radix
-    digits.  Terms keyed this way form the same partition as by the tuple
-    of their column values, and `same_partition` and `first_violation`
-    read any integer labels."""
-    return reduce(lambda code, c: code * (int(c.max(initial=0)) + 1) + c, columns, 0)
-
-
 def _split(bip: np.ndarray, bipolar: Sequence, other: Sequence) -> np.ndarray:
-    """:func:`_codes` of the key ``("b", *bipolar)`` for a term with the
+    """`_meet` labels of the key ``("b", *bipolar)`` for a term with the
     bipolar flag and ``tuple(other)`` for any other term."""
     pairs = itertools.zip_longest(bipolar, other, fillvalue=0)
-    return _codes(bip.astype(np.int64), *(np.where(bip, b, o) for b, o in pairs))
+    return _meet(bip, *(np.where(bip, b, o) for b, o in pairs))
 
 
 def classifier_sweep(max_nodes: int = 7) -> dict:
@@ -401,8 +393,8 @@ def classifier_sweep(max_nodes: int = 7) -> dict:
     index = term_index(max_nodes)
     v, p, m, bip = _signature_columns(index)
     keys = {
-        "regular": _codes(v),
-        "balanced-regular": _codes(p, m),
+        "regular": v,
+        "balanced-regular": _meet(p, m),
         "bipolarly-balanced": _split(bip, [], [p, m]),
         "regular-bipolarly-balanced": _split(bip, [v], [p, m]),
     }
@@ -458,15 +450,16 @@ def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
     label exactly when they share one in every algebra.  Labels are numbered
     by first occurrence; one algebra's are its cached labels themselves."""
     index = term_index()
-    joint = None
+    labels = []
     for a in algebras:
         key = (a.meet, a.join, a.neg)
         if key not in _PARTITIONS:
             _PARTITIONS[key] = theory_partition(a, index)
             _PARTITIONS[key].flags.writeable = False
-        labels = _PARTITIONS[key]
-        joint = labels if joint is None else _first_occurrence(joint * (labels.max() + 1) + labels)
-    return np.zeros(len(index.roots), dtype=np.int64) if joint is None else joint
+        labels.append(_PARTITIONS[key])
+    if len(labels) < 2:
+        return labels[0] if labels else np.zeros(len(index.roots), dtype=np.int64)
+    return _canonical(_least(_meet(*labels)))
 
 
 def _resolve(g) -> FiniteAlgebra:
@@ -842,19 +835,10 @@ def _term_codes(T: np.ndarray, n: int, place: np.ndarray, a, b) -> np.ndarray:
     return out
 
 
-def _kernels(codes: np.ndarray) -> np.ndarray:
-    """The kernel of each row of `codes`, t -> codes[i, t], as block ids
-    numbered by first occurrence: one `np.unique` over all the rows, each
-    offset past the values of the one before."""
-    rows, m = codes.shape
-    flat = (codes + np.arange(rows)[:, None] * (int(codes.max(initial=0)) + 1)).ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    return _canonical((first[inverse] % m).reshape(rows, m))
-
-
-def _keys(kernels: np.ndarray) -> list[bytes]:
-    # kernel rows as dictionary keys; their labels are below |F(2)| < 2^16
-    return _row_keys(kernels.astype(np.uint16)).tolist()
+def _keys(codes: np.ndarray) -> list[bytes]:
+    # the kernel of each row of codes, t -> codes[i, t], as a dictionary key:
+    # block ids numbered by first occurrence, below |F(2)| < 2^16
+    return _row_keys(_canonical(_least(codes)).astype(np.uint16)).tolist()
 
 
 def _masks(codes: np.ndarray, N: int) -> np.ndarray:
@@ -872,7 +856,7 @@ def _generating_kernels(T: np.ndarray, n: int, place: np.ndarray, elements) -> s
         pair = np.arange(lo, min(lo + step, size * size))
         codes = _term_codes(T, n, place, elements[pair // size], elements[pair % size])
         codes = codes[_masks(codes, n * place[0]).sum(axis=1) == size]
-        out.update(_keys(_kernels(codes)))
+        out.update(_keys(codes))
     return out
 
 
@@ -926,7 +910,7 @@ def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap:
     """
     T = _memoised(U, _free_pair)
     n, batch = U.size, max(1, _GATHER // len(T))
-    embeds = set(_keys(_kernels(T.T)))  # the kernels of U's pairs
+    embeds = set(_keys(T.T))  # the kernels of U's pairs
     report = dict.fromkeys(("subalgebras", "skipped_large", "quotients", "si_quotients"), 0)
     report["failures"] = []
     for k in powers:
@@ -945,7 +929,7 @@ def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap:
             least = images[np.arange(len(a)), rank.argmin(axis=1)].tolist()
             new = {key: i for i, key in enumerate(least) if key not in found}
             pick = np.fromiter(new.values(), dtype=np.intp, count=len(new))
-            sizes, kernels = mask[pick].sum(axis=1).tolist(), _keys(_kernels(codes[pick]))
+            sizes, kernels = mask[pick].sum(axis=1).tolist(), _keys(codes[pick])
             found.update(zip(new, zip(sizes, kernels, zip(a[pick], b[pick]))))
 
         known: set[bytes] = set()  # kernels of the representatives' generating pairs
@@ -965,8 +949,7 @@ def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap:
             si = [c for c, flag in zip(cons, si_quotient_flags(cons)) if flag]
             report["quotients"] += len(cons)
             report["si_quotients"] += len(si)
-            # θ and κ both number blocks by first occurrence, so θ.block_of[κ]
-            # is the kernel of t -> t(a, b)/θ as it stands
+            # θ's block of each term's value labels t -> t(a, b)/θ
             for theta, q in zip(si, _keys(np.array([c.block_of for c in si])[:, kappa])):
                 if q not in embeds:
                     blocks = theta.num_blocks
@@ -1205,7 +1188,7 @@ def _theorem_checks() -> list[dict]:
             [A, IS2, basics["IS3"]], _split(bip, [g, v], [g, p, m]),
             f"{{{name}, IS2, IS3}} = regular bipolarly balanced ones of {name}",
         )
-        formula([A, IS4], _codes(g, p, m), f"{{{name}, IS4}} = balanced ones of {name}")
+        formula([A, IS4], _meet(g, p, m), f"{{{name}, IS4}} = balanced ones of {name}")
 
     # the lattice itself, plus the absorption-family alignment
     try:

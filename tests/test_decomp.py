@@ -72,6 +72,36 @@ def test_a5_d_classes():
     assert names == [["a", "b"], ["na", "nb"], ["u"]]
 
 
+def _d_classes_by_loop(band):
+    # the D-classes as a loop finds them: in the order of least elements, the
+    # elements a <=D x <=D a of each element a not yet in a class
+    n, d = band.size, band.dot
+    leqD = [[d[d[a][b]][a] == a for b in range(n)] for a in range(n)]
+    block_of = [-1] * n
+    classes = []
+    for a in range(n):
+        if block_of[a] != -1:
+            continue
+        cls = [x for x in range(n) if leqD[a][x] and leqD[x][a]]
+        for x in cls:
+            block_of[x] = len(classes)
+        classes.append(tuple(cls))
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_entries()] + ["U"])
+def test_d_classes_match_the_loop_on_catalog(name):
+    band = band_of(get_algebra(name))
+    assert greens(band).d_classes == _d_classes_by_loop(band)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_d_classes_match_the_loop_on_random_sums(seed):
+    band = band_of(dpl_sum(random_system(random.Random(seed))))
+    assert greens(band).d_classes == _d_classes_by_loop(band)
+
+
 def test_left_normal_bands_have_leqL_equal_leqD():
     for e in catalog_entries():
         g = greens(band_of(e.algebra))

@@ -770,6 +770,16 @@ def test_congruence_from_blocks_roundtrip():
     c = Congruence.from_blocks(5, [[0, 1], [2], [3, 4]])
     assert c.blocks == ((0, 1), (2,), (3, 4))
     assert c.related(0, 1) and not c.related(1, 2)
+    # a negative index does not wrap around, and one past the end is no
+    # IndexError
+    for blocks in ([[0, 1], [-1]], [[0, 1], [3]], [[0, 1, 2], [3]]):
+        with pytest.raises(ValidationError, match="out of range"):
+            Congruence.from_blocks(3, blocks)
+    with pytest.raises(ValidationError, match="overlap"):
+        Congruence.from_blocks(3, [[0, 1], [1, 2]])
+    with pytest.raises(ValidationError, match="cover"):
+        Congruence.from_blocks(3, [[0], [2]])
+    assert Congruence.from_blocks(3, [[2], [], [0, 1]]).block_of == (0, 0, 1)
 
 
 def _digest(congruence_lists) -> str:

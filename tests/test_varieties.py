@@ -20,8 +20,12 @@ from dmbl import varieties
 from dmbl.finalg import (
     Congruence,
     ValidationError,
-    _canon,
+    _canonical,
     _closure,
+    _least,
+    _meet,
+    _require_canonical_rows,
+    _row_keys,
     congruences,
     eval_term,
     is_congruence,
@@ -34,7 +38,6 @@ from dmbl.finalg import (
     subalgebra_generated,
 )
 from dmbl.sweep import (
-    _first_occurrence,
     partition_ids,
     random_identity,
     same_partition,
@@ -66,10 +69,8 @@ from dmbl.varieties import (
     verify_theorems,
 )
 from dmbl.varieties import (
-    _codes,
     _free_pair,
     _generating_kernels,
-    _kernels,
     _keys,
     _signature_columns,
     _split,
@@ -652,9 +653,26 @@ def test_verify_without_the_search_forks_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 # the keys of the syntactic theory descriptions
 
+def _labels(data, shape):
+    # integer labels of one dtype: a few small values, a few around 0, or any
+    # value of the dtype, so that mixed-radix codes and row offsets would
+    # overflow int64 unless renumbered
+    dtype = data.draw(st.sampled_from([np.int8, np.uint8, np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    values = data.draw(
+        st.sampled_from(
+            [st.integers(0, 9), st.integers(max(-3, info.min), 3), st.integers(info.min, info.max)]
+        )
+    )
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_integer_keys_match_tuple_keys(data):
+    # _meet and _split against partition_ids of the tuple keys; then _meet on
+    # any integer labels, 1-D and one partition per row
     n = data.draw(st.integers(0, 30))
 
     def column():
@@ -664,9 +682,16 @@ def test_integer_keys_match_tuple_keys(data):
     bipolar = [column() for _ in range(data.draw(st.integers(0, 2)))]
     other = [column() for _ in range(data.draw(st.integers(1, 3)))]
     rows = [tuple(int(c[i]) for c in other) for i in range(n)]
-    assert same_partition(_codes(*other), partition_ids(rows))
+    assert same_partition(_meet(*other), partition_ids(rows))
     keys = [("b", *(int(c[i]) for c in bipolar)) if bip[i] else rows[i] for i in range(n)]
     assert same_partition(_split(bip, bipolar, other), partition_ids(keys))
+    shape = (data.draw(st.integers(0, 4)), n)
+    grids = [_labels(data, shape) for _ in range(data.draw(st.integers(1, 4)))]
+    got = _canonical(_least(_meet(*grids)))
+    assert got.shape == shape
+    for i, row in enumerate(got.tolist()):
+        assert row == partition_ids(list(zip(*(g[i].tolist() for g in grids)))).tolist()
+        assert _canonical(_least(_meet(*(g[i] for g in grids)))).tolist() == row
 
 
 def test_signature_columns_are_the_signatures():
@@ -683,7 +708,7 @@ def test_one_algebra_theory_partition_is_its_cached_labels(monkeypatch):
     assert np.array_equal(labels, theory_partition(dm4, term_index()))
     assert not labels.flags.writeable
     calls = []
-    monkeypatch.setattr(varieties, "_first_occurrence", lambda c: calls.append(1) or _first_occurrence(c))
+    monkeypatch.setattr(varieties, "_meet", lambda *c: calls.append(1) or _meet(*c))
     assert varieties._theory_partition([dm4]) is labels
     assert calls == []
     joint = varieties._theory_partition([dm4, is4])
@@ -783,20 +808,28 @@ def test_free_algebra_on_two_generators_is_pinned():
         assert len(_free_pair(a)) == size
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 40), st.data())
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 40), st.data())
 def test_kernels_are_first_occurrence_labels(rows, width, data):
-    codes = np.array(
-        data.draw(
-            st.lists(
-                st.lists(st.integers(0, 9), min_size=width, max_size=width),
-                min_size=rows,
-                max_size=rows,
-            )
-        ),
-        dtype=np.int32,
-    )
-    assert _kernels(codes).tolist() == [list(_canon(r)) for r in codes.tolist()]
+    # _canonical(_least(x)) against partition_ids: on one partition per row,
+    # on each row alone, and on the _row_keys items of the rows; and
+    # _require_canonical_rows accepts exactly the integer rows that
+    # partition_ids leaves as they are
+    codes = _labels(data, (rows, width))
+    expected = [partition_ids(r).tolist() for r in codes.tolist()]
+    assert _canonical(_least(codes)).tolist() == expected
+    if width:  # a row of no bytes has no _row_keys item
+        assert _canonical(_least(_row_keys(codes))).tolist() == partition_ids(codes).tolist()
+    for r, e in zip(codes, expected):
+        assert _canonical(_least(r)).tolist() == e
+        for row in (r, np.array(e), r.astype(float), np.array(e, dtype=float)):
+            canonical = row.dtype.kind in "iu" and partition_ids(row).tolist() == row.tolist()
+            try:
+                _require_canonical_rows(row[None])
+            except ValidationError:
+                assert not canonical and width
+            else:
+                assert canonical or not width
 
 
 @functools.lru_cache(maxsize=None)
@@ -815,7 +848,7 @@ def _generated(k, seed):
     # in the order of the blocks of the seed's kernel
     place = 9 ** np.arange(k - 1, -1, -1)
     codes = _term_codes(F2, 9, place, *np.array(seed)[:, None])[0]
-    kernel = _kernels(codes[None])[0]
+    kernel = _canonical(_least(codes))
     return place, codes, kernel, codes[np.unique(kernel, return_index=True)[1]]
 
 
@@ -876,8 +909,8 @@ def test_kernel_embedding_matches_is_isomorphic(k, data):
     theta, si = data.draw(st.sampled_from(list(zip(cons, flags))))
     # θ's block of each term's value is a first-occurrence kernel as it stands
     row = np.array(theta.block_of)[kernel]
-    assert row.tolist() == list(_canon(row.tolist()))
-    embeds = _keys(row[None])[0] in set(_keys(_kernels(F2.T)))
+    assert row.tolist() == partition_ids(row.tolist()).tolist()
+    embeds = _keys(row[None])[0] in set(_keys(F2.T))
     Q = quotient(S, theta)
     assert embeds == any(is_isomorphic(Q, t) is not None for t in _U_SUBALGEBRAS)
     if si:
