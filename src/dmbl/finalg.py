@@ -26,6 +26,14 @@ principal congruences come from one reachability closure on the graph of
 unordered pairs, squared as a bit-packed boolean matrix; the join closure
 then adds one principal at a time, joining it with every congruence found
 so far, ``_BATCH`` labels at a time, by scatter-min label propagation.
+
+Maps between algebras come from one search, ``_homomorphisms``: a
+homomorphism is fixed by its values on generators, so it places A's greedy
+generating set one element at a time, extends the map at once over the
+subalgebra the placed ones generate, and prunes a placement that conflicts
+there (no homomorphism extends it).  :func:`is_isomorphic` returns the first
+bijection found with each generator sent to an unused element of its colour
+class, in B's index order; ``sums`` lists all homomorphisms between fibres.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -523,7 +531,8 @@ class Congruence:
     The constructor takes ``block_of`` as given; :func:`quotient`,
     :func:`join_partitions`, :func:`meet_partitions`, :meth:`refines` and
     :func:`si_quotient_flags` raise ValidationError on ids that are not
-    integers numbered by first occurrence.  :meth:`from_blocks` builds the
+    integers numbered by first occurrence, and all but :func:`quotient` on
+    partitions of different sizes.  :meth:`from_blocks` builds the
     canonical form from any list of blocks of element indices; an index
     outside ``range(n)``, negative ones included, raises ValidationError, as
     do overlapping blocks and blocks that miss an element.
@@ -685,8 +694,9 @@ def _joins_above(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    # one fixed-width bytes item per row, so that np.unique compares rows
-    rows = np.ascontiguousarray(rows)
+    # one fixed-width bytes item per row, so that np.unique compares rows;
+    # rows of no entries read as one zero byte each, so each still has an item
+    rows = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1), np.int8))
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
@@ -750,15 +760,23 @@ def _boolean_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.unpackbits(out.view(np.uint8), axis=1, count=r, bitorder="little") > 0
 
 
+def _block_rows(parts: Sequence[Congruence]) -> np.ndarray:
+    # the block ids of partitions of one set, one row each
+    sizes = sorted({c.size for c in parts})
+    if len(sizes) > 1:
+        raise ValidationError(f"cannot compare partitions of {sizes[0]} and {sizes[-1]} elements")
+    return np.array([c.block_of for c in parts])
+
+
 def join_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Transitive closure of the union; for congruences this is their join."""
-    lab = _require_canonical_rows(np.array([p.block_of, q.block_of]))
+    lab = _require_canonical_rows(_block_rows([p, q]))
     j = _joins_above(lab[:1], lab[1])
     return Congruence(tuple(_canonical(j)[0].tolist())) if len(j) else p
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
-    return _partition(_meet(*_require_canonical_rows(np.array([p.block_of, q.block_of]))))
+    return _partition(_meet(*_require_canonical_rows(_block_rows([p, q]))))
 
 
 def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
@@ -822,7 +840,7 @@ def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
     m = len(cons)
     if m == 0:
         return []
-    B = np.array([c.block_of for c in cons])
+    B = _block_rows(cons)
     first = _require_canonical_rows(B)
     # leq[i, j]: cons[i] refines cons[j], i.e. each element's cons[j]-block
     # holds the first element of its cons[i]-block
@@ -995,74 +1013,72 @@ def isomorphism_key(A: FiniteAlgebra) -> tuple:
     return (A.size, A.neg is None, tuple(sorted(_memoised(A, _colors))))
 
 
-def _extend_map(A: FiniteAlgebra, B: FiniteAlgebra, gen_map: dict[int, int]) -> dict[int, int] | None:
-    # grow gen_map homomorphically over the closure; None on conflict
-    mapping = dict(gen_map)
-    frontier = list(mapping)
-    while frontier:
-        new: dict[int, int] = {}
+def _homomorphisms(
+    A: FiniteAlgebra, B: FiniteAlgebra, images: Callable[[int, list[int]], Iterable[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every homomorphism A -> B (the tuple of images of A's elements) that
+    sends each generator g into ``images(g, f)``, f the partial map so far
+    (-1 where unset), in the lexicographic order of the candidates; as in
+    :func:`homomorphism_failure`, negation counts only if B has one too."""
+    if B.neg is None and A.neg is not None:
+        A = FiniteAlgebra(A.name, A.elements, A.meet, A.join)
+    gens = _memoised(A, _generating_set)
+    ops = ((A.meet, B.meet), (A.join, B.join))
 
-        def put(src: int, dst: int) -> bool:
-            if src in mapping:
-                return mapping[src] == dst
-            if src in new:
-                return new[src] == dst
-            new[src] = dst
-            return True
+    def extend(f: list[int], g: int, u: int) -> list[int] | None:
+        # semi-naive closure: each round pairs the elements the last round
+        # mapped with every mapped element, both ways round
+        f = f.copy()
+        f[g], fresh = u, [g]
+        while fresh:
+            dom, new = [b for b, y in enumerate(f) if y >= 0], []
+            for a in fresh:
+                x = f[a]
+                forced = [] if A.neg is None else [(A.neg[a], B.neg[x])]
+                for b in dom:
+                    for at, bt in ops:
+                        forced += ((at[a][b], bt[x][f[b]]), (at[b][a], bt[f[b]][x]))
+                for s, t in forced:
+                    if f[s] < 0:
+                        f[s] = t
+                        new.append(s)
+                    elif f[s] != t:
+                        return None
+            fresh = new
+        return f
 
-        known = list(mapping.items())
-        for a, u in known:
-            if A.neg is not None:
-                if not put(A.neg[a], B.neg[u]):  # type: ignore[index]
-                    return None
-            for b, v in known:
-                if not put(A.meet[a][b], B.meet[u][v]):
-                    return None
-                if not put(A.join[a][b], B.join[u][v]):
-                    return None
-        if not new:
-            break
-        mapping.update(new)
-        frontier = list(new)
-    if len(mapping) != A.size:
-        return None  # gens did not generate (shouldn't happen) or map partial
-    # bijectivity + full homomorphism check
-    f = [mapping[a] for a in range(A.size)]
-    if len(set(f)) != A.size or homomorphism_failure(A, B, f) is not None:
-        return None
-    return mapping
+    def place(i: int, f: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == len(gens):
+            yield tuple(f)
+            return
+        for u in images(gens[i], f):
+            grown = extend(f, gens[i], u)
+            if grown is not None:
+                yield from place(i + 1, grown)
+
+    return place(0, [-1] * A.size)
 
 
 def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[str, str] | None:
-    """An isomorphism as a name->name dict, or None."""
+    """An isomorphism as a name->name dict (keys in a's order), or None:
+    the first bijection ``_homomorphisms`` yields, each generator of a sent
+    to an unused element of b of its colour, in b's index order.  Algebras
+    with different :func:`isomorphism_key` are not searched."""
     if isomorphism_key(a) != isomorphism_key(b):
         return None
     ca, cb = _memoised(a, _colors), _memoised(b, _colors)
-    gens = _memoised(a, _generating_set)
     by_color: dict[int, list[int]] = {}
     for x in range(b.size):
         by_color.setdefault(cb[x], []).append(x)
 
-    def backtrack(i: int, gen_map: dict[int, int], used: set[int]) -> dict[int, int] | None:
-        if i == len(gens):
-            return _extend_map(a, b, gen_map)
-        g = gens[i]
-        for cand in by_color.get(ca[g], ()):
-            if cand in used:
-                continue
-            gen_map[g] = cand
-            used.add(cand)
-            res = backtrack(i + 1, gen_map, used)
-            if res is not None:
-                return res
-            used.discard(cand)
-            del gen_map[g]
-        return None
+    def images(g: int, f: list[int]) -> list[int]:
+        taken = set(f)
+        return [y for y in by_color[ca[g]] if y not in taken]
 
-    found = backtrack(0, {}, set())
-    if found is None:
-        return None
-    return {a.elements[x]: b.elements[y] for x, y in found.items()}
+    for f in _homomorphisms(a, b, images):
+        if len(set(f)) == a.size:
+            return {a.elements[x]: b.elements[y] for x, y in enumerate(f)}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .finalg import (
     FiniteAlgebra,
     ValidationError,
+    _homomorphisms,
     algebra_from_json,
     algebra_to_json,
     dual,
@@ -307,40 +308,20 @@ def bilateralise(algebra: FiniteAlgebra) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # random systems
 
-def _all_homs(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
-    # every map F -> G in lexicographic order; a failure reads the positions
-    # args and op(args) only, so every map that agrees up to the last of them
-    # fails too, and the scan advances that position instead of the last one
-    out, cand, k = [], [0] * F.size, F.size - 1
-    while k >= 0:
-        failure = homomorphism_failure(F, G, cand)
-        if failure is None:
-            out.append(tuple(cand))
-            k = F.size - 1
-        else:
-            op, args = failure
-            image = F.neg[args[0]] if op == "neg" else getattr(F, op)[args[0]][args[1]]
-            k = max(*args, image)
-        while k >= 0 and cand[k] == G.size - 1:
-            k -= 1
-        if k >= 0:
-            cand[k:] = [cand[k] + 1] + [0] * (F.size - k - 1)
-    return out
-
-
 _HOM_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
 
 
-def _homs_cached(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
+def _all_homs(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
+    # every homomorphism F -> G in lexicographic order, cached by the tables
     key = ((F.meet, F.join, F.neg), (G.meet, G.join, G.neg))
     if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = _all_homs(F, G)
+        _HOM_CACHE[key] = sorted(_homomorphisms(F, G, lambda g, f: range(G.size)))
     return _HOM_CACHE[key]
 
 
 def _self_dualisers(F: FiniteAlgebra) -> list[tuple[int, ...]]:
     # involutions that are homomorphisms onto the dual, hence isomorphisms
-    homs = _homs_cached(F, dual(F))
+    homs = _all_homs(F, dual(F))
     return [h for h in homs if all(h[h[a]] == a for a in range(F.size))]
 
 
@@ -434,7 +415,7 @@ def random_system(
                     break
                 trans[(i, j)] = composites.pop()
             else:
-                homs = _homs_cached(fibres[i], fibres[j])
+                homs = _all_homs(fibres[i], fibres[j])
                 if not homs:
                     ok = False
                     break

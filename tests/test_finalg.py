@@ -722,6 +722,9 @@ def test_partition_operations_reject_block_ids_out_of_first_occurrence_order(cal
     for bad in ((0, 2), (1, 0), (0.0, 1.0)):
         with pytest.raises(ValidationError, match="first occurrence"):
             call(Congruence(bad), Congruence((0, 0)))
+    # partitions of different sets are not compared
+    with pytest.raises(ValidationError, match="partitions of 2 and 3 elements"):
+        call(Congruence((0, 1)), Congruence((0, 0, 1)))
 
 
 def test_si_flags_reject_one_non_canonical_congruence_in_a_full_list():
@@ -1077,6 +1080,130 @@ def test_colors_separate_a_sum_without_neg_fixpoints():
     order = list(range(a.size))
     random.Random(1).shuffle(order)
     assert sorted(_colors(a)) == sorted(_colors(a.permute(order)))
+
+
+# the isomorphism search that the staged homomorphism search replaced: every
+# generator placed, then the map extended, kept as the witness oracle
+
+
+def _extend_map_reference(A, B, gen_map):
+    # grow gen_map homomorphically over the closure; None on conflict
+    mapping = dict(gen_map)
+    frontier = list(mapping)
+    while frontier:
+        new = {}
+
+        def put(src, dst):
+            if src in mapping:
+                return mapping[src] == dst
+            if src in new:
+                return new[src] == dst
+            new[src] = dst
+            return True
+
+        known = list(mapping.items())
+        for a, u in known:
+            if A.neg is not None:
+                if not put(A.neg[a], B.neg[u]):
+                    return None
+            for b, v in known:
+                if not put(A.meet[a][b], B.meet[u][v]):
+                    return None
+                if not put(A.join[a][b], B.join[u][v]):
+                    return None
+        if not new:
+            break
+        mapping.update(new)
+        frontier = list(new)
+    if len(mapping) != A.size:
+        return None
+    f = [mapping[a] for a in range(A.size)]
+    if len(set(f)) != A.size or homomorphism_failure(A, B, f) is not None:
+        return None
+    return mapping
+
+
+def _is_isomorphic_reference(a, b):
+    if finalg.isomorphism_key(a) != finalg.isomorphism_key(b):
+        return None
+    ca, cb = finalg._colors(a), finalg._colors(b)
+    gens = finalg._generating_set(a)
+    by_color = {}
+    for x in range(b.size):
+        by_color.setdefault(cb[x], []).append(x)
+
+    def backtrack(i, gen_map, used):
+        if i == len(gens):
+            return _extend_map_reference(a, b, gen_map)
+        g = gens[i]
+        for cand in by_color.get(ca[g], ()):
+            if cand in used:
+                continue
+            gen_map[g] = cand
+            used.add(cand)
+            res = backtrack(i + 1, gen_map, used)
+            if res is not None:
+                return res
+            used.discard(cand)
+            del gen_map[g]
+        return None
+
+    found = backtrack(0, {}, set())
+    if found is None:
+        return None
+    return {a.elements[x]: b.elements[y] for x, y in found.items()}
+
+
+def _projections(data, n):
+    # x /\ y = x and x \/ y = y with neg a product of k 2-cycles and one
+    # longer cycle: neg has no fixpoint, so every element gets one colour and
+    # the key sees only n, whatever k is
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(0, (n - 2) // 2))
+    neg = [0] * n
+    for c in [order[i : i + 2] for i in range(0, 2 * k, 2)] + [order[2 * k :]]:
+        for i, x in enumerate(c):
+            neg[x] = c[(i + 1) % len(c)]
+    return FiniteAlgebra(
+        "P", [str(i) for i in range(n)], [[x] * n for x in range(n)], [list(range(n))] * n, neg
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_isomorphism_witness_matches_the_backtracking_oracle(data):
+    from dmbl.sums import dpl_sum, random_system
+
+    kind = data.draw(st.sampled_from(["catalog", "product", "sum", "equal keys"]))
+    if kind == "equal keys":
+        n = data.draw(st.integers(2, 8))
+        a, b = _projections(data, n), _projections(data, n)
+        assert finalg.isomorphism_key(a) == finalg.isomorphism_key(b)
+    else:
+        if kind == "catalog":
+            a = data.draw(st.sampled_from(CATALOG + [U]))
+        elif kind == "product":
+            a = product(*(data.draw(st.sampled_from(CATALOG + [U])) for _ in "ab"))
+        else:
+            a = dpl_sum(random_system(random.Random(data.draw(st.integers(0, 1 << 16)))))
+        b = a.permute(data.draw(st.permutations(range(a.size))))
+        if data.draw(st.booleans()):
+            b = b.rename_elements({e: f"{e}'" for e in b.elements})
+    for x, y in ((a, b), (b, a)):
+        assert is_isomorphic(x, y) == _is_isomorphic_reference(x, y)
+
+
+def test_isomorphism_search_prunes_before_every_generator_is_placed():
+    # power(IS3, 4) has 8 generators and few colours; a search that extends
+    # the map only once all 8 are placed took 18 to 116 s per permutation
+    a = power(IS3, 4)
+    start = time.perf_counter()
+    for seed in range(5):
+        order = list(range(a.size))
+        random.Random(seed).shuffle(order)
+        b = a.permute(order)
+        _assert_isomorphism(a, b, is_isomorphic(a, b))
+    assert time.perf_counter() - start < 10
 
 
 # ------------------------------------------------------------------------ dual

@@ -349,9 +349,10 @@ def _fresh_product_pools():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_all_homs_lists_every_homomorphism_in_order(data):
-    # the scan skips maps that share a failing prefix; it must keep exactly
-    # the maps a plain scan in lexicographic order accepts.  Law-free tables,
-    # the left projection (every map preserves it) or small lattices
+    # the search prunes generator placements that no homomorphism extends;
+    # it must list exactly the maps a plain scan in lexicographic order
+    # accepts.  Law-free tables, the left projection (every map preserves
+    # it) or small lattices, each with or without negation
     def algebra(name):
         n = data.draw(st.integers(1, 4))
         cell = st.integers(0, n - 1)

@@ -818,8 +818,7 @@ def test_kernels_are_first_occurrence_labels(rows, width, data):
     codes = _labels(data, (rows, width))
     expected = [partition_ids(r).tolist() for r in codes.tolist()]
     assert _canonical(_least(codes)).tolist() == expected
-    if width:  # a row of no bytes has no _row_keys item
-        assert _canonical(_least(_row_keys(codes))).tolist() == partition_ids(codes).tolist()
+    assert _canonical(_least(_row_keys(codes))).tolist() == partition_ids(codes).tolist()
     for r, e in zip(codes, expected):
         assert _canonical(_least(r)).tolist() == e
         for row in (r, np.array(e), r.astype(float), np.array(e, dtype=float)):
