@@ -11,7 +11,9 @@ r"""Command-line front end.
 Exit codes: 0 success (for `check`, regardless of the verdict), 1 parse or
 I/O error, 2 validation failure, 3 verification report not clean.  Output is
 deterministic for identical inputs.  `check` scans assignments in blocks of
-bounded size and stops at the least counterexample.
+bounded size and stops at the least counterexample; an identity whose
+assignments times program steps exceed `finalg.SATISFIES_COST_LIMIT` is a
+validation failure, refused before the scan.
 """
 
 from __future__ import annotations

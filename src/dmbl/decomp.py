@@ -17,6 +17,7 @@ import numpy as np
 from .finalg import (
     FiniteAlgebra,
     ValidationError,
+    _dot_table,
     _induced,
     _memoised,
     _partition,
@@ -179,19 +180,19 @@ class GreenData:
 
 def band_of(algebra: FiniteAlgebra) -> Band:
     r"""The band term reduct x.y := x /\ (x \/ y) of a De Morgan
-    bisemilattice (negation carried along when present)."""
+    bisemilattice (negation carried along when present).
+
+    Its table is the algebra's table of x.y, computed once per algebra and
+    shared with the DOT steps of `satisfies`; the class check reads the
+    verdict `is_class` keeps in the algebra's memo."""
     if not is_class(algebra, "De Morgan bisemilattice"):
         raise ValidationError(f"{algebra.name} is not a De Morgan bisemilattice")
-    n = algebra.size
-    meet, join = algebra.meet, algebra.join
-    dot = tuple(
-        tuple(meet[x][join[x][y]] for y in range(n)) for x in range(n)
-    )
+    dot = tuple(map(tuple, _memoised(algebra, _dot_table).tolist()))
     # the band laws of x.y on the algebra are the semigroup laws of dot
     problems = _memoised(algebra, _band_law_failures)
     if problems:
         raise ValidationError(problems[0])
-    return _checked_band(n, dot, algebra.neg)
+    return _checked_band(algebra.size, dot, algebra.neg)
 
 
 def greens(band: Band) -> GreenData:

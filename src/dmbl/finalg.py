@@ -10,14 +10,21 @@ Element order matters for one thing only: :func:`satisfies` reports the
 sorted by name, elements by index.  The scan runs over assignments in that
 order, in blocks of bounded size, and stops at the least counterexample.
 
-Terms are evaluated by one function, ``_evaluate``, over numpy index arrays.
-A node over more than ``_CHUNK`` values reads its table as a flat array:
-entry ``left * n + right`` (int16 codes while ``n * n <= 2**15``, int32
-beyond) or, for ``~``, the argument's entry, through ``take`` one chunk of
-``_CHUNK`` indices at a time; smaller nodes index the tables directly.  When
-a block of the scan holds more than ``_CHUNK`` assignments, the subterms that
-read no fixed variable are evaluated once, in the first block, and reused by
-every later one.
+Terms are evaluated by one evaluator, ``_run``, over numpy index arrays.  It
+runs a program (``_program``, cached by the tuple of terms): the terms as a
+flat list of ``(op, left, right)`` steps, children first, hash-consed so that
+structurally equal subterms are one step.  Each subterm ``s /\ (s \/ t)`` is
+one DOT step, which reads the table of x.y = x /\ (x \/ y), computed once
+per algebra (``decomp.band_of`` reads the same table).  A step over more than
+``_CHUNK`` values reads its table as a flat array: entry ``left * n + right``
+(int16 codes while ``n * n <= 2**15``, int32 beyond) or, for ``~``, the
+argument's entry, through ``take`` one chunk of ``_CHUNK`` indices at a time;
+smaller steps index the tables directly.  When the scan fixes leading
+variables, the steps that read none of them run only in its first block, and
+every value is dropped after its last reader.  :func:`is_class` runs all of
+a class's axioms as one program and keeps the verdict in the algebra's memo.
+Assignments times steps above ``SATISFIES_COST_LIMIT`` are refused before any
+evaluation.
 
 Congruences are computed on rows of least-element labels (entry x is the
 least element of x's block), so equal partitions are equal rows, and one
@@ -41,7 +48,8 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,6 +61,7 @@ __all__ = [
     "CONGRUENCE_SIZE_LIMIT",
     "Congruence",
     "FiniteAlgebra",
+    "SATISFIES_COST_LIMIT",
     "SatisfactionResult",
     "ValidationError",
     "algebra_from_json",
@@ -198,70 +207,196 @@ class FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # evaluation and satisfaction
 
+# step operations of a program; DOT reads the table x.y = x /\ (x \/ y)
+_VAR, _NEG, _MEET, _JOIN, _DOT = range(5)
+
+
+@dataclass(eq=False)
+class _Program:
+    """Terms compiled into one flat list of steps ``(op, left, right)``.
+
+    Steps are numbered children first and hash-consed: a step is keyed by its
+    op and its children's steps, so structurally equal subterms are one step.
+    A VAR step's `left` is an index into `names` (sorted); a NEG step's is its
+    argument, and its `right` is -1.  `roots` holds each term's step; when
+    `paired`, term 2i is compared with term 2i + 1.  `checks` lists the VAR
+    and NEG steps in the order a pre-order walk of the terms first meets
+    them, which is the order their errors are raised in.  `dots` says
+    whether a step reads the table of x.y; `plans` caches :func:`_plan` by
+    the number of fixed variables."""
+
+    steps: tuple[tuple[int, int, int], ...]
+    names: tuple[str, ...]
+    roots: tuple[int, ...]
+    paired: bool
+    checks: tuple[int, ...]
+    dots: bool
+    plans: dict[int, tuple[list, list]] = field(default_factory=dict)
+
+
+@lru_cache(maxsize=256)
+def _program(terms: tuple[Term, ...], paired: bool) -> _Program:
+    """The program of `terms`, see :class:`_Program`.  Every subterm
+    ``s /\\ (s \\/ t)``, the two s structurally equal, is one DOT step."""
+    names = sorted(set().union(*map(variables, terms)))
+    var = {v: i for i, v in enumerate(names)}
+    ids: dict[tuple[int, int, int], int] = {}  # step -> its number
+    checks: list = []
+
+    def step(key: tuple[int, int, int]) -> int:
+        return ids.setdefault(key, len(ids))
+
+    def visit(t: Term) -> int:
+        if isinstance(t, Var):
+            checks.append(step((_VAR, var[t.name], -1)))
+            return checks[-1]
+        if isinstance(t, Neg):
+            at = len(checks)
+            checks.append(None)  # a ~ is met before its argument
+            checks[at] = step((_NEG, visit(t.child), -1))
+            return checks[at]
+        if isinstance(t, Meet) and isinstance(t.right, Join):
+            left, s, u = visit(t.left), visit(t.right.left), visit(t.right.right)
+            return step((_DOT, left, u) if s == left else (_MEET, left, step((_JOIN, s, u))))
+        if isinstance(t, (Meet, Join)):
+            return step((_MEET if isinstance(t, Meet) else _JOIN, visit(t.left), visit(t.right)))
+        raise TypeError(f"not a term: {t!r}")
+
+    roots = tuple(visit(t) for t in terms)
+    dots = any(op == _DOT for op, _, _ in ids)
+    return _Program(tuple(ids), tuple(names), roots, paired, tuple(dict.fromkeys(checks)), dots)
+
+
+def _plan(prog: _Program, fixed: int) -> tuple[list, list]:
+    """The plans of the first block and of every later block, with the first
+    `fixed` names fixed in each block.
+
+    A later block runs only the steps that read a fixed variable; the other
+    steps are hoisted, and their values kept from the first block when a
+    later block reads them.  A plan lists ``(step, op, left, right, pairs,
+    rows, drop)`` per step run: after the step's value is computed, the
+    `pairs` that now have both sides are compared, the value is written to
+    the output `rows`, and the values in `drop`, read here for the last
+    time, are dropped."""
+    if fixed in prog.plans:
+        return prog.plans[fixed]
+    steps = prog.steps
+    reads = []  # does the step read a fixed variable
+    for op, left, right in steps:
+        reads.append(left < fixed if op == _VAR else reads[left] or (right >= 0 and reads[right]))
+    pairs = list(zip(prog.roots[::2], prog.roots[1::2])) if prog.paired else []
+    rows: dict[int, list[int]] = {}
+    for i, s in enumerate(() if prog.paired else prog.roots):
+        rows.setdefault(s, []).append(i)
+
+    def plan(run: list[int], kept: set[int]) -> tuple[list, set[int]]:
+        # also returns the values the plan reads but does not compute
+        ran = set(run)
+        last = {s: s for s in run}  # value -> the last step reading it
+        for s in run:
+            op, left, right = steps[s]
+            if op != _VAR:
+                last.update((c, s) for c in (left, right) if c >= 0)
+        compared: dict[int, list] = {}  # step -> the pairs compared after it
+        for pair in pairs:
+            live = ran.intersection(pair)
+            if live:
+                p = max(live)
+                compared.setdefault(p, []).append(pair)
+                last.update((c, max(last.get(c, p), p)) for c in pair)
+        drop: dict[int, list[int]] = {}
+        for c, p in last.items():
+            if c in ran and c not in kept:
+                drop.setdefault(p, []).append(c)
+        return [
+            (s, *steps[s], compared.get(s, ()), rows.get(s), drop.get(s, ())) for s in run
+        ], set(last) - ran
+
+    later, kept = plan([s for s in range(len(steps)) if reads[s]], set()) if fixed else ([], set())
+    prog.plans[fixed] = plan(list(range(len(steps))), kept)[0], later
+    return prog.plans[fixed]
+
+
+def _dot_table(A: FiniteAlgebra) -> np.ndarray:
+    """The table of x.y = x /\\ (x \\/ y): entry ``[x, y]`` is
+    ``meet[x, join[x, y]]``."""
+    meet, join, _ = A.arrays()
+    return np.take_along_axis(meet, join.astype(np.intp), axis=1)
+
+
+def _run(
+    A: FiniteAlgebra,
+    prog: _Program,
+    grids: list,
+    fixed: int = 0,
+    out: np.ndarray | None = None,
+) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """Run `prog` with variable i bound to the index array ``grids[i]``; the
+    arrays broadcast against each other, and so do the values.
+
+    The first `fixed` variables are fixed in each block, to each tuple of
+    elements in turn; their grids are replaced.  Returns ``(prefix, bad)``
+    for the first block in which a pair differs, `bad` marking where, or
+    None.  A term's value goes to ``out[i]`` for each term i it is the root
+    of, and is then read back from there.  A step over more than ``_CHUNK``
+    values reads its table through :func:`_gather`: a binary step entry
+    ``left * n + right`` of the flat table, a ``~`` step its argument's entry
+    of `neg`.  Smaller steps index the tables directly."""
+    n = A.size
+    meet, join, neg = A.arrays()
+    for s in prog.checks:
+        op, v, _ = prog.steps[s]
+        if op == _VAR and grids[v] is None:
+            raise ValidationError(f"no assignment for variable {prog.names[v]!r}")
+        if op == _NEG and neg is None:
+            raise ValidationError(f"term uses ~ but {A.name} has no negation")
+    tables = (None, neg, meet, join, _memoised(A, _dot_table) if prog.dots else None)
+    code_type = np.int16 if n * n <= 1 << 15 else np.int32
+    first, later = _plan(prog, fixed)
+    vals: list = [None] * len(prog.steps)
+    for block, prefix in enumerate(itertools.product(range(n), repeat=fixed)):
+        for v, c in enumerate(prefix):
+            grids[v] = np.array(c, dtype=np.int16)
+        for s, op, left, right, pairs, rows, drop in later if block else first:
+            if op == _VAR:
+                val = grids[left]
+            else:
+                a, b, table = vals[left], vals[right], tables[op]
+                if op == _NEG:
+                    val = _gather(table, a) if a.size > _CHUNK else table[a]
+                elif a.size * b.size > _CHUNK:
+                    code = np.multiply(a, n, dtype=code_type)
+                    if code.shape == np.broadcast_shapes(code.shape, b.shape):
+                        np.add(code, b, out=code)  # a spans the result
+                    else:
+                        code = code + b
+                    # the codes are this step's own, so int16 values can replace them
+                    val = _gather(table, code, code if code.dtype == table.dtype else None)
+                else:
+                    val = table[a, b]
+            vals[s] = val
+            for x, y in pairs:
+                bad = vals[x] != vals[y]
+                if bad.any():
+                    return prefix, bad
+            if rows:
+                out[rows] = val
+                vals[s] = out[rows[0], ...]
+            for c in drop:
+                vals[c] = None
+    return None
+
+
 def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, str | int]) -> str:
     """Evaluate `term` under `assignment` (names or indices); returns a name."""
-    grids = {
-        v: np.array(algebra.index(assignment[v]), dtype=np.int16)
-        for v in variables(term)
-        if v in assignment
-    }
-    return algebra.elements[int(_evaluate(algebra, term, grids, {}))]
-
-
-def _evaluate(
-    A: FiniteAlgebra,
-    t: Term,
-    grids: Mapping[str, np.ndarray],
-    memo: dict,
-    keep: set[int] | None = None,
-) -> np.ndarray:
-    """Values of `t` with each variable bound to an index array; the arrays
-    broadcast against each other, and so does the result.
-
-    A node over more than ``_CHUNK`` values reads its table through
-    :func:`_gather`: a binary node reads entry ``left * n + right`` of the
-    flat table, a ``~`` node its argument's entry of `neg`.  Smaller nodes
-    index the tables directly.  Values are memoised in `memo` by ``id``: every
-    subterm's when `keep` is None, else only those whose ids are in `keep`, so
-    any other array is freed once its parent has read it.  A value already in
-    `memo` is not computed again: `satisfies` puts there the subterms that
-    read no fixed variable, computed in its first block."""
-    # keyed by id(): the caller holds every term it passes for as long as memo
-    # lives, so no id can be recycled within one call
-    key = id(t)
-    if key in memo:
-        return memo[key]
-    meet, join, neg = A.arrays()
-    if isinstance(t, Var):
-        if t.name not in grids:
-            raise ValidationError(f"no assignment for variable {t.name!r}")
-        val = grids[t.name]
-    elif isinstance(t, Neg):
-        if neg is None:
-            raise ValidationError(f"term uses ~ but {A.name} has no negation")
-        arg = _evaluate(A, t.child, grids, memo, keep)
-        val = _gather(neg, arg) if arg.size > _CHUNK else neg[arg]
-    elif isinstance(t, (Meet, Join)):
-        table = meet if isinstance(t, Meet) else join
-        left = _evaluate(A, t.left, grids, memo, keep)
-        right = _evaluate(A, t.right, grids, memo, keep)
-        if left.size * right.size > _CHUNK:
-            n = A.size
-            code = np.multiply(left, n, dtype=np.int16 if n * n <= 1 << 15 else np.int32)
-            if code.shape == np.broadcast_shapes(code.shape, right.shape):
-                np.add(code, right, out=code)  # left spans the result
-            else:
-                code = code + right
-            del left, right
-            # the codes are this node's own, so int16 values can replace them
-            val = _gather(table, code, code if code.dtype == table.dtype else None)
-        else:
-            val = table[left, right]
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    if keep is None or key in keep:
-        memo[key] = val
-    return val
+    prog = _program((term,), False)
+    grids = [
+        np.array(algebra.index(assignment[v]), dtype=np.int16) if v in assignment else None
+        for v in prog.names
+    ]
+    out = np.empty(1, dtype=np.int16)
+    _run(algebra, prog, grids, out=out)
+    return algebra.elements[int(out[0])]
 
 
 # nodes over more values than this read their tables by chunked `take`
@@ -298,84 +433,56 @@ class SatisfactionResult:
 # most assignments one step of `satisfies` evaluates at once
 _BLOCK = 1 << 20
 
+#: most work `satisfies` and `is_class` take on: assignments (n to the number
+#: of variables) times program steps, checked before any evaluation
+SATISFIES_COST_LIMIT = 1 << 33
+
+
+def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """:func:`_run` over every assignment of the program's variables, in
+    blocks of at most ``_BLOCK`` that fix as few leading variables as they
+    must; the rest span broadcast axes.  Raises ValidationError above
+    ``SATISFIES_COST_LIMIT``."""
+    n, k = A.size, len(prog.names)
+    cost = n**k * len(prog.steps)
+    if cost > SATISFIES_COST_LIMIT:
+        raise ValidationError(
+            f"{n}^{k} assignments times {len(prog.steps)} steps is {cost}, above "
+            f"the limit of {SATISFIES_COST_LIMIT} on identity checks"
+        )
+    fixed = 0
+    while n ** (k - fixed) > _BLOCK:
+        fixed += 1
+    ar = np.arange(n, dtype=np.int16)
+    grids = [ar.reshape((-1,) + (1,) * (k - 1 - axis)) for axis in range(k)]
+    return _run(A, prog, grids, fixed)
+
 
 def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     """Check an identity over all assignments.
 
     The counterexample, when there is one, is the lexicographically least
     assignment (variables sorted by name, elements ordered as in the algebra).
-    Assignments are scanned in that order, in blocks of at most ``_BLOCK``:
-    each block fixes as few leading variables as it must, the rest span
-    broadcast axes, and the scan stops at the first block with a failure.
-    A block of more than ``_CHUNK`` assignments evaluates the subterms that
-    read no fixed variable only once, in the first block, and within a block
-    keeps only the values of subterms with more than one parent.
+    Both sides are compiled into one program (:func:`_program`), with every
+    ``s /\\ (s \\/ t)`` read as one step from the table of x.y.  Assignments
+    are scanned in that order, in blocks of at most ``_BLOCK``: each block
+    fixes as few leading variables as it must, the rest span broadcast axes,
+    and the scan stops at the first block with a failure.  Steps that read
+    no fixed variable run only in the first block, and each value is dropped
+    after its last reader.  Raises ValidationError when assignments times
+    steps exceed ``SATISFIES_COST_LIMIT``, before any evaluation.
     """
-    names = sorted(variables(identity.lhs) | variables(identity.rhs))
-    k = len(names)
-    n = algebra.size
-    if k == 0:
+    prog = _program((identity.lhs, identity.rhs), True)
+    if not prog.names:
         raise ValidationError("identity contains no variables")
-
-    fixed = 0
-    while n ** (k - fixed) > _BLOCK:
-        fixed += 1
-    free = k - fixed
-    ar = np.arange(n, dtype=np.int16)
-    grids = {
-        v: ar.reshape((-1,) + (1,) * (free - 1 - axis))
-        for axis, v in enumerate(names[fixed:])
-    }
-    keep, hoist = None, set()
-    if n**free > _CHUNK:
-        keep, hoist = _block_plan(identity, set(names[:fixed]))
-    hoisted: dict = {}
-    for prefix in itertools.product(range(n), repeat=fixed):
-        for v, c in zip(names, prefix):
-            grids[v] = np.array(c, dtype=np.int16)
-        memo = dict(hoisted)
-        bad = _evaluate(algebra, identity.lhs, grids, memo, keep) != _evaluate(
-            algebra, identity.rhs, grids, memo, keep
-        )
-        if bad.any():
-            # every free variable occurs, so bad spans all `free` axes
-            coords = prefix + np.unravel_index(int(np.argmax(bad)), bad.shape)
-            cex = {v: algebra.elements[int(c)] for v, c in zip(names, coords)}
-            return SatisfactionResult(False, cex)
-        hoisted = {key: memo[key] for key in hoist}
-    return SatisfactionResult(True, None)
-
-
-def _block_plan(identity: Identity, fixed: set[str]) -> tuple[set[int], set[int]]:
-    """Ids of the subterms a block of `satisfies` keeps, and of those it
-    keeps for every later block.
-
-    A block keeps the subterms with more than one parent (each side counts
-    the identity as a parent) and the hoisted ones.  The hoisted subterms are
-    the largest that read no variable in `fixed`: each is a side, or has a
-    parent that reads such a variable."""
-    parents: dict[int, int] = {}
-    reads: dict[int, bool] = {}  # does the subterm read a fixed variable
-    hoist: set[int] = set()
-
-    def walk(t: Term) -> bool:
-        key = id(t)
-        parents[key] = parents.get(key, 0) + 1
-        if key not in reads:
-            if isinstance(t, Var):
-                reads[key] = t.name in fixed
-            else:
-                kids = (t.child,) if isinstance(t, Neg) else (t.left, t.right)
-                # a list, so that every child is walked and counted
-                reads[key] = any([walk(c) for c in kids])
-                if reads[key]:
-                    hoist.update(id(c) for c in kids if not reads[id(c)])
-        return reads[key]
-
-    for side in (identity.lhs, identity.rhs):
-        if not walk(side):
-            hoist.add(id(side))
-    return {key for key, c in parents.items() if c > 1} | hoist, hoist
+    failure = _scan(algebra, prog)
+    if failure is None:
+        return SatisfactionResult(True, None)
+    prefix, bad = failure
+    # every free variable occurs, so bad spans all free axes
+    coords = prefix + np.unravel_index(int(np.argmax(bad)), bad.shape)
+    cex = {v: algebra.elements[int(c)] for v, c in zip(prog.names, coords)}
+    return SatisfactionResult(False, cex)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,7 +1253,11 @@ _CLASS_AXIOMS: dict[str, tuple[tuple[str, ...], bool]] = {
 
 ALGEBRA_CLASSES = tuple(_CLASS_AXIOMS)
 
-_AXIOM_CACHE: dict[str, tuple[Identity, ...]] = {}
+
+@lru_cache(maxsize=None)
+def _class_program(cls: str) -> _Program:
+    axioms = _parse_axioms(_CLASS_AXIOMS[cls][0])
+    return _program(tuple(side for e in axioms for side in (e.lhs, e.rhs)), True)
 
 
 def is_class(algebra: FiniteAlgebra, cls: str) -> bool:
@@ -1155,17 +1266,23 @@ def is_class(algebra: FiniteAlgebra, cls: str) -> bool:
     Classes: distributive lattice, distributive bisemilattice, De Morgan
     bisemilattice, De Morgan lattice, involutive semilattice, Kleene lattice,
     Boolean-algebra-reduct.
+
+    The class's axioms are compiled into one program, run once over the
+    assignments of their variables, each axiom's sides compared as soon as
+    both exist and then dropped.  The verdict is kept in the algebra's memo,
+    so asking again of the same object evaluates nothing.
     """
     if cls not in _CLASS_AXIOMS:
         raise ValidationError(
             f"unknown class {cls!r}; expected one of {', '.join(_CLASS_AXIOMS)}"
         )
-    texts, needs_neg = _CLASS_AXIOMS[cls]
-    if needs_neg and algebra.neg is None:
-        return False
-    if cls not in _AXIOM_CACHE:
-        _AXIOM_CACHE[cls] = _parse_axioms(texts)
-    return all(satisfies(algebra, e) for e in _AXIOM_CACHE[cls])
+    verdicts = algebra._memo.setdefault(is_class, {})
+    if cls not in verdicts:
+        needs_neg = _CLASS_AXIOMS[cls][1]
+        verdicts[cls] = not (needs_neg and algebra.neg is None) and (
+            _scan(algebra, _class_program(cls)) is None
+        )
+    return verdicts[cls]
 
 
 # ---------------------------------------------------------------------------

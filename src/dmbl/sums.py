@@ -61,12 +61,21 @@ class InvSemilatticeSystem:
         return self.index.join[a][b] == b
 
     def comparable_pairs(self) -> list[tuple[str, str]]:
-        els = self.index.elements
-        return [(i, j) for i in els for j in els if self.leq(i, j)]
+        return _comparable(self.index, _order(self.index))
 
     def neg_of(self, i: str) -> str:
         a = self.index.index(i)
         return self.index.elements[self.index.neg[a]]  # type: ignore[index]
+
+
+def _order(index: FiniteAlgebra) -> list[list[bool]]:
+    # the index order as a boolean matrix: a <= b iff a \/ b = b
+    return [[row[b] == b for b in range(index.size)] for row in index.join]
+
+
+def _comparable(index: FiniteAlgebra, le: list[list[bool]]) -> list[tuple[str, str]]:
+    els = index.elements
+    return [(els[a], els[b]) for a, row in enumerate(le) for b, x in enumerate(row) if x]
 
 
 def validate(system: InvSemilatticeSystem) -> list[str]:
@@ -93,7 +102,8 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         if not is_class(F, "distributive lattice"):
             out.append(f"fibre at {i} is not a distributive lattice")
 
-    pairs = system.comparable_pairs()
+    le = _order(idx)
+    pairs = _comparable(idx, le)
     if set(system.transitions) != set(pairs):
         missing = set(pairs) - set(system.transitions)
         extra = set(system.transitions) - set(pairs)
@@ -118,8 +128,8 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
             )
 
     for i, j in pairs:
-        for k in els:
-            if system.leq(j, k):
+        for k, above in zip(els, le[idx.index(j)]):
+            if above:
                 pij = system.transitions[(i, j)]
                 pjk = system.transitions[(j, k)]
                 pik = system.transitions[(i, k)]
@@ -134,8 +144,9 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
     if set(system.dualisers) != set(els):
         out.append("dualiser keys must be exactly the index elements")
         return out
+    neg_of = dict(zip(els, (els[a] for a in idx.neg)))
     for i in els:
-        ni = system.neg_of(i)
+        ni = neg_of[i]
         n = system.dualisers[i]
         if len(n) != system.fibres[i].size or any(
             not 0 <= v < system.fibres[ni].size for v in n
@@ -143,7 +154,7 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
             out.append(f"dualiser at {i} is not a map F({i}) -> F({ni})")
             return out
     for i in els:
-        ni = system.neg_of(i)
+        ni = neg_of[i]
         n = system.dualisers[i]
         Fi, Fni = system.fibres[i], system.fibres[ni]
         if len(set(n)) != Fi.size or Fi.size != Fni.size:
@@ -160,7 +171,7 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
             )
 
     for i, j in pairs:
-        ni, nj = system.neg_of(i), system.neg_of(j)
+        ni, nj = neg_of[i], neg_of[j]
         if (ni, nj) not in system.transitions:
             continue  # already reported above
         p = system.transitions[(i, j)]

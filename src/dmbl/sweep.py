@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .finalg import FiniteAlgebra, ValidationError, _canonical, _evaluate, _least
+from .finalg import FiniteAlgebra, ValidationError, _canonical, _least, _program, _run
 from .terms import Identity, Meet, Join, Neg, Term, Var
 
 __all__ = [
@@ -169,13 +169,10 @@ def value_matrix(
     """Rows of term values over the n^num_vars assignment grid (C order)."""
     n = algebra.size
     out = np.empty((len(terms), n ** num_vars), dtype=np.int8 if n <= 127 else np.int16)
-    grid = out.reshape((len(terms),) + (n,) * num_vars)
+    prog = _program(tuple(terms), False)
     grids = _grids(n, num_vars)
-    memo: dict = {}
-    for idx, t in enumerate(terms):
-        grid[idx] = _evaluate(algebra, t, grids, memo)
-        # later terms read this row back instead of a second copy of it
-        memo[id(t)] = grid[idx]
+    _run(algebra, prog, [grids.get(v) for v in prog.names],
+         out=out.reshape((len(terms),) + (n,) * num_vars))
     return out
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -137,6 +138,17 @@ def test_check_algebra_from_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == "true\n"
+
+
+def test_check_refuses_an_identity_past_the_cost_limit(capsys):
+    # 9^10 assignments over U; the scan would take minutes, the refusal none
+    names = [f"x{i}" for i in range(10)]
+    identity = " /\\ ".join(names) + " = " + " /\\ ".join(names[1:] + names[:1])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--algebra", "U", identity)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert "9^10 assignments" in err and "above the limit" in err
 
 
 def test_check_unknown_algebra(capsys):

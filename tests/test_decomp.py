@@ -331,20 +331,26 @@ def test_decompose_checks_the_band_laws_once(monkeypatch):
     # check_ailnb reads the idempotence and associativity of x.y on U, and
     # band_of builds its Band from the same table without reading them again;
     # U is copied before counting, because building the catalog checks laws
-    # too and an algebra keeps the band laws' verdict once read
+    # too and an algebra keeps the band laws' verdict once read; `is_class`
+    # runs each class's axioms as one scan, without calling `satisfies`
     u = get_algebra("U").rename("U")
     laws = {id(law) for _, law in decomp_module._BAND_LAWS + decomp_module._SEMIGROUP_LAWS}
     calls = collections.Counter()
+    scan = finalg_module._scan
 
     def counted(algebra, identity):
         calls["all"] += 1
         calls["band laws"] += id(identity) in laws
         return satisfies(algebra, identity)
 
+    def scanned(algebra, prog):
+        calls["scans"] += 1
+        return scan(algebra, prog)
+
     monkeypatch.setattr(decomp_module, "satisfies", counted)
-    monkeypatch.setattr(finalg_module, "satisfies", counted)
+    monkeypatch.setattr(finalg_module, "_scan", scanned)
     decompose(u)
-    assert calls == {"all": 72, "band laws": 2}
+    assert calls == {"all": 9, "band laws": 2, "scans": 15}
 
 
 def _band_lemma_flags(a):

@@ -146,6 +146,23 @@ def test_satisfies_examples():
     assert res.counterexample == {"x": "i", "y": "j"}
 
 
+def _columns(a, t, columns):
+    # the oracle: one list per node, one entry per assignment, by a plain
+    # walk over the algebra's tuple tables that shares no code with dmbl
+    if isinstance(t, Var):
+        return columns[t.name]
+    if isinstance(t, Neg):
+        return [a.neg[x] for x in _columns(a, t.child, columns)]
+    table = a.meet if isinstance(t, Meet) else a.join
+    left, right = _columns(a, t.left, columns), _columns(a, t.right, columns)
+    return [table[x][y] for x, y in zip(left, right)]
+
+
+def _value(a, t, asg):
+    """The index of t's value under `asg`, a dict of element names."""
+    return _columns(a, t, {v: [a.elements.index(x)] for v, x in asg.items()})[0]
+
+
 def test_satisfies_counterexample_is_lex_least():
     # scan by hand in index order and compare
     e = parse("x /\\ y = x \\/ y")
@@ -154,7 +171,7 @@ def test_satisfies_counterexample_is_lex_least():
     for x in DM4.elements:
         for y in DM4.elements:
             asg = {"x": x, "y": y}
-            if eval_term(DM4, lhs, asg) != eval_term(DM4, rhs, asg):
+            if _value(DM4, lhs, asg) != _value(DM4, rhs, asg):
                 found = asg
                 break
         if found:
@@ -165,11 +182,19 @@ def test_satisfies_counterexample_is_lex_least():
 
 def _least_counterexample(a, e):
     names = sorted(_vars_of(e))
-    for combo in itertools.product(a.elements, repeat=len(names)):
-        asg = dict(zip(names, combo))
-        if eval_term(a, e.lhs, asg) != eval_term(a, e.rhs, asg):
-            return asg
+    grid = list(itertools.product(range(a.size), repeat=len(names)))
+    columns = {v: [row[k] for row in grid] for k, v in enumerate(names)}
+    sides = zip(_columns(a, e.lhs, columns), _columns(a, e.rhs, columns))
+    for row, (x, y) in zip(grid, sides):
+        if x != y:
+            return {v: a.elements[c] for v, c in zip(names, row)}
     return None
+
+
+# (_CHUNK, _BLOCK): blocks of one assignment, and blocks that fix all but one
+# or two of five variables over U's nine elements; every step over more than
+# one value gathers one entry at a time, or none does
+_SCAN_GRID = list(itertools.product((1, 2**40), (1, 10, 100)))
 
 
 def test_satisfies_blocks_match_brute_force(monkeypatch):
@@ -192,10 +217,7 @@ def test_satisfies_blocks_match_brute_force(monkeypatch):
     # first element, so the scan must reach a later block to find them
     assert None in expected
     assert expected[-2]["v"] != U.elements[0] and expected[-1]["v"] != U.elements[0]
-    # blocks of one assignment, and blocks that fix all but one or two of
-    # the five variables over U's nine elements; every node of a block over
-    # more than one assignment gathers one entry at a time, or none does
-    for chunk, block in itertools.product((1, 2**40), (1, 10, 100)):
+    for chunk, block in _SCAN_GRID:
         monkeypatch.setattr(finalg, "_CHUNK", chunk)
         monkeypatch.setattr(finalg, "_BLOCK", block)
         for (a, e), cex in zip(cases, expected):
@@ -267,7 +289,7 @@ def test_satisfies_matches_pointwise_eval(data):
     brute = True
     for combo in itertools.product(a.elements, repeat=len(names)):
         asg = dict(zip(names, combo))
-        if eval_term(a, e.lhs, asg) != eval_term(a, e.rhs, asg):
+        if _value(a, e.lhs, asg) != _value(a, e.rhs, asg):
             brute = False
             break
     assert bool(res) == brute
@@ -277,6 +299,109 @@ def _vars_of(e):
     from dmbl.terms import variables
 
     return variables(e.lhs) | variables(e.rhs)
+
+
+def test_satisfies_cost_limit_is_exact(monkeypatch):
+    # U^3 assignments times the program's steps; at the limit it runs
+    e = parse("(x /\\ y) /\\ z = x /\\ (y /\\ z)")
+    cost = 9**3 * len(finalg._program((e.lhs, e.rhs), True).steps)
+    monkeypatch.setattr(finalg, "SATISFIES_COST_LIMIT", cost)
+    assert satisfies(U, e)
+    monkeypatch.setattr(finalg, "SATISFIES_COST_LIMIT", cost - 1)
+    with pytest.raises(ValidationError, match=f"is {cost}, above the limit of {cost - 1}"):
+        satisfies(U, e)
+    # a class's axioms, in the same three variables, take more steps
+    with pytest.raises(ValidationError, match="above the limit"):
+        is_class(_fresh(U), "De Morgan bisemilattice")
+
+
+def _copy(t):
+    # a structurally equal term that shares no object with t
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Neg):
+        return Neg(_copy(t.child))
+    return type(t)(_copy(t.left), _copy(t.right))
+
+
+def _dot(s, t):
+    return Meet(s, Join(s, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dot_steps_give_the_oracle_verdict(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a = data.draw(st.sampled_from([B2, K3, DM4, IS3, IS4, get_algebra("A5"), U]))
+    s, t, u = (sweep.random_term(rng, 2, 3) for _ in range(3))
+    shared = _dot(s, t)  # one object s under both
+    copied = Meet(s, Join(_copy(s), t))  # equal copies of s
+    nested = _dot(_dot(s, t), u)  # as in the left-normal law
+    near = Meet(s, Join(t, s))  # no x.y: the join's arguments are swapped
+    other = data.draw(st.sampled_from([_dot(_dot(s, u), t), sweep.random_term(rng, 3, 4), near]))
+    for lhs in (shared, copied, nested, near):
+        prog = finalg._program((lhs,), False)
+        op = prog.steps[prog.roots[0]][0]
+        assert op == (finalg._MEET if lhs is near and s != t else finalg._DOT)
+        e = Identity(lhs, other)
+        cex = _least_counterexample(a, e)
+        for chunk, block in _SCAN_GRID:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(finalg, "_CHUNK", chunk)
+                mp.setattr(finalg, "_BLOCK", block)
+                r = satisfies(a, e)
+            assert (bool(r), r.counterexample) == (cex is None, cex), (chunk, block, e)
+
+
+def _fresh(a):
+    # a copy with an empty memo
+    return FiniteAlgebra(a.name, a.elements, a.meet, a.join, a.neg)
+
+
+def _class_by_axioms(a, cls):
+    texts, needs_neg = finalg._CLASS_AXIOMS[cls]
+    if needs_neg and a.neg is None:
+        return False
+    return all(satisfies(a, e) for e in finalg._parse_axioms(texts))
+
+
+@pytest.mark.parametrize("cls", ALGEBRA_CLASSES)
+def test_is_class_is_all_of_its_axioms_on_the_catalog(cls):
+    for name in known_algebra_names():
+        a = _fresh(get_algebra(name))
+        assert is_class(a, cls) == _class_by_axioms(a, cls), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_class_is_all_of_its_axioms_on_random_tables(data):
+    n = data.draw(st.integers(1, 4))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    neg = data.draw(st.none() | st.permutations(range(n)))
+    a = FiniteAlgebra("r", [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
+    block = data.draw(st.sampled_from([1, 10, finalg._BLOCK]))
+    for cls in ALGEBRA_CLASSES:
+        expected = _class_by_axioms(a, cls)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finalg, "_BLOCK", block)
+            assert is_class(_fresh(a), cls) == expected, cls
+
+
+def test_class_verdict_belongs_to_one_algebra_object(monkeypatch):
+    scans = []
+    scan = finalg._scan
+    monkeypatch.setattr(finalg, "_scan", lambda a, prog: scans.append(a) or scan(a, prog))
+    dm4 = _fresh(DM4)
+    assert is_class(dm4, "De Morgan lattice") and is_class(dm4, "De Morgan lattice")
+    assert scans == [dm4]  # the second answer is the kept verdict
+    # a permuted copy is another object with its own tables: its verdict is
+    # computed, not read
+    perm = dm4.permute(list(reversed(dm4.elements)))
+    assert is_class(perm, "De Morgan lattice") and scans == [dm4, perm]
+    # the same name and elements with other tables get their own verdict
+    flat = FiniteAlgebra(dm4.name, dm4.elements, [[0] * 4] * 4, dm4.join, dm4.neg)
+    assert not is_class(flat, "De Morgan lattice") and scans == [dm4, perm, flat]
+    assert not is_class(flat.permute(list(reversed(flat.elements))), "De Morgan lattice")
 
 
 # ------------------------------------------------------- product / subalgebras

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmbl import finalg
 from dmbl.catalog import build_basics, build_U_system, entry, get_algebra
 from dmbl.finalg import (
     FiniteAlgebra,
@@ -178,6 +179,25 @@ def test_validate_reports_non_lattice_fibre():
         dualisers={**bad.dualisers, "j": (0, 1)},
     )
     assert any("distributive lattice" in m for m in validate(bad))
+
+
+def test_comparable_pairs_follow_the_index_order():
+    for name in ("IS1", "IS2", "IS3", "IS4"):
+        s = InvSemilatticeSystem(BASICS[name], {})
+        els = s.index.elements
+        assert s.comparable_pairs() == [(i, j) for i in els for j in els if s.leq(i, j)]
+
+
+def test_dpl_sum_of_a_validated_system_evaluates_nothing(monkeypatch):
+    # the class verdicts of the index and fibres are kept in their memos
+    system = system_from_json(system_to_json(build_U_system()))
+    u = get_algebra("U")
+    assert validate(system) == []
+    scans = []
+    monkeypatch.setattr(finalg, "_scan", lambda *args: scans.append(args))
+    summed = dpl_sum(system)
+    assert scans == []
+    assert is_isomorphic(summed, u)
 
 
 def test_dpl_sum_refuses_invalid_system():
