@@ -254,6 +254,9 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     """Present a De Morgan bisemilattice as a direct system over its
     involutive semilattice of D-classes; `dpl_sum` inverts this up to
     isomorphism."""
+    # past the cost limit this raises before the laws below run; band_of
+    # reads the verdict it keeps
+    is_class(algebra, "De Morgan bisemilattice")
     problems = check_ailnb(algebra)
     if problems:
         raise ValidationError(

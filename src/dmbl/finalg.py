@@ -15,7 +15,11 @@ runs a program (``_program``, cached by the tuple of terms): the terms as a
 flat list of ``(op, left, right)`` steps, children first, hash-consed so that
 structurally equal subterms are one step.  Each subterm ``s /\ (s \/ t)`` is
 one DOT step, which reads the table of x.y = x /\ (x \/ y), computed once
-per algebra (``decomp.band_of`` reads the same table).  A step over more than
+per algebra (``decomp.band_of`` reads the same table).  One compiled program
+serves :func:`satisfies`, :func:`is_class`, ``sweep.value_matrix`` and the
+sweeps of ``sweep``, and one node step, ``_step``, serves ``_run`` and
+``sweep.theory_partition``, as does one check of the errors in the order
+a pre-order walk meets them (``_checked_tables``).  A step over more than
 ``_CHUNK`` values reads its table as a flat array: entry ``left * n + right``
 (int16 codes while ``n * n <= 2**15``, int32 beyond) or, for ``~``, the
 argument's entry, through ``take`` one chunk of ``_CHUNK`` indices at a time;
@@ -49,12 +53,12 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .terms import Identity, Meet, Join, Neg, Term, Var, variables
+from .terms import Identity, Meet, Join, Neg, Term, Var
 
 __all__ = [
     "CONGRUENCE_COUNT_LIMIT",
@@ -233,38 +237,71 @@ class _Program:
     dots: bool
     plans: dict[int, tuple[list, list]] = field(default_factory=dict)
 
+    @cached_property
+    def levels(self) -> list[tuple[np.ndarray, ...]]:
+        """``(at, op, left, right)`` per level, lowest first: the level's
+        step numbers and their fields.  A VAR step is at level 0, any other
+        step one above its highest child."""
+        op, left, right = np.array(self.steps, dtype=np.int64).reshape(-1, 3).T
+        # raised until it holds, once per level; level[-1], read for a
+        # missing child, stays 0
+        level = np.zeros(len(op) + 1, dtype=np.int64)
+        while True:
+            up = np.where(op == _VAR, 0, 1 + np.maximum(level[left], level[right]))
+            if (up == level[:-1]).all():
+                break
+            level[:-1] = up
+        level = level[:-1]
+        order = np.argsort(level, kind="stable")
+        return [
+            (at, op[at], left[at], right[at])
+            for at in np.split(order, np.cumsum(np.bincount(level))[:-1])
+        ]
+
 
 @lru_cache(maxsize=256)
 def _program(terms: tuple[Term, ...], paired: bool) -> _Program:
     """The program of `terms`, see :class:`_Program`.  Every subterm
-    ``s /\\ (s \\/ t)``, the two s structurally equal, is one DOT step."""
-    names = sorted(set().union(*map(variables, terms)))
-    var = {v: i for i, v in enumerate(names)}
-    ids: dict[tuple[int, int, int], int] = {}  # step -> its number
+    ``s /\\ (s \\/ t)``, the two s structurally equal, is one DOT step.
+    ``_program.__wrapped__`` compiles without the cache, for term lists too
+    long to hash cheaply."""
+    ids: dict[tuple, int] = {}  # step -> its number; VAR steps keyed by name
+    var: dict[str, int] = {}  # name -> its VAR step
+    # keyed by id(): `terms` holds every subterm for the whole compile
+    done: dict[int, int] = {}
     checks: list = []
 
-    def step(key: tuple[int, int, int]) -> int:
+    def step(key: tuple) -> int:
         return ids.setdefault(key, len(ids))
 
     def visit(t: Term) -> int:
+        k = done.get(id(t))
+        if k is not None:
+            return k  # its checks are listed already
         if isinstance(t, Var):
-            checks.append(step((_VAR, var[t.name], -1)))
-            return checks[-1]
-        if isinstance(t, Neg):
+            k = var[t.name] = step((_VAR, t.name, -1))
+            checks.append(k)
+        elif isinstance(t, Neg):
             at = len(checks)
             checks.append(None)  # a ~ is met before its argument
-            checks[at] = step((_NEG, visit(t.child), -1))
-            return checks[at]
-        if isinstance(t, Meet) and isinstance(t.right, Join):
+            k = checks[at] = step((_NEG, visit(t.child), -1))
+        elif isinstance(t, Meet) and isinstance(t.right, Join):
             left, s, u = visit(t.left), visit(t.right.left), visit(t.right.right)
-            return step((_DOT, left, u) if s == left else (_MEET, left, step((_JOIN, s, u))))
-        if isinstance(t, (Meet, Join)):
-            return step((_MEET if isinstance(t, Meet) else _JOIN, visit(t.left), visit(t.right)))
-        raise TypeError(f"not a term: {t!r}")
+            k = step((_DOT, left, u) if s == left else (_MEET, left, step((_JOIN, s, u))))
+        elif isinstance(t, (Meet, Join)):
+            k = step((_MEET if isinstance(t, Meet) else _JOIN, visit(t.left), visit(t.right)))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        done[id(t)] = k
+        return k
 
     roots = tuple(visit(t) for t in terms)
-    dots = any(op == _DOT for op, _, _ in ids)
-    return _Program(tuple(ids), tuple(names), roots, paired, tuple(dict.fromkeys(checks)), dots)
+    names = sorted(var)
+    steps = list(ids)
+    for i, name in enumerate(names):
+        steps[var[name]] = (_VAR, i, -1)
+    dots = any(op == _DOT for op, _, _ in steps)
+    return _Program(tuple(steps), tuple(names), roots, paired, tuple(dict.fromkeys(checks)), dots)
 
 
 def _plan(prog: _Program, fixed: int) -> tuple[list, list]:
@@ -324,6 +361,41 @@ def _dot_table(A: FiniteAlgebra) -> np.ndarray:
     return np.take_along_axis(meet, join.astype(np.intp), axis=1)
 
 
+def _checked_tables(A: FiniteAlgebra, prog: _Program, grids: Sequence) -> tuple:
+    """The tables the steps of `prog` read, indexed by op.  Raises the
+    error a pre-order walk of the terms meets first, if any: a variable
+    whose entry of `grids` is None, or a ``~`` in an algebra without
+    negation."""
+    meet, join, neg = A.arrays()
+    for s in prog.checks:
+        op, v, _ = prog.steps[s]
+        if op == _VAR and grids[v] is None:
+            raise ValidationError(f"no assignment for variable {prog.names[v]!r}")
+        if op == _NEG and neg is None:
+            raise ValidationError(f"term uses ~ but {A.name} has no negation")
+    return None, neg, meet, join, _memoised(A, _dot_table) if prog.dots else None
+
+
+def _step(op: int, a: np.ndarray, b: np.ndarray | None, table: np.ndarray, n: int) -> np.ndarray:
+    """The values of a step with op `op` over the index arrays `a` and `b`
+    (`b` unread for ``~``), which broadcast against each other; `table` is
+    the op's table in an algebra of `n` elements.  A step over more than
+    ``_CHUNK`` values reads its table through :func:`_gather`: a binary step
+    entry ``a * n + b`` of the flat table, a ``~`` step entry `a` of `neg`.
+    Smaller steps index the table directly."""
+    if op == _NEG:
+        return _gather(table, a) if a.size > _CHUNK else table[a]
+    if a.size * b.size <= _CHUNK:
+        return table[a, b]
+    code = np.multiply(a, n, dtype=np.int16 if n * n <= 1 << 15 else np.int32)
+    if code.shape == np.broadcast_shapes(code.shape, b.shape):
+        np.add(code, b, out=code)  # a spans the result
+    else:
+        code = code + b
+    # the codes are this step's own, so int16 values can replace them
+    return _gather(table, code, code if code.dtype == table.dtype else None)
+
+
 def _run(
     A: FiniteAlgebra,
     prog: _Program,
@@ -338,42 +410,19 @@ def _run(
     elements in turn; their grids are replaced.  Returns ``(prefix, bad)``
     for the first block in which a pair differs, `bad` marking where, or
     None.  A term's value goes to ``out[i]`` for each term i it is the root
-    of, and is then read back from there.  A step over more than ``_CHUNK``
-    values reads its table through :func:`_gather`: a binary step entry
-    ``left * n + right`` of the flat table, a ``~`` step its argument's entry
-    of `neg`.  Smaller steps index the tables directly."""
-    n = A.size
-    meet, join, neg = A.arrays()
-    for s in prog.checks:
-        op, v, _ = prog.steps[s]
-        if op == _VAR and grids[v] is None:
-            raise ValidationError(f"no assignment for variable {prog.names[v]!r}")
-        if op == _NEG and neg is None:
-            raise ValidationError(f"term uses ~ but {A.name} has no negation")
-    tables = (None, neg, meet, join, _memoised(A, _dot_table) if prog.dots else None)
-    code_type = np.int16 if n * n <= 1 << 15 else np.int32
+    of, and is then read back from there.  Every step but a variable is one
+    :func:`_step`."""
+    tables = _checked_tables(A, prog, grids)
     first, later = _plan(prog, fixed)
     vals: list = [None] * len(prog.steps)
-    for block, prefix in enumerate(itertools.product(range(n), repeat=fixed)):
+    for block, prefix in enumerate(itertools.product(range(A.size), repeat=fixed)):
         for v, c in enumerate(prefix):
             grids[v] = np.array(c, dtype=np.int16)
         for s, op, left, right, pairs, rows, drop in later if block else first:
             if op == _VAR:
                 val = grids[left]
             else:
-                a, b, table = vals[left], vals[right], tables[op]
-                if op == _NEG:
-                    val = _gather(table, a) if a.size > _CHUNK else table[a]
-                elif a.size * b.size > _CHUNK:
-                    code = np.multiply(a, n, dtype=code_type)
-                    if code.shape == np.broadcast_shapes(code.shape, b.shape):
-                        np.add(code, b, out=code)  # a spans the result
-                    else:
-                        code = code + b
-                    # the codes are this step's own, so int16 values can replace them
-                    val = _gather(table, code, code if code.dtype == table.dtype else None)
-                else:
-                    val = table[a, b]
+                val = _step(op, vals[left], vals[right], tables[op], A.size)
             vals[s] = val
             for x, y in pairs:
                 bad = vals[x] != vals[y]

@@ -11,39 +11,41 @@ Terms are enumerated over the fixed variable pool x1..xk with every labelling
 full assignment grid, in C order with x1 slowest, matching the counterexample
 order of `finalg.satisfies`; `value_matrix` stacks one row per term.
 
-A term list is read as a graph of nodes, a `TermIndex`: one post-order walk
-numbers children before parents, left before right, and a subterm object
-shared by several terms once.  Each node has a level, 0 for a variable and
-otherwise one more than its highest child.  The index of
-``enumerate_terms(m, k)`` is walked once and cached by ``(m, k)``
-(`term_index`).
+A term list is read as `finalg`'s program (``finalg._program``): one flat
+list of hash-consed steps, children first, every ``s /\ (s \/ t)`` one step
+of x.y.  One compiled program serves `finalg.satisfies`, `finalg.is_class`,
+`value_matrix` and the sweeps here.  The program of ``enumerate_terms(m, k)``
+is compiled once and cached by ``(m, k)`` (`term_index`).  Each step has a
+level, 0 for a variable and otherwise one more than its highest child,
+derived once per program.
 
 Equal value rows are a congruence of the term algebra: the row of f(s, t)
-depends only on the rows of s and t.  So `theory_partition` labels nodes by
-class, level by level, without the matrix.  A node's code is its operation
+depends only on the rows of s and t.  So `theory_partition` labels steps by
+class, level by level, without the matrix.  A step's code is its operation
 and the classes of its children (its variable, for a variable); `np.unique`
 groups the codes of one level, and only a code not seen at a lower level is
-evaluated, by one flat-table gather per chunk of at most ``_VALUES`` values.
-Its row is interned by content.  The 8427 terms of at most 7 nodes over
-x1..x3 fall into at most 235 classes in each named algebra (235 in U) and
-1216 codes in U, so one row per class is kept and one per code computed.  `signatures`
-propagates occurrence bitmasks over the same levels.
+evaluated, by the node step of `finalg._run` (``finalg._step``), in
+batches of whole rows: as many as fit in ``finalg._BLOCK`` values, and at
+least one.  Its row is interned by content.  The 8427 terms of at most 7
+nodes over x1..x3 fall into at most 235 classes in each named algebra (235
+in U) and 1261 codes in U, so one row per class is kept and one per code
+computed.  `signatures` propagates occurrence bitmasks over the same levels.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .finalg import FiniteAlgebra, ValidationError, _canonical, _least, _program, _run
+from . import finalg
+from .finalg import FiniteAlgebra, ValidationError, _canonical, _checked_tables, _least
+from .finalg import _DOT, _MEET, _NEG, _VAR, _Program, _program, _run, _step
 from .terms import Identity, Meet, Join, Neg, Term, Var
 
 __all__ = [
-    "TermIndex",
     "enumerate_terms",
     "first_violation",
     "partition_ids",
@@ -85,73 +87,21 @@ def _enumerated_terms(max_nodes: int, num_vars: int) -> tuple[Term, ...]:
     return tuple(out)
 
 
-# node operations of a TermIndex
-VAR, NEG, MEET, JOIN = range(4)
-
-
-@dataclass(frozen=True, eq=False)
-class TermIndex:
-    """A term list as a graph of nodes numbered in post order.
-
-    Per node: `op` (VAR, NEG, MEET or JOIN), `left` (the argument of ``~``
-    or the left one) and `right` node ids, -1 where there is none, `var`
-    (an index into `names`, -1 for an operation) and `level`.  `roots` holds
-    the node of each listed term, `names` the variable names in the order
-    the walk first meets them."""
-
-    op: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    var: np.ndarray
-    level: np.ndarray
-    roots: np.ndarray
-    names: tuple[str, ...]
-
-    def levels(self) -> list[np.ndarray]:
-        """Node ids level by level, lowest level first."""
-        order = np.argsort(self.level, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(self.level))[:-1])
-
-
-def _walk(terms: Sequence[Term]) -> TermIndex:
-    """The index of any term list, by one post-order walk."""
-    # keyed by id(): `terms` holds every subterm for the whole walk
-    node: dict[int, int] = {}
-    names: dict[str, int] = {}
-    rows: list[tuple[int, int, int, int, int]] = []  # op, left, right, var, level
-
-    def visit(t: Term) -> int:
-        k = node.get(id(t))
-        if k is None:
-            if isinstance(t, Var):
-                row = (VAR, -1, -1, names.setdefault(t.name, len(names)), 0)
-            elif isinstance(t, Neg):
-                c = visit(t.child)
-                row = (NEG, c, -1, -1, rows[c][4] + 1)
-            elif isinstance(t, (Meet, Join)):
-                l, r = visit(t.left), visit(t.right)
-                op = MEET if isinstance(t, Meet) else JOIN
-                row = (op, l, r, -1, max(rows[l][4], rows[r][4]) + 1)
-            else:
-                raise TypeError(f"not a term: {t!r}")
-            k = node[id(t)] = len(rows)
-            rows.append(row)
-        return k
-
-    roots = np.array([visit(t) for t in terms], dtype=np.int64)
-    op, left, right, var, level = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
-    return TermIndex(op.astype(np.int8), left, right, var, level, roots, tuple(names))
-
-
-def term_index(max_nodes: int = 7, num_vars: int = 3) -> TermIndex:
-    """The index of ``enumerate_terms(max_nodes, num_vars)``, walked once per
-    pair of ints."""
+def term_index(max_nodes: int = 7, num_vars: int = 3) -> _Program:
+    """The program of ``enumerate_terms(max_nodes, num_vars)``, compiled once
+    per pair of ints."""
     return _enumerated_index(max_nodes, num_vars)
 
 
 @lru_cache(maxsize=8)
-def _enumerated_index(max_nodes: int, num_vars: int) -> TermIndex:
-    return _walk(enumerate_terms(max_nodes, num_vars))
+def _enumerated_index(max_nodes: int, num_vars: int) -> _Program:
+    # uncached: hashing thousands of terms for `_program`'s key costs more
+    # than compiling them
+    return _program.__wrapped__(enumerate_terms(max_nodes, num_vars), False)
+
+
+def _compiled(terms: Sequence[Term] | _Program) -> _Program:
+    return terms if isinstance(terms, _Program) else _program.__wrapped__(tuple(terms), False)
 
 
 def _grids(n: int, num_vars: int) -> dict[str, np.ndarray]:
@@ -176,55 +126,23 @@ def value_matrix(
     return out
 
 
-def _check(algebra: FiniteAlgebra, index: TermIndex, num_vars: int) -> None:
-    """Raise the ValidationError `value_matrix` raises first, if any: it
-    meets the nodes in pre-order, checking a variable's name and a ``~``'s
-    negation before it reads the argument."""
-    pool = {f"x{i}" for i in range(1, num_vars + 1)}
-    unknown = [i for i, name in enumerate(index.names) if name not in pool]
-    bad = np.isin(index.var, unknown)
-    if algebra.neg is None:
-        bad |= index.op == NEG
-    if not bad.any():
-        return
-    seen = np.zeros(len(bad), dtype=bool)
-    for root in index.roots.tolist():
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            if seen[v]:
-                continue
-            seen[v] = True
-            if bad[v] and index.op[v] == VAR:
-                name = index.names[index.var[v]]
-                raise ValidationError(f"no assignment for variable {name!r}")
-            if bad[v]:
-                raise ValidationError(f"term uses ~ but {algebra.name} has no negation")
-            stack.extend(int(k) for k in (index.right[v], index.left[v]) if k >= 0)
-
-
-# most values one gather of `theory_partition` computes at once
-_VALUES = 1 << 15
-
-
 def theory_partition(
-    algebra: FiniteAlgebra, terms: Sequence[Term] | TermIndex, num_vars: int = 3
+    algebra: FiniteAlgebra, terms: Sequence[Term] | _Program, num_vars: int = 3
 ) -> np.ndarray:
     """``partition_ids(value_matrix(algebra, terms, num_vars))``, computed one
     value row per term class.
 
-    `terms` is a term list, in any order, or its `TermIndex`.  Nodes are
-    classified level by level (see the module docstring): a code not seen
-    before is evaluated from its children's class rows, ``_VALUES`` values
-    at a time, and a new row gets a new class.  Raises the ValidationError
-    `value_matrix` raises first."""
-    index = terms if isinstance(terms, TermIndex) else _walk(terms)
-    _check(algebra, index, num_vars)
+    `terms` is a term list, in any order, or its program (`term_index`).
+    Steps are classified level by level (see the module docstring): a code
+    not seen before is evaluated from its children's class rows by
+    ``finalg._step``, the node step of ``finalg._run``, a batch of whole
+    rows at a time, and a new row gets a new class.  Raises the
+    ValidationError `value_matrix` raises first, through the same check."""
+    prog = _compiled(terms)
     n = algebra.size
-    dtype = np.int8 if n <= 127 else np.int16  # of values, as in value_matrix
-    meet, join, neg = (None if t is None else t.astype(dtype) for t in algebra.arrays())
-    flat = {MEET: meet.ravel(), JOIN: join.ravel()}
     grids = _grids(n, num_vars)
+    tables = _checked_tables(algebra, prog, [grids.get(v) for v in prog.names])
+    dtype = np.int8 if n <= 127 else np.int16  # of values, as in value_matrix
     shape = (n,) * num_vars
     width = n**num_vars
     rows = np.empty((16, width), dtype=dtype)  # class -> row, grown by doubling
@@ -243,45 +161,36 @@ def theory_partition(
 
     def evaluate(op: int, a: np.ndarray, b: np.ndarray) -> list[int]:
         # classes of the codes (op, a[i], b[i]), in order
-        if op == VAR:
-            names = [index.names[v] for v in a.tolist()]
+        if op == _VAR:
+            names = [prog.names[v] for v in a.tolist()]
             return intern(np.array([np.broadcast_to(grids[x], shape).ravel() for x in names], dtype))
         out: list[int] = []
-        step, span = max(1, _VALUES // width), min(width, _VALUES)
-        for s in range(0, len(a), step):
-            block = np.empty((len(a[s : s + step]), width), dtype=dtype)
-            for lo in range(0, width, span):
-                # one row, or whole rows: a contiguous slice either way
-                dst = block[:, lo : lo + span]
-                x = rows[a[s : s + step], lo : lo + span]
-                if op == NEG:
-                    neg.take(x, out=dst)
-                else:
-                    code = np.multiply(x, n, dtype=np.int16 if n * n <= 1 << 15 else np.int32)
-                    code += rows[b[s : s + step], lo : lo + span]
-                    flat[op].take(code, out=dst)
-            out += intern(block)
+        batch = max(1, finalg._BLOCK // width)  # whole rows
+        for s in range(0, len(a), batch):
+            x = rows[a[s : s + batch]]
+            y = None if op == _NEG else rows[b[s : s + batch]]
+            out += intern(_step(op, x, y, tables[op], n).astype(dtype, copy=False))
         return out
 
-    cls = np.empty(len(index.op), dtype=np.int64)  # node -> class
-    radix = len(index.op) + 1  # exceeds every class and variable id
+    cls = np.empty(len(prog.steps), dtype=np.int64)  # step -> class
+    radix = len(prog.steps) + 1  # exceeds every class and variable id
     # codes evaluated so far, sorted, behind a sentinel above every code
     seen = np.array([np.iinfo(np.int64).max])
     seen_cls = np.array([-1])
-    for at in index.levels():
-        op = index.op[at].astype(np.int64)
-        # cls[-1], read for a missing child, is masked out
-        a = np.where(op == VAR, index.var[at], cls[index.left[at]])
-        b = np.where(op >= MEET, cls[index.right[at]], 0)
+    for at, op, left, right in prog.levels:
+        # what is read at a missing child (-1) or at a variable's name index
+        # is masked out
+        a = np.where(op == _VAR, left, cls[left])
+        b = np.where(op >= _MEET, cls[right], 0)
         codes, inverse = np.unique((op * radix + a) * radix + b, return_inverse=True)
         pos = np.searchsorted(seen, codes)
         known = seen[pos] == codes
         found = seen_cls[pos]
         new = codes[~known]
         # sorted codes group by operation, their leading digit
-        bounds = np.searchsorted(new // (radix * radix), np.arange(JOIN + 2))
+        bounds = np.searchsorted(new // (radix * radix), np.arange(_DOT + 2))
         new_cls: list[int] = []
-        for o, lo, hi in zip(range(JOIN + 1), bounds, bounds[1:]):
+        for o, lo, hi in zip(range(_DOT + 1), bounds, bounds[1:]):
             if hi > lo:
                 new_cls += evaluate(o, new[lo:hi] // radix % radix, new[lo:hi] % radix)
         found[~known] = new_cls
@@ -289,28 +198,30 @@ def theory_partition(
         seen, seen_cls = np.concatenate((new, seen)), np.concatenate((found[~known], seen_cls))
         order = np.argsort(seen, kind="stable")
         seen, seen_cls = seen[order], seen_cls[order]
-    return _canonical(_least(cls[index.roots]))
+    return _canonical(_least(cls[np.array(prog.roots, dtype=np.int64)]))
 
 
-def signatures(terms: Sequence[Term] | TermIndex) -> list[tuple[int, int, int]]:
+def signatures(terms: Sequence[Term] | _Program) -> list[tuple[int, int, int]]:
     """(variable, positive, negative) occurrence bitmasks per term, x_i at
-    bit i - 1; `terms` is a term list or its `TermIndex`.  Level by level,
-    ``~`` swaps its argument's positive and negative masks, and ``∧``, ``∨``
-    take the union of their arguments' masks."""
-    index = terms if isinstance(terms, TermIndex) else _walk(terms)
-    bits = [1 << (int(name[1:]) - 1) for name in index.names]
+    bit i - 1; `terms` is a term list or its program (`term_index`).  Level
+    by level, ``~`` swaps its argument's positive and negative masks, and
+    ``∧``, ``∨`` and x.y take the union of their arguments' masks."""
+    prog = _compiled(terms)
+    bits = [1 << (int(name[1:]) - 1) for name in prog.names]
     # Python ints beyond 62 variables
     dtype = np.int64 if max(bits, default=0) < 1 << 62 else object
     bit = np.array(bits + [0], dtype=dtype)  # bit[-1] = 0, read for operations
-    pos = np.zeros(len(index.op), dtype=dtype)
-    neg = np.zeros(len(index.op), dtype=dtype)
-    for at in index.levels():
-        op, l, r = index.op[at], index.left[at], index.right[at]
-        # pos[-1] and neg[-1], read for a missing child, are masked out
-        is_neg = op == NEG
-        pos[at] = np.where(op == VAR, bit[index.var[at]], np.where(is_neg, neg[l], pos[l] | pos[r]))
-        neg[at] = np.where(is_neg, pos[l], np.where(op == VAR, 0, neg[l] | neg[r]))
-    p, m = pos[index.roots], neg[index.roots]
+    pos = np.zeros(len(prog.steps), dtype=dtype)
+    neg = np.zeros(len(prog.steps), dtype=dtype)
+    for at, op, l, r in prog.levels:
+        # what is read at a missing child (-1) or at a variable's name index
+        # is masked out
+        is_var, is_neg = op == _VAR, op == _NEG
+        own = bit[np.where(is_var, l, -1)]
+        pos[at] = np.where(is_var, own, np.where(is_neg, neg[l], pos[l] | pos[r]))
+        neg[at] = np.where(is_neg, pos[l], np.where(is_var, 0, neg[l] | neg[r]))
+    roots = np.array(prog.roots, dtype=np.int64)
+    p, m = pos[roots], neg[roots]
     return list(zip((p | m).tolist(), p.tolist(), m.tolist()))
 
 
@@ -327,9 +238,10 @@ def partition_ids(keys: Sequence) -> np.ndarray:
 
 
 def _aligned(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # pairs up labels as zip does, up to the shorter array
-    k = min(len(p), len(q))
-    return np.asarray(p)[:k], np.asarray(q)[:k]
+    p, q = np.asarray(p), np.asarray(q)
+    if len(p) != len(q):
+        raise ValidationError(f"cannot compare partitions of {len(p)} and {len(q)} elements")
+    return p, q
 
 
 def refines(p: np.ndarray, q: np.ndarray) -> bool:

@@ -32,7 +32,8 @@ from dmbl.sweep import (
     random_identity,
     refines,
     signatures,
-    value_matrix,
+    term_index,
+    theory_partition,
 )
 from dmbl.terms import parse_identity
 from dmbl.varieties import (
@@ -207,9 +208,9 @@ def test_criterion_05_balanced_preservation(capsys):
             systems.append(system)
     for system in systems:
         s = dpl_sum(system)
-        p_sum = partition_ids(value_matrix(s, terms))
+        p_sum = theory_partition(s, term_index())
         fibre_parts = [
-            partition_ids(value_matrix(bilateralise(f), terms)).tolist()
+            theory_partition(bilateralise(f), term_index()).tolist()
             for f in system.fibres.values()
         ]
         combined = partition_ids(

@@ -8,10 +8,10 @@ import time
 import pytest
 
 from dmbl import cli, sums
-from dmbl.catalog import build_U_system, entry
+from dmbl.catalog import build_U_system, entry, get_algebra
 from dmbl.cli import main
 from dmbl.decomp import decompose
-from dmbl.finalg import algebra_from_json, algebra_to_json, is_isomorphic, save_algebra
+from dmbl.finalg import algebra_from_json, algebra_to_json, is_isomorphic, power, save_algebra
 from dmbl.sums import save_system, system_to_json, validate
 
 
@@ -271,6 +271,18 @@ def test_decompose_to_stdout(capsys):
     assert len(data["fibres"]) == 4
     assert len(data["index"]["elements"]) == 4
     assert sorted(len(f["elements"]) for f in data["fibres"].values()) == [1, 2, 2, 4]
+
+
+def test_decompose_refuses_an_algebra_past_the_cost_limit_at_once(capsys, tmp_path):
+    # 729^3 assignments times the class axioms' steps; the laws of x.y would
+    # take seconds before that check
+    path = tmp_path / "u3.json"
+    save_algebra(power(get_algebra("U"), 3), str(path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--in", str(path))
+    assert time.perf_counter() - start < 3
+    assert code == 2 and not out
+    assert "729^3 assignments" in err and "above the limit" in err
 
 
 # ------------------------------------------------------------------- catalog

@@ -53,13 +53,9 @@ from dmbl.finalg import (
     si_quotient_flags,
     subalgebra_generated,
 )
+from dmbl.finalg import _JOIN, _MEET, _NEG, _VAR
 from dmbl.sums import bilateralise
 from dmbl.sweep import (
-    MEET,
-    NEG,
-    JOIN,
-    VAR,
-    _walk,
     enumerate_terms,
     first_violation,
     partition_ids,
@@ -1560,15 +1556,21 @@ def test_theory_partition_memory_is_bounded(monkeypatch):
 
 
 def test_theory_partition_does_not_depend_on_the_gather_chunk(monkeypatch):
-    # a row split into spans with a shorter last one, and the whole code list
-    # at once; U's rows are 9^3 values, the product's 243^2
+    # one row per batch, and at the defaults the whole code list (U's rows
+    # of 9^3 values) or 17 rows (the product's 243^2, read by int32 codes);
+    # batches are whole rows, so grid points with equal rows per batch are
+    # one case
     spaces = [(U, term_index(), 3), (product(product(U, U), IS3), term_index(4, 2), 2)]
     for a, index, k in spaces:
-        labels = [theory_partition(a, index, k)]
-        for chunk in (100, 2**40):
-            monkeypatch.setattr(sweep, "_VALUES", chunk)
-            labels.append(theory_partition(a, index, k))
-        assert all(np.array_equal(labels[0], x) for x in labels[1:]), a.name
+        labels = {"default": theory_partition(a, index, k)}
+        for chunk, block in _SCAN_GRID:
+            case = (chunk, max(1, block // a.size**k))
+            if case not in labels:
+                monkeypatch.setattr(finalg, "_CHUNK", chunk)
+                monkeypatch.setattr(finalg, "_BLOCK", block)
+                labels[case] = theory_partition(a, index, k)
+        assert len(labels) == 3
+        assert all(np.array_equal(labels["default"], x) for x in labels.values()), a.name
 
 
 # ---------------------------------------------------------- term space index
@@ -1584,41 +1586,49 @@ def _shuffled_shared_terms():
     return terms
 
 
-def _index_fields(index):
-    return [index.op, index.left, index.right, index.var, index.level, index.roots]
+def _step_fields(prog):
+    # op, left, right and level per step, as arrays
+    op, left, right = np.array(prog.steps, dtype=np.int64).reshape(-1, 3).T
+    level = np.empty(len(prog.steps), dtype=np.int64)
+    for depth, (at, *_) in enumerate(prog.levels):
+        level[at] = depth
+    return op, left, right, level
 
 
 def test_term_index_puts_children_before_parents():
-    for index in (term_index(), _walk(_shuffled_shared_terms())):
-        nodes = np.arange(len(index.op))
-        for child in (index.left, index.right):
-            has = child >= 0
-            assert (child[has] < nodes[has]).all()
-            assert (index.level[child[has]] < index.level[has]).all()
-        assert ((index.op == VAR) == (index.level == 0)).all()
-        assert ((index.op == VAR) == (index.var >= 0)).all()
+    for prog in (term_index(), finalg._program(tuple(_shuffled_shared_terms()), False)):
+        op, left, right, level = _step_fields(prog)
+        steps = np.arange(len(op))
+        for child, has in ((left, op != _VAR), (right, op >= _MEET)):
+            assert (child[has] < steps[has]).all()
+            assert (level[child[has]] < level[has]).all()
+        assert ((op == _VAR) == (level == 0)).all()
+        assert (right[op <= _NEG] == -1).all()
+        assert sorted(left[op == _VAR].tolist()) == list(range(len(prog.names)))
 
 
 def test_term_index_visits_a_shared_subterm_once():
     x1, neg_x2 = SHARED.left, SHARED.right
     twin = Meet(x1, Neg(neg_x2.child))  # equal to SHARED, but other objects
-    index = _walk([Join(SHARED, SHARED), Neg(SHARED), SHARED, twin])
-    # x1, x2, ~x2, SHARED, the join and the negation, then twin's ~x2 and itself
-    assert index.op.tolist() == [VAR, VAR, NEG, MEET, JOIN, NEG, NEG, MEET]
-    assert index.roots.tolist() == [4, 5, 3, 7]
-    assert index.left.tolist() == [-1, -1, 1, 0, 3, 3, 1, 0]
-    assert index.right.tolist() == [-1, -1, -1, 2, 3, -1, -1, 6]
-    assert index.level.tolist() == [0, 0, 1, 2, 3, 3, 1, 2]
-    assert index.names == ("x1", "x2")
+    prog = finalg._program((Join(SHARED, SHARED), Neg(SHARED), SHARED, twin), False)
+    # x1, x2, ~x2, SHARED, the join and the negation; twin is SHARED's step
+    op, left, right, level = _step_fields(prog)
+    assert op.tolist() == [_VAR, _VAR, _NEG, _MEET, _JOIN, _NEG]
+    assert prog.roots == (4, 5, 3, 3)
+    assert left.tolist() == [0, 1, 1, 0, 3, 3]
+    assert right.tolist() == [-1, -1, -1, 2, 3, -1]
+    assert level.tolist() == [0, 0, 1, 2, 3, 3]
+    assert prog.names == ("x1", "x2")
 
 
 @pytest.mark.parametrize("space", [(7, 3), (5, 2), (4, 1)])
 def test_cached_index_equals_a_walk_of_the_enumeration(space):
-    cached, walked = term_index(*space), _walk(enumerate_terms(*space))
-    assert cached is term_index(*space)
-    assert cached.names == walked.names
-    for got, want in zip(_index_fields(cached), _index_fields(walked)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    cached, walked = term_index(*space), finalg._program(enumerate_terms(*space), False)
+    assert cached is term_index(*space) and cached is not walked
+    for field in ("steps", "names", "roots", "paired", "checks", "dots"):
+        assert getattr(cached, field) == getattr(walked, field), field
+    for got, want in zip(cached.levels, walked.levels):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _signature_oracle(term):
@@ -1668,15 +1678,15 @@ def test_sweeps_of_the_enumerated_index_make_no_call_per_term():
 
 
 def test_importing_the_cli_builds_no_term_index():
-    code = (
-        "import dmbl.cli, dmbl.sweep as s; "
-        "print(s._enumerated_index.cache_info().currsize, s._enumerated_terms.cache_info().currsize)"
-    )
+    caches = ("s._enumerated_index", "s._enumerated_terms", "f._program", "f._class_program")
+    code = "import dmbl.cli, dmbl.sweep as s, dmbl.finalg as f; print(" + ", ".join(
+        f"{c}.cache_info().currsize" for c in caches
+    ) + ")"
     src = os.path.dirname(os.path.dirname(sweep.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"] * len(caches)
 
 
 # ------------------------------------------------- label partition comparisons
@@ -1715,9 +1725,32 @@ def test_partition_comparisons_match_the_loops(data):
     else:
         q = np.array(data.draw(labels), dtype=np.int64)
     q = q[: data.draw(st.integers(0, n))] if data.draw(st.booleans()) else q
+    if len(q) != n:
+        for compare in (refines, same_partition, first_violation):
+            for x, y in ((p, q), (q, p)):
+                with pytest.raises(ValidationError, match="cannot compare partitions"):
+                    compare(x, y)
+        return
     for x, y in ((p, q), (q, p)):
         assert refines(x, y) is _refines_loop(x, y)
         assert first_violation(x, y) == _first_violation_loop(x, y)
         got = first_violation(x, y)
         assert got is None or all(type(i) is int for i in got)
     assert same_partition(p, q) is (_refines_loop(p, q) and _refines_loop(q, p))
+
+
+def test_refines_rejects_label_arrays_of_different_lengths():
+    with pytest.raises(ValidationError, match="partitions of 3 and 2 elements"):
+        refines(np.array([0, 1, 2]), np.array([0, 0]))
+
+
+def test_same_partition_rejects_label_arrays_of_different_lengths():
+    # zip's truncation would find [0, 1, 2] and [0, 1] the same partition
+    with pytest.raises(ValidationError, match="partitions of 3 and 2 elements"):
+        same_partition([0, 1, 2], [0, 1])
+
+
+def test_first_violation_rejects_label_arrays_of_different_lengths():
+    # zip's truncation would find no violation of [0, 0, 0] by [0, 0]
+    with pytest.raises(ValidationError, match="partitions of 3 and 2 elements"):
+        first_violation(np.array([0, 0, 0]), np.array([0, 0]))

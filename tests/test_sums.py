@@ -42,7 +42,8 @@ from dmbl.sweep import (
     random_identity,
     refines,
     signatures,
-    value_matrix,
+    term_index,
+    theory_partition,
 )
 from dmbl.terms import parse, variables
 
@@ -436,7 +437,7 @@ _FIBRE_CACHE: dict = {}
 def _flat_partition(algebra):
     key = (algebra.meet, algebra.join, algebra.neg)
     if key not in _FIBRE_CACHE:
-        _FIBRE_CACHE[key] = partition_ids(value_matrix(algebra, TERMS))
+        _FIBRE_CACHE[key] = theory_partition(algebra, term_index())
     return _FIBRE_CACHE[key]
 
 
@@ -444,7 +445,7 @@ def _flat_partition(algebra):
 def test_balanced_regular_identities_lift_from_bilateralised_fibres(seed):
     sys_ = random_system(random.Random(1000 + seed))
     s = dpl_sum(sys_)
-    p_sum = partition_ids(value_matrix(s, TERMS))
+    p_sum = theory_partition(s, term_index())
     fibre_parts = [
         _flat_partition(bilateralise(f)).tolist() for f in sys_.fibres.values()
     ]
@@ -465,7 +466,7 @@ def test_non_balanced_regular_identities_fail_when_index_is_is4():
             continue
         found += 1
         s = dpl_sum(sys_)
-        p_sum = partition_ids(value_matrix(s, TERMS))
+        p_sum = theory_partition(s, term_index())
         p_br = partition_ids([(p, m) for _, p, m in SIG])
         # sum's theory only contains balanced regular identities
         assert refines(p_sum, p_br)
