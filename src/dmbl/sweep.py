@@ -25,8 +25,8 @@ class, level by level, without the matrix.  A step's code is its operation
 and the classes of its children (its variable, for a variable); `np.unique`
 groups the codes of one level, and only a code not seen at a lower level is
 evaluated, by the node step of `finalg._run` (``finalg._step``), in
-batches of whole rows: as many as fit in ``finalg._BLOCK`` values, and at
-least one.  Its row is interned by content.  The 8427 terms of at most 7
+batches of whole rows: as many as fit in one gather of ``finalg._CHUNK``
+values, and at least one.  Its row is interned by content.  The 8427 terms of at most 7
 nodes over x1..x3 fall into at most 235 classes in each named algebra (235
 in U) and 1261 codes in U, so one row per class is kept and one per code
 computed.  `signatures` propagates occurrence bitmasks over the same levels.
@@ -165,7 +165,7 @@ def theory_partition(
             names = [prog.names[v] for v in a.tolist()]
             return intern(np.array([np.broadcast_to(grids[x], shape).ravel() for x in names], dtype))
         out: list[int] = []
-        batch = max(1, finalg._BLOCK // width)  # whole rows
+        batch = max(1, finalg._CHUNK // width)  # whole rows, one gather each
         for s in range(0, len(a), batch):
             x = rows[a[s : s + batch]]
             y = None if op == _NEG else rows[b[s : s + batch]]

@@ -1556,19 +1556,18 @@ def test_theory_partition_memory_is_bounded(monkeypatch):
 
 
 def test_theory_partition_does_not_depend_on_the_gather_chunk(monkeypatch):
-    # one row per batch, and at the defaults the whole code list (U's rows
-    # of 9^3 values) or 17 rows (the product's 243^2, read by int32 codes);
-    # batches are whole rows, so grid points with equal rows per batch are
-    # one case
+    # batches of one row, of 22 rows with a shorter last one (U's rows of
+    # 9^3 values, at the default chunk) and of every new code of a level at
+    # once; the product's rows of 243^2 values read int32 codes.  Batches
+    # follow _CHUNK alone, so each _CHUNK of the grid is one case
     spaces = [(U, term_index(), 3), (product(product(U, U), IS3), term_index(4, 2), 2)]
     for a, index, k in spaces:
         labels = {"default": theory_partition(a, index, k)}
         for chunk, block in _SCAN_GRID:
-            case = (chunk, max(1, block // a.size**k))
-            if case not in labels:
-                monkeypatch.setattr(finalg, "_CHUNK", chunk)
-                monkeypatch.setattr(finalg, "_BLOCK", block)
-                labels[case] = theory_partition(a, index, k)
+            monkeypatch.setattr(finalg, "_CHUNK", chunk)
+            monkeypatch.setattr(finalg, "_BLOCK", block)
+            if chunk not in labels:
+                labels[chunk] = theory_partition(a, index, k)
         assert len(labels) == 3
         assert all(np.array_equal(labels["default"], x) for x in labels.values()), a.name
 
