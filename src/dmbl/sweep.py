@@ -165,7 +165,7 @@ def theory_partition(
             names = [prog.names[v] for v in a.tolist()]
             return intern(np.array([np.broadcast_to(grids[x], shape).ravel() for x in names], dtype))
         out: list[int] = []
-        batch = max(1, finalg._CHUNK // width)  # whole rows, one gather each
+        batch = max(1, finalg._CHUNK // width)  # whole rows, as many as one chunk holds
         for s in range(0, len(a), batch):
             x = rows[a[s : s + batch]]
             y = None if op == _NEG else rows[b[s : s + batch]]
