@@ -196,41 +196,35 @@ def band_of(algebra: FiniteAlgebra) -> Band:
 
 
 def greens(band: Band) -> GreenData:
-    """Compute and sanity-check Green's preorders and the D-classes."""
-    n, d = band.size, band.dot
-    leqL = tuple(tuple(d[a][b] == a for b in range(n)) for a in range(n))
-    leqR = tuple(tuple(d[b][a] == a for b in range(n)) for a in range(n))
-    leqD = tuple(
-        tuple(d[d[a][b]][a] == a for b in range(n)) for a in range(n)
-    )
-    leqH = tuple(
-        tuple(leqL[a][b] and leqR[a][b] for b in range(n)) for a in range(n)
-    )
+    """Compute and sanity-check Green's preorders and the D-classes, as
+    boolean arrays read off the band's table."""
+    d = np.array(band.dot)
+    a = np.arange(band.size)[:, None]
+    leqL, leqR, leqD = d == a, d.T == a, d[d, a] == a
+    leqH = leqL & leqR
 
-    for name, rel in (("L", leqL), ("R", leqR), ("D", leqD)):
-        r = np.array(rel, dtype=bool)
+    for name, r in (("L", leqL), ("R", leqR), ("D", leqD)):
         if not r.diagonal().all():
             raise ValidationError(f"leq{name} not reflexive at {np.argmin(r.diagonal())}")
         # fail[a, c]: a <= b <= c for some b, but not a <= c; the witness is
-        # the least such (a, b, c)
-        fail = (r @ r) & ~r
+        # the least such (a, b, c).  numpy's float32 product beats its bool one
+        fail = (r @ r.astype(np.float32) > 0) & ~r
         if fail.any():
             a = np.argmax(fail.any(axis=1))
             b = np.argmax(r[a] & (r & fail[a]).any(axis=1))
             c = np.argmax(r[b] & fail[a])
             raise ValidationError(f"leq{name} not transitive at ({a},{b},{c})")
-    h = np.array(leqH, dtype=bool)
-    if (h & h.T & ~np.eye(n, dtype=bool)).any():
+    if (leqH & leqH.T & ~np.eye(band.size, dtype=bool)).any():
         raise ValidationError("leqH not antisymmetric")
 
     # a D-class is a set of elements with the same row of D = leqD ∩ leqD^T
-    d = np.array(leqD, dtype=bool)
-    D = _partition(_row_keys(d & d.T))
+    D = _partition(_row_keys(leqD & leqD.T))
     # D is a congruence of the band and of its involution when present
     if not is_congruence(_reduct(band), D):
         raise ValidationError("D-classes not a congruence of the band")
 
-    return GreenData(leqL, leqR, leqD, leqH, D.blocks)
+    rows = lambda r: tuple(map(tuple, r.tolist()))
+    return GreenData(rows(leqL), rows(leqR), rows(leqD), rows(leqH), D.blocks)
 
 
 def check_ailnb(algebra: FiniteAlgebra) -> list[str]:
@@ -253,7 +247,9 @@ def check_ailnb(algebra: FiniteAlgebra) -> list[str]:
 def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     """Present a De Morgan bisemilattice as a direct system over its
     involutive semilattice of D-classes; `dpl_sum` inverts this up to
-    isomorphism."""
+    isomorphism.  The transitions and dualisers are read off the table of
+    x.y and the negation by whole-array passes, each failure raised in the
+    order of a loop over (i, j, a)."""
     # past the cost limit this raises before the laws below run; band_of
     # reads the verdict it keeps
     is_class(algebra, "De Morgan bisemilattice")
@@ -263,29 +259,23 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
             f"{algebra.name} is not decomposable:\n  - " + "\n  - ".join(problems)
         )
     band = band_of(algebra)
-    green = greens(band)
-    classes = green.d_classes
-    n = algebra.size
-    block_of = [0] * n
-    pos_in_class = [0] * n
-    for b, cls in enumerate(classes):
-        for p, x in enumerate(cls):
-            block_of[x] = b
-            pos_in_class[x] = p
-    names = algebra.elements
+    classes = greens(band).d_classes
+    names, nblocks = algebra.elements, len(classes)
     key_of = [names[cls[0]] for cls in classes]
-    nblocks = len(classes)
+    # `order` lists the elements class by class; bo and pos give each
+    # element's class and its place in it
+    order, size = np.concatenate(classes), [len(cls) for cls in classes]
+    starts = np.cumsum(size) - size
+    bo, pos = np.empty(algebra.size, np.intp), np.empty(algebra.size, np.intp)
+    bo[order] = np.repeat(np.arange(nblocks), size)
+    pos[order] = np.arange(len(order)) - np.repeat(starts, size)
 
     # index involutive semilattice: quotient of the band by D
-    index = _induced(
-        f"{algebra.name}/D", key_of, _reduct(band).arrays(),
-        [cls[0] for cls in classes], block_of,
-    )
-    idx_op, idx_neg = index.meet, index.neg
+    meet, join, neg = algebra.arrays()
+    dot = _memoised(algebra, _dot_table)
+    index = _induced(f"{algebra.name}/D", key_of, (dot, dot, neg), order[starts], bo)
 
     # fibres: the sliced <meet, join> tables, negation-free
-    meet, join, _ = algebra.arrays()
-    bo = np.array(block_of)
     fibres: dict[str, FiniteAlgebra] = {}
     for b, cls in enumerate(classes):
         square = np.ix_(cls, cls)
@@ -294,45 +284,33 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
                 f"D-class of {key_of[b]} not closed under the lattice inside"
             )
         fibres[key_of[b]] = _induced(
-            f"{algebra.name}[{key_of[b]}]", [names[x] for x in cls], (meet, join, None),
-            cls, pos_in_class,
+            f"{algebra.name}[{key_of[b]}]", [names[x] for x in cls], (meet, join, None), cls, pos,
         )
 
-    # transitions p_ij(a) = a.b for any b in class j; the choice of b must
-    # not matter -- checked, not assumed
-    transitions: dict[tuple[str, str], tuple[int, ...]] = {}
-    for i in range(nblocks):
-        for j in range(nblocks):
-            if idx_op[i][j] != j:
-                continue
-            table = []
-            for x in classes[i]:
-                images = {band.dot[x][b] for b in classes[j]}
-                if len(images) != 1:
-                    raise ValidationError(
-                        f"transition {key_of[i]} -> {key_of[j]} not well-defined "
-                        f"at {names[x]}"
-                    )
-                img = images.pop()
-                if block_of[img] != j:
-                    raise ValidationError(
-                        f"transition {key_of[i]} -> {key_of[j]} leaves the target class"
-                    )
-                table.append(pos_in_class[img])
-            transitions[(key_of[i], key_of[j])] = tuple(table)
+    # transitions p_ij(a) = a.b for any b in class j, checked not to depend
+    # on b: lo[x, j] and hi[x, j] are the least and greatest x.b over class
+    # j, and rows taken in `order` meet failures in the order (i, j, a)
+    lo, hi = (f.reduceat(dot[:, order], starts, axis=1) for f in (np.minimum, np.maximum))
+    le = np.array(index.meet) == np.arange(nblocks)
+    fail = le[bo[order]] & ((lo != hi) | (bo[lo] != np.arange(nblocks)))[order]
+    if fail.any():
+        r, j = min(zip(*np.nonzero(fail)), key=lambda rj: (bo[order[rj[0]]], rj[1], rj[0]))
+        x, i = order[r], bo[order[r]]
+        ill = lo[x, j] != hi[x, j]
+        why = f"not well-defined at {names[x]}" if ill else "leaves the target class"
+        raise ValidationError(f"transition {key_of[i]} -> {key_of[j]} {why}")
+    image = pos[lo].tolist()
+    transitions = {
+        (key_of[i], key_of[j]): tuple(image[x][j] for x in classes[i])
+        for i, j in zip(*np.nonzero(le))
+    }
 
     # dualisers: the algebra's own negation, restricted per class
-    dualisers: dict[str, tuple[int, ...]] = {}
-    for i in range(nblocks):
-        table = []
-        for x in classes[i]:
-            img = band.neg[x]
-            if block_of[img] != idx_neg[i]:
-                raise ValidationError(
-                    f"negation of {names[x]} leaves class ~{key_of[i]}"
-                )
-            table.append(pos_in_class[img])
-        dualisers[key_of[i]] = tuple(table)
+    bad = (bo[neg] != np.array(index.neg)[bo])[order]
+    if bad.any():
+        x = order[np.argmax(bad)]
+        raise ValidationError(f"negation of {names[x]} leaves class ~{key_of[bo[x]]}")
+    dualisers = {key_of[i]: tuple(pos[neg[list(cls)]].tolist()) for i, cls in enumerate(classes)}
 
     system = InvSemilatticeSystem(index, fibres, transitions, dualisers)
     problems = validate(system)

@@ -73,7 +73,6 @@ __all__ = [
     "congruences",
     "dual",
     "eval_term",
-    "homomorphism_failure",
     "is_class",
     "is_isomorphic",
     "is_subdirectly_irreducible",
@@ -402,9 +401,11 @@ def _run(
     grids: list,
     fixed: int = 0,
     out: np.ndarray | None = None,
+    tables: tuple | None = None,
 ) -> tuple[tuple[int, ...], np.ndarray] | None:
     """Run `prog` with variable i bound to the index array ``grids[i]``; the
-    arrays broadcast against each other, and so do the values.
+    arrays broadcast against each other, and so do the values.  `tables`,
+    indexed by op as :func:`_checked_tables` returns them, replace A's.
 
     The first `fixed` variables are fixed in each block, to each tuple of
     elements in turn; their grids are replaced.  Returns ``(prefix, bad)``
@@ -412,17 +413,19 @@ def _run(
     None.  A term's value goes to ``out[i]`` for each term i it is the root
     of, and is then read back from there.  Every step but a variable is one
     :func:`_step`."""
-    tables = _checked_tables(A, prog, grids)
+    if tables is None:
+        tables = _checked_tables(A, prog, grids)
+    n = len(tables[_MEET])
     first, later = _plan(prog, fixed)
     vals: list = [None] * len(prog.steps)
-    for block, prefix in enumerate(itertools.product(range(A.size), repeat=fixed)):
+    for block, prefix in enumerate(itertools.product(range(n), repeat=fixed)):
         for v, c in enumerate(prefix):
             grids[v] = np.array(c, dtype=np.int16)
         for s, op, left, right, pairs, rows, drop in later if block else first:
             if op == _VAR:
                 val = grids[left]
             else:
-                val = _step(op, vals[left], vals[right], tables[op], A.size)
+                val = _step(op, vals[left], vals[right], tables[op], n)
             vals[s] = val
             for x, y in pairs:
                 bad = vals[x] != vals[y]
@@ -1072,36 +1075,6 @@ def quotient(algebra: FiniteAlgebra, part: Congruence) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # homomorphisms and isomorphism
 
-def homomorphism_failure(
-    A: FiniteAlgebra, B: FiniteAlgebra, f: Sequence[int]
-) -> tuple[str, tuple[int, ...]] | None:
-    """Where the map ``f`` (element ``a`` of A to element ``f[a]`` of B) fails
-    to preserve an operation, or None when it is a homomorphism.
-
-    The failure is the first ``(operation, arguments)`` in this order: pairs
-    ``(a, b)`` row by row, ``"meet"`` before ``"join"`` at each pair, then
-    ``("neg", (a,))``.  Negation is checked only when both algebras have one.
-    """
-    f = np.asarray(f, dtype=np.intp)
-    if f.shape != (A.size,) or (f < 0).any() or (f >= B.size).any():
-        raise ValidationError(
-            f"a map {A.name} -> {B.name} needs {A.size} images in [0,{B.size})"
-        )
-    am, aj, an = A.arrays()
-    bm, bj, bn = B.arrays()
-    row, col = f[:, None], f[None, :]
-    # bad[a, b, k]: operation k fails at (a, b)
-    bad = np.stack((f[am] != bm[row, col], f[aj] != bj[row, col]), axis=-1)
-    if bad.any():
-        a, b, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return ("meet", "join")[k], (int(a), int(b))
-    if an is not None and bn is not None:
-        bad = f[an] != bn[f]
-        if bad.any():
-            return "neg", (int(np.argmax(bad)),)
-    return None
-
-
 def _generating_set(A: FiniteAlgebra) -> list[int]:
     # greedy small generating set
     gens: list[int] = []
@@ -1174,8 +1147,8 @@ def _homomorphisms(
 ) -> Iterator[tuple[int, ...]]:
     """Every homomorphism A -> B (the tuple of images of A's elements) that
     sends each generator g into ``images(g, f)``, f the partial map so far
-    (-1 where unset), in the lexicographic order of the candidates; as in
-    :func:`homomorphism_failure`, negation counts only if B has one too."""
+    (-1 where unset), in the lexicographic order of the candidates;
+    negation counts only if B has one too."""
     if B.neg is None and A.neg is not None:
         A = FiniteAlgebra(A.name, A.elements, A.meet, A.join)
     gens = _memoised(A, _generating_set)

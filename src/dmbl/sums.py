@@ -7,6 +7,11 @@ a transition map ``p[i->j]`` for every comparable pair, and a dualiser
 and returns violations as data; :func:`dpl_sum` builds the summed algebra,
 whose operations route both arguments into the fibre at the join of their
 indices and whose negation sends the fibre at ``i`` through ``n[i]``.
+
+Both work on one flat form of the system (:func:`_flat`): the carrier of the
+sum, the fibres' tables block-diagonal on it, every transition as one column
+of ``route`` and the dualisers as one map, so that each check and each table
+of the sum is a whole-system array pass rather than a loop over maps.
 """
 
 from __future__ import annotations
@@ -15,16 +20,21 @@ import json
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .finalg import (
+    _BLOCK,
     FiniteAlgebra,
     ValidationError,
+    _class_program,
     _homomorphisms,
+    _run,
     algebra_from_json,
     algebra_to_json,
     dual,
-    homomorphism_failure,
     is_class,
     product,
 )
@@ -61,28 +71,109 @@ class InvSemilatticeSystem:
         return self.index.join[a][b] == b
 
     def comparable_pairs(self) -> list[tuple[str, str]]:
-        return _comparable(self.index, _order(self.index))
+        els = self.index.elements
+        return [(els[a], els[b]) for a, b in zip(*np.nonzero(_order(self.index)))]
 
     def neg_of(self, i: str) -> str:
         a = self.index.index(i)
         return self.index.elements[self.index.neg[a]]  # type: ignore[index]
 
 
-def _order(index: FiniteAlgebra) -> list[list[bool]]:
+def _order(index: FiniteAlgebra) -> np.ndarray:
     # the index order as a boolean matrix: a <= b iff a \/ b = b
-    return [[row[b] == b for b in range(index.size)] for row in index.join]
+    return np.array(index.join) == np.arange(index.size)
 
 
-def _comparable(index: FiniteAlgebra, le: list[list[bool]]) -> list[tuple[str, str]]:
-    els = index.elements
-    return [(els[a], els[b]) for a, row in enumerate(le) for b, x in enumerate(row) if x]
+def _block_diagonal(algebras: Sequence[FiniteAlgebra]) -> tuple[np.ndarray, ...]:
+    """Offsets and block-diagonal meet, join and neg tables of `algebras`
+    side by side: element a of the k-th is ``off[k] + a``; off-block entries
+    are 0, and neg is the identity on an algebra without one."""
+    off = np.cumsum([0] + [A.size for A in algebras])
+    meet = np.zeros((off[-1], off[-1]), dtype=np.int16)
+    join, neg = meet.copy(), np.arange(off[-1])
+    for o, A in zip(off, algebras):
+        m, j, g = A.arrays()
+        block = slice(o, o + A.size)
+        meet[block, block], join[block, block] = m + o, j + o
+        if g is not None:
+            neg[block] = g + o
+    return off, meet, join, neg
+
+
+def _flat(system: InvSemilatticeSystem) -> SimpleNamespace:
+    """The system on the carrier of its sum, its fibres side by side in index
+    order (`off` their offsets, ``fib[g]`` g's fibre), with the fibres'
+    tables as in :func:`_block_diagonal` (`negs` says which fibres have a
+    negation); ``route[g, k]`` is p[fib(g)->k](g), and ``dual[g]`` the
+    dualiser's image of g, each -1 where the map is missing or malformed.
+    The transition keys must be the index's comparable pairs."""
+    idx, els = system.index, system.index.elements
+    at, F = {e: k for k, e in enumerate(els)}, [system.fibres[i] for i in els]
+    is_map = lambda p, A, B: len(p) == A.size and 0 <= min(p) and max(p) < B.size
+    off, meet, join, neg = _block_diagonal(F)
+    route = np.full((off[-1], len(els)), -1)
+    for (i, j), p in system.transitions.items():
+        a, b = at[i], at[j]
+        if is_map(p, F[a], F[b]):
+            route[off[a] : off[a + 1], b] = np.add(p, off[b])
+    dual = np.full(off[-1], -1)
+    for i, d in system.dualisers.items():
+        a = at.get(i)
+        if a is not None and is_map(d, F[a], F[idx.neg[a]]):
+            dual[off[a] : off[a + 1]] = np.add(d, off[idx.neg[a]])
+    return SimpleNamespace(
+        off=off, fib=np.repeat(np.arange(len(els)), np.diff(off)), meet=meet, join=join, neg=neg,
+        negs=np.array([A.neg is not None for A in F]), route=route, dual=dual,
+    )
+
+
+def _firsts(bad: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
+    """``first[i, c]``: the least row r of `bad` with ``group[r] == i`` and
+    ``bad[r, c]``, or -1 where there is none."""
+    r, c = np.nonzero(bad)
+    first = np.full((groups, bad.shape[1]), len(bad))
+    np.minimum.at(first, (group[r], c), r)
+    return np.where(first < len(bad), first, -1)
+
+
+def _check_fibres(fibres: Iterable[FiniteAlgebra]) -> None:
+    """Put each fibre's distributive-lattice verdict in its memo, where
+    `is_class` keeps it.  The class's program runs once over the in-fibre
+    assignments of the distinct tables without one, stacked on their
+    block-diagonal tables, which a fibre's values never leave; the rows and
+    the tables' entries stay within ``_BLOCK``.  `is_class` checks the rest,
+    and names the failing tables one by one when that run fails."""
+    cls = "distributive lattice"
+    todo: dict[tuple, list[FiniteAlgebra]] = {}
+    for F in fibres:
+        if cls not in F._memo.get(is_class, {}):
+            todo.setdefault((F.meet, F.join), []).append(F)
+    sizes = np.array([same[0].size for same in todo.values()], dtype=np.int64)
+    fits = (np.cumsum(sizes**3) <= _BLOCK) & (np.cumsum(sizes) ** 2 <= _BLOCK)
+    batch = [same for same, fit in zip(todo.values(), fits) if fit]
+    if not batch:
+        return
+    off, meet, join, _ = _block_diagonal([same[0] for same in batch])
+    cubes = [o + np.indices((same[0].size,) * 3).reshape(3, -1) for o, same in zip(off, batch)]
+    grids = list(np.concatenate(cubes, axis=1).astype(np.int16))
+    dot = np.take_along_axis(meet, join.astype(np.intp), axis=1)
+    run = _run(None, _class_program(cls), grids, tables=(None, None, meet, join, dot))
+    for same in batch:
+        verdict = run is None or is_class(same[0], cls)
+        for F in same:
+            F._memo.setdefault(is_class, {})[cls] = verdict
 
 
 def validate(system: InvSemilatticeSystem) -> list[str]:
     """All axiom violations, each a human-readable string with a witness.
 
-    An empty list means the system is valid.
-    """
+    An empty list means the system is valid.  The key, length and range
+    checks come first, each ending the list where it fails.  The fibres run
+    their class check as one batch (:func:`_check_fibres`); the maps are
+    checked by array comparisons over the flat form (:func:`_flat`), in
+    arrays no larger than it or ``_BLOCK`` rows, each map reporting its first
+    failure: pairs (a, b) row by row, meet before join, then negation where
+    both fibres have one."""
     out: list[str] = []
     idx = system.index
     if idx.neg is None:
@@ -90,167 +181,129 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
     if not is_class(idx, "involutive semilattice"):
         out.append("index is not an involutive semilattice")
 
-    els = idx.elements
-    if set(system.fibres) != set(els):
-        missing = set(els) - set(system.fibres)
-        extra = set(system.fibres) - set(els)
-        out.append(f"fibre keys mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-        return out
-    for i, F in system.fibres.items():
+    els, fibres = idx.elements, system.fibres
+    if set(fibres) != set(els):
+        miss, extra = set(els) - set(fibres), set(fibres) - set(els)
+        return out + [f"fibre keys mismatch (missing {sorted(miss)}, extra {sorted(extra)})"]
+    _check_fibres(fibres.values())
+    for i, F in fibres.items():
         if F.neg is not None:
             out.append(f"fibre at {i} must be negation-free")
         if not is_class(F, "distributive lattice"):
             out.append(f"fibre at {i} is not a distributive lattice")
 
-    le = _order(idx)
-    pairs = _comparable(idx, le)
-    if set(system.transitions) != set(pairs):
-        missing = set(pairs) - set(system.transitions)
-        extra = set(system.transitions) - set(pairs)
-        out.append(
-            f"transition keys mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
-        )
-        return out
+    pairs = set(system.comparable_pairs())
+    if set(system.transitions) != pairs:
+        miss, extra = pairs - set(system.transitions), set(system.transitions) - pairs
+        return out + [f"transition keys mismatch (missing {sorted(miss)}, extra {sorted(extra)})"]
 
-    for (i, j), p in system.transitions.items():
-        Fi, Fj = system.fibres[i], system.fibres[j]
-        if len(p) != Fi.size or any(not 0 <= v < Fj.size for v in p):
-            out.append(f"transition {i}->{j} is not a map F({i}) -> F({j})")
-            return out
-        if i == j and any(p[a] != a for a in range(Fi.size)):
+    f = _flat(system)
+    route, d, m, at = f.route, f.dual, len(els), {e: k for k, e in enumerate(els)}
+    ar, names = np.arange(len(f.fib)), [x for i in els for x in fibres[i].elements]
+    sizes, up = np.diff(f.off), route >= 0
+
+    def failures(src: np.ndarray, dst: np.ndarray, image, tables) -> list:
+        # each map u's first failure (operation, witness), u: F(src[u]) -> by
+        # image(x, dst[u]): pairs (g, h) row by row under each (source, target)
+        # pair of tables, then elements under ~ where both fibres have one
+        n2, n1 = sizes[src] ** 2, sizes[src]
+        if n2.sum() > _BLOCK and len(src) > 1:  # halve, to keep the rows bounded
+            parts = np.array_split(np.arange(len(src)), 2)
+            return [r for p in parts for r in failures(src[p], dst[p], image, tables)]
+        u2, u1 = (np.repeat(np.arange(len(src)), c) for c in (n2, n1))
+        q = np.arange(n2.sum()) - np.repeat(np.cumsum(n2) - n2, n2)
+        g, h = f.off[src][u2] + q // n1[u2], f.off[src][u2] + q % n1[u2]
+        x = f.off[src][u1] + np.arange(n1.sum()) - np.repeat(np.cumsum(n1) - n1, n1)
+        y, k2 = image(x, dst[u1]), dst[u2]
+        bad = [image(t[g, h], k2) != s[image(g, k2), image(h, k2)] for t, s in tables]
+        neg = f.negs[f.fib[x]] & f.negs[f.fib[y]] & (image(f.neg[x], dst[u1]) != f.neg[y])
+        rows = np.concatenate([np.stack(bad, axis=1).ravel(), neg])
+        first = _firsts(rows[:, None], np.concatenate([np.repeat(u2, 2), u1]), len(src))[:, 0]
+        witness = lambda *v: "(" + ",".join(names[w] for w in v) + ")"
+        return [
+            None if r < 0 else (("meet", "join")[r % 2], witness(g[r // 2], h[r // 2]))
+            if r < 2 * len(g) else ("neg", witness(x[r - 2 * len(g)]))
+            for r in first.tolist()
+        ]
+
+    ta, tb = np.nonzero(_order(idx))
+    hom = failures(ta, tb, lambda x, k: route[x, k], ((f.meet, f.meet), (f.join, f.join)))
+    hom = dict(zip(zip(ta.tolist(), tb.tolist()), hom))
+    ident = _firsts((route[ar, f.fib] != ar)[:, None], f.fib, m)[:, 0]
+    for i, j in system.transitions:
+        a, b = at[i], at[j]
+        if route[f.off[a], b] < 0:  # the flat form holds only maps
+            return out + [f"transition {i}->{j} is not a map F({i}) -> F({j})"]
+        if i == j and ident[a] >= 0:
             out.append(f"transition {i}->{i} is not the identity")
-        failure = homomorphism_failure(Fi, Fj, p)
-        if failure is not None:
-            op, args = failure
-            out.append(
-                f"transition {i}->{j} not a {op}-homomorphism at "
-                f"({','.join(Fi.elements[a] for a in args)})"
-            )
+        if hom[a, b]:
+            op, where = hom[a, b]
+            out.append(f"transition {i}->{j} not a {op}-homomorphism at {where}")
 
-    for i, j in pairs:
-        for k, above in zip(els, le[idx.index(j)]):
-            if above:
-                pij = system.transitions[(i, j)]
-                pjk = system.transitions[(j, k)]
-                pik = system.transitions[(i, k)]
-                for a in range(system.fibres[i].size):
-                    if pjk[pij[a]] != pik[a]:
-                        out.append(
-                            f"functoriality fails: p[{j}->{k}] o p[{i}->{j}] != "
-                            f"p[{i}->{k}] at {system.fibres[i].elements[a]}"
-                        )
-                        break
+    # per j, so that the arrays stay N x m: p[j->k](p[i->j](g)) != p[i->k](g)
+    fun: dict[tuple, int] = {}
+    for b, above in enumerate(_order(idx)):
+        rows = np.flatnonzero(up[:, b])
+        for r, c in zip(*np.nonzero(above & (route[route[rows, b]] != route[rows]))):
+            fun.setdefault((f.fib[rows[r]], b, c), rows[r])
+    for (a, b, c), g in sorted(fun.items()):
+        i, j, k = els[a], els[b], els[c]
+        out.append(f"functoriality fails: p[{j}->{k}] o p[{i}->{j}] != p[{i}->{k}] at {names[g]}")
 
     if set(system.dualisers) != set(els):
-        out.append("dualiser keys must be exactly the index elements")
-        return out
-    neg_of = dict(zip(els, (els[a] for a in idx.neg)))
-    for i in els:
-        ni = neg_of[i]
-        n = system.dualisers[i]
-        if len(n) != system.fibres[i].size or any(
-            not 0 <= v < system.fibres[ni].size for v in n
-        ):
-            out.append(f"dualiser at {i} is not a map F({i}) -> F({ni})")
-            return out
-    for i in els:
-        ni = neg_of[i]
-        n = system.dualisers[i]
-        Fi, Fni = system.fibres[i], system.fibres[ni]
-        if len(set(n)) != Fi.size or Fi.size != Fni.size:
+        return out + ["dualiser keys must be exactly the index elements"]
+    for a, i in enumerate(els):
+        if d[f.off[a]] < 0:
+            return out + [f"dualiser at {i} is not a map F({i}) -> F({els[idx.neg[a]]})"]
+    inverse = _firsts((d[d] != ar)[:, None], f.fib, m)[:, 0]
+    own = np.arange(m)
+    anti = failures(own, own, lambda x, k: d[x], ((f.meet, f.join), (f.join, f.meet)))
+    for a, i in enumerate(els):
+        ni = els[idx.neg[a]]
+        if len(set(system.dualisers[i])) != fibres[i].size or fibres[i].size != fibres[ni].size:
             out.append(f"dualiser at {i} is not a bijection")
             continue
-        back = system.dualisers[ni]
-        if any(back[n[a]] != a for a in range(Fi.size)):
+        if inverse[a] >= 0:
             out.append(f"dualiser at {ni} is not the inverse of the one at {i}")
-        failure = homomorphism_failure(Fi, dual(Fni), n)
-        if failure is not None:
-            out.append(
-                f"dualiser at {i} is not an isomorphism onto the dual "
-                f"(fails at ({','.join(Fi.elements[a] for a in failure[1])}))"
-            )
+        if anti[a]:
+            where = anti[a][1]
+            out.append(f"dualiser at {i} is not an isomorphism onto the dual (fails at {where})")
 
-    for i, j in pairs:
-        ni, nj = neg_of[i], neg_of[j]
-        if (ni, nj) not in system.transitions:
-            continue  # already reported above
-        p = system.transitions[(i, j)]
-        pn = system.transitions[(ni, nj)]
-        for a in range(system.fibres[i].size):
-            if system.dualisers[j][p[a]] != pn[system.dualisers[i][a]]:
-                out.append(
-                    f"equivariance fails between {i}->{j} and {ni}->{nj} at "
-                    f"{system.fibres[i].elements[a]}"
-                )
-                break
+    # [g, j]: n[j](p[i->j](g)) != p[~i->~j](n[i](g)), where ~i <= ~j
+    mirror = route[d][:, list(idx.neg)]
+    eq = _firsts(up & (mirror >= 0) & (d[route] != mirror), f.fib, m)
+    for (a, b), g in zip(np.argwhere(eq >= 0), eq[eq >= 0]):
+        i, j, ni, nj = els[a], els[b], els[idx.neg[a]], els[idx.neg[b]]
+        out.append(f"equivariance fails between {i}->{j} and {ni}->{nj} at {names[g]}")
     return out
 
 
-def _require_valid(system: InvSemilatticeSystem) -> None:
-    violations = validate(system)
+def _require_valid(violations: list[str]) -> None:
     if violations:
-        raise ValidationError(
-            "invalid system:\n" + "\n".join("  - " + v for v in violations)
-        )
+        raise ValidationError("invalid system:\n" + "\n".join("  - " + v for v in violations))
 
 
-def _assemble(
-    idx: FiniteAlgebra,
-    fibres: Mapping[str, FiniteAlgebra],
-    transitions: Mapping[tuple[str, str], Sequence[int]],
-    dualisers: Mapping[str, Sequence[int]] | None,
-    name: str,
-) -> FiniteAlgebra:
-    els = idx.elements
-    offsets: dict[str, int] = {}
-    names: list[str] = []
-    fib_of: list[str] = []
-    local: list[int] = []
-    for i in els:
-        offsets[i] = len(names)
-        F = fibres[i]
-        for a, nm in enumerate(F.elements):
-            names.append(f"({i},{nm})")
-            fib_of.append(i)
-            local.append(a)
-    n = len(names)
-    jidx = {e: k for k, e in enumerate(els)}
-
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for g in range(n):
-        for h in range(n):
-            i, j = fib_of[g], fib_of[h]
-            k = els[idx.join[jidx[i]][jidx[j]]]
-            Fk = fibres[k]
-            a = transitions[(i, k)][local[g]]
-            b = transitions[(j, k)][local[h]]
-            meet[g][h] = offsets[k] + Fk.meet[a][b]
-            join[g][h] = offsets[k] + Fk.join[a][b]
-    neg = None
-    if dualisers is not None:
-        neg = [0] * n
-        for g in range(n):
-            i = fib_of[g]
-            ni = els[idx.neg[jidx[i]]]  # type: ignore[index]
-            neg[g] = offsets[ni] + dualisers[i][local[g]]
-    return FiniteAlgebra(name, names, meet, join, neg)
+def _assemble(system: InvSemilatticeSystem, name: str, negation: bool = True) -> FiniteAlgebra:
+    # meet[g, h] = M[rg[g, h], rg[h, g]], rg[g, h] = route[g, k] with k the
+    # (commutative) index join of fib(g) and fib(h); join likewise, neg = dual
+    f = _flat(system)
+    k = np.array(system.index.join)[f.fib[:, None], f.fib]
+    rg = np.take_along_axis(f.route, k, axis=1)
+    names = [f"({i},{x})" for i in system.index.elements for x in system.fibres[i].elements]
+    neg = f.dual.tolist() if negation else None
+    return FiniteAlgebra(name, names, f.meet[rg, rg.T].tolist(), f.join[rg, rg.T].tolist(), neg)
 
 
 def dpl_sum(system: InvSemilatticeSystem, name: str | None = None) -> FiniteAlgebra:
     """The sum algebra of a valid system.
 
     Elements are named "(i,x)" for index element i and fibre element x; their
-    order follows the index order, then the fibre order.
+    order follows the index order, then the fibre order, as in the flat form.
+    With k the index join of g's and h's fibres, the meet of g and h is the
+    fibre meet of ``route[g, k]`` and ``route[h, k]``: three gathers per table.
     """
-    _require_valid(system)
-    return _assemble(
-        system.index,
-        system.fibres,
-        system.transitions,
-        system.dualisers,
-        name or f"DPl[{system.index.name}]",
-    )
+    _require_valid(validate(system))
+    return _assemble(system, name or f"DPl[{system.index.name}]")
 
 
 def plonka_sum(
@@ -294,12 +347,8 @@ def plonka_sum(
     # with them attached and discard exactly the dualiser complaints.
     duals = {i: tuple(range(F.size)) for i, F in fibres.items()}
     probe = InvSemilatticeSystem(idx, dict(fibres), trans, duals)
-    plain = [v for v in validate(probe) if not v.startswith("dualiser")]
-    if plain:
-        raise ValidationError(
-            "invalid system:\n" + "\n".join("  - " + v for v in plain)
-        )
-    return _assemble(idx, fibres, trans, None, name or f"Pl[{index.name}]")
+    _require_valid([v for v in validate(probe) if not v.startswith("dualiser")])
+    return _assemble(probe, name or f"Pl[{index.name}]", negation=False)
 
 
 def bilateralise(algebra: FiniteAlgebra) -> FiniteAlgebra:

@@ -3,16 +3,26 @@
 import hashlib
 import json
 import os
+import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dmbl import cli, sums
 from dmbl.catalog import build_U_system, entry, get_algebra
 from dmbl.cli import main
 from dmbl.decomp import decompose
-from dmbl.finalg import algebra_from_json, algebra_to_json, is_isomorphic, power, save_algebra
-from dmbl.sums import save_system, system_to_json, validate
+from dmbl.finalg import (
+    algebra_from_json,
+    algebra_to_json,
+    is_isomorphic,
+    power,
+    product,
+    save_algebra,
+)
+from dmbl.sums import random_system, save_system, system_to_json, validate
 
 
 def run(capsys, *argv):
@@ -262,6 +272,53 @@ def test_malformed_input_file_is_a_validation_error(capsys, tmp_path, command, p
     code, _, err = run(capsys, command, flag, str(file))
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _paths(blob, at=()):
+    # every place in a JSON value, the value itself first
+    yield at
+    if isinstance(blob, (dict, list)):
+        for key, value in blob.items() if isinstance(blob, dict) else enumerate(blob):
+            yield from _paths(value, at + (key,))
+
+
+_SYSTEMS = {
+    "U": system_to_json(build_U_system()),
+    "A5": system_to_json(decompose(entry("A5").algebra)),
+    "IS3xIS2": system_to_json(random_system(
+        random.Random(5), [product(get_algebra("IS3"), get_algebra("IS2"))],
+        [get_algebra("D2"), product(get_algebra("D2"), get_algebra("D2"))],
+    )),
+}
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_sum_of_a_mutated_system_is_a_result_or_an_error(capsys, tmp_path, data):
+    # 1-3 mutations of a valid system's JSON: a key deleted, a value set to
+    # -1, the length of its list, a string, a float, null or [], or a list
+    # shortened; `dmbl sum` answers each with a sum (0) or an error (2)
+    blob = json.loads(json.dumps(_SYSTEMS[data.draw(st.sampled_from(sorted(_SYSTEMS)))]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *where, last = data.draw(st.sampled_from([p for p in _paths(blob) if p]))
+        parent = blob
+        for key in where:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from(["delete", "set", "shorten"]))
+        if kind == "delete":
+            del parent[last]
+        elif kind == "set":
+            parent[last] = data.draw(st.sampled_from([-1, len(parent), "a", 0.5, None, []]))
+        elif isinstance(parent[last], list) and parent[last]:
+            parent[last].pop()
+    file = tmp_path / "system.json"
+    file.write_text(json.dumps(blob))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sum", "--system", str(file))
+    assert time.perf_counter() - start < 5
+    assert code == 0 or (code == 2 and err.startswith("error:") and "Traceback" not in err)
 
 
 def test_decompose_to_stdout(capsys):

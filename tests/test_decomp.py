@@ -4,6 +4,7 @@ and the placement of the index semilattice."""
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from dmbl import finalg as finalg_module
 from dmbl.catalog import build_basics, catalog_entries, dagger, get_algebra
 from dmbl.decomp import (
     Band,
+    GreenData,
     band_of,
     check_ailnb,
     decompose,
@@ -27,9 +29,10 @@ from dmbl.finalg import (
     ValidationError,
     congruences_ops,
     is_isomorphic,
+    product,
     satisfies,
 )
-from dmbl.sums import dpl_sum, random_system
+from dmbl.sums import dpl_sum, random_system, system_to_json
 from dmbl.terms import parse
 
 
@@ -89,6 +92,16 @@ def _d_classes_by_loop(band):
     return tuple(classes)
 
 
+def _preorders_by_loop(band):
+    # leqL, leqR, leqD and leqH one pair at a time
+    n, d = band.size, band.dot
+    leqL = tuple(tuple(d[a][b] == a for b in range(n)) for a in range(n))
+    leqR = tuple(tuple(d[b][a] == a for b in range(n)) for a in range(n))
+    leqD = tuple(tuple(d[d[a][b]][a] == a for b in range(n)) for a in range(n))
+    leqH = tuple(tuple(leqL[a][b] and leqR[a][b] for b in range(n)) for a in range(n))
+    return leqL, leqR, leqD, leqH
+
+
 @pytest.mark.parametrize("name", [e.name for e in catalog_entries()] + ["U"])
 def test_d_classes_match_the_loop_on_catalog(name):
     band = band_of(get_algebra(name))
@@ -100,6 +113,24 @@ def test_d_classes_match_the_loop_on_catalog(name):
 def test_d_classes_match_the_loop_on_random_sums(seed):
     band = band_of(dpl_sum(random_system(random.Random(seed))))
     assert greens(band).d_classes == _d_classes_by_loop(band)
+
+
+def _preorders_of(band):
+    g = greens(band)
+    return g.leqL, g.leqR, g.leqD, g.leqH
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_entries()] + ["U"])
+def test_preorders_match_the_loop_on_catalog(name):
+    band = band_of(get_algebra(name))
+    assert _preorders_of(band) == _preorders_by_loop(band)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_preorders_match_the_loop_on_random_sums(seed):
+    band = band_of(dpl_sum(random_system(random.Random(seed))))
+    assert _preorders_of(band) == _preorders_by_loop(band)
 
 
 def test_left_normal_bands_have_leqL_equal_leqD():
@@ -248,6 +279,118 @@ def test_swapping_within_a_class_is_still_a_valid_band():
 # ------------------------------------------------------------------ decompose
 
 
+def _maps_by_loop(algebra, classes):
+    # the transitions and dualisers over the partition `classes`, read off the
+    # band one element at a time, or the message of the first failure; the
+    # index order is the band's on the least elements of the classes
+    band = band_of(algebra)
+    names = algebra.elements
+    block_of, pos_in_class = {}, {}
+    for b, cls in enumerate(classes):
+        for p, x in enumerate(cls):
+            block_of[x], pos_in_class[x] = b, p
+    key_of = [names[cls[0]] for cls in classes]
+    transitions = {}
+    for i in range(len(classes)):
+        for j in range(len(classes)):
+            if block_of[band.dot[classes[i][0]][classes[j][0]]] != j:
+                continue
+            table = []
+            for x in classes[i]:
+                images = {band.dot[x][b] for b in classes[j]}
+                if len(images) != 1:
+                    return f"transition {key_of[i]} -> {key_of[j]} not well-defined at {names[x]}"
+                img = images.pop()
+                if block_of[img] != j:
+                    return f"transition {key_of[i]} -> {key_of[j]} leaves the target class"
+                table.append(pos_in_class[img])
+            transitions[(key_of[i], key_of[j])] = tuple(table)
+    dualisers = {}
+    for i in range(len(classes)):
+        table = []
+        for x in classes[i]:
+            img = band.neg[x]
+            if block_of[img] != block_of[band.neg[classes[i][0]]]:
+                return f"negation of {names[x]} leaves class ~{key_of[i]}"
+            table.append(pos_in_class[img])
+        dualisers[key_of[i]] = tuple(table)
+    return list(transitions.items()), list(dualisers.items())
+
+
+def _permuted(algebra, seed):
+    order = list(range(algebra.size))
+    random.Random(seed).shuffle(order)
+    return algebra.permute(order)
+
+
+def _permuted_products():
+    u, a5 = get_algebra("U"), get_algebra("A5")
+    return {
+        "UxU": _permuted(product(u, u), 11),
+        "UxIS2": _permuted(product(u, BASICS["IS2"]), 12),
+        "A5xA5": _permuted(product(a5, a5), 13),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog_entries()] + ["U", "UxU", "UxIS2", "A5xA5"]
+)
+def test_decompose_matches_the_loop_oracle(name):
+    algebra = _permuted_products()[name] if "x" in name else get_algebra(name)
+    system = decompose(algebra)
+    transitions, dualisers = _maps_by_loop(algebra, greens(band_of(algebra)).d_classes)
+    loop = dataclasses.replace(system, transitions=dict(transitions), dualisers=dict(dualisers))
+    assert system_to_json(system) == system_to_json(loop)
+    assert (list(system.transitions.items()), list(system.dualisers.items())) == (
+        transitions, dualisers
+    )
+
+
+def _maps_on(algebra, classes):
+    # decompose's maps, or the message it raises, with `classes` handed in
+    # as the D-classes and the system's validation switched off
+    with pytest.MonkeyPatch.context() as mp:
+        green = GreenData(None, None, None, None, classes)
+        mp.setattr(decomp_module, "greens", lambda band: green)
+        mp.setattr(decomp_module, "validate", lambda system: [])
+        try:
+            system = decompose(algebra)
+        except ValidationError as exc:
+            return str(exc)
+    return list(system.transitions.items()), list(system.dualisers.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decompose_reads_the_maps_like_the_loop_on_any_partition(data):
+    # valid input always gives well-defined maps, so the failures are reached
+    # by handing decompose a drawn partition in place of the D-classes; its
+    # first failure must be the loop's, and without one its maps must be
+    algebras = [e.algebra for e in catalog_entries()] + [get_algebra("U")]
+    algebra = data.draw(st.sampled_from(algebras))
+    label = st.integers(0, data.draw(st.integers(0, algebra.size - 1)))
+    labels = data.draw(st.lists(label, min_size=algebra.size, max_size=algebra.size))
+    blocks = {}
+    for x, label in enumerate(labels):
+        blocks.setdefault(label, []).append(x)
+    classes = tuple(map(tuple, blocks.values()))
+    got = _maps_on(algebra, classes)
+    # the index and the fibres are built first, and may be refused first
+    if not isinstance(got, str) or got.startswith(("transition", "negation of")):
+        assert got == _maps_by_loop(algebra, classes)
+
+
+@pytest.mark.parametrize(
+    "classes", [((0, 1, 2, 3), (4,), (5, 7, 8), (6,)), ((0, 1, 2, 3), (4,), (5, 8), (6,), (7,))]
+)
+def test_decompose_reports_a_map_that_leaves_its_class_like_the_loop(classes):
+    # partitions of U where p[i->j] is well-defined but lands outside F(j)
+    u = get_algebra("U")
+    got = _maps_on(u, classes)
+    message = "transition (i,(0,0)) -> (j,0) leaves the target class"
+    assert got == _maps_by_loop(u, classes) == message
+
+
 def test_decompose_a5():
     s = decompose(get_algebra("A5"))
     assert is_isomorphic(s.index, BASICS["IS3"]) is not None
@@ -332,7 +475,9 @@ def test_decompose_checks_the_band_laws_once(monkeypatch):
     # band_of builds its Band from the same table without reading them again;
     # U is copied before counting, because building the catalog checks laws
     # too and an algebra keeps the band laws' verdict once read; `is_class`
-    # runs each class's axioms as one scan, without calling `satisfies`
+    # runs each class's axioms as one scan, without calling `satisfies`; of
+    # the 11 scans, 9 are the laws, one U's class and one the index's class:
+    # `validate` checks all four fibres in one run of its own
     u = get_algebra("U").rename("U")
     laws = {id(law) for _, law in decomp_module._BAND_LAWS + decomp_module._SEMIGROUP_LAWS}
     calls = collections.Counter()
@@ -350,7 +495,7 @@ def test_decompose_checks_the_band_laws_once(monkeypatch):
     monkeypatch.setattr(decomp_module, "satisfies", counted)
     monkeypatch.setattr(finalg_module, "_scan", scanned)
     decompose(u)
-    assert calls == {"all": 9, "band laws": 2, "scans": 15}
+    assert calls == {"all": 9, "band laws": 2, "scans": 11}
 
 
 def _band_lemma_flags(a):

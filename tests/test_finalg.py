@@ -35,7 +35,6 @@ from dmbl.finalg import (
     congruences_ops,
     dual,
     eval_term,
-    homomorphism_failure,
     is_class,
     is_congruence,
     is_isomorphic,
@@ -1106,39 +1105,6 @@ def _first_hom_failure(A, B, f):
     return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_homomorphism_failure_matches_loop(data):
-    # law-free tables, or the left projection x /\ y = x, under which every
-    # map preserves the binary operations and only neg can fail
-    with_neg = data.draw(st.booleans())
-
-    def algebra(name):
-        n = data.draw(st.integers(1, 5))
-        cell = st.integers(0, n - 1)
-        table = st.one_of(
-            st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n),
-            st.just([[x] * n for x in range(n)]),
-        )
-        neg = data.draw(st.permutations(range(n))) if with_neg else None
-        return FiniteAlgebra(name, [str(i) for i in range(n)], data.draw(table), data.draw(table), neg)
-
-    A = algebra("A")
-    B = A if data.draw(st.booleans()) else algebra("B")
-    if B is A and data.draw(st.booleans()):
-        f = data.draw(st.permutations(range(A.size)))
-    else:
-        f = data.draw(st.lists(st.integers(0, B.size - 1), min_size=A.size, max_size=A.size))
-    assert homomorphism_failure(A, B, f) == _first_hom_failure(A, B, f)
-
-
-def test_homomorphism_failure_rejects_non_maps():
-    for f in ((0, 1, 2), (0, 1, 2, 4), (0, 1, 2, -1)):
-        with pytest.raises(ValidationError):
-            homomorphism_failure(DM4, DM4, f)
-    assert homomorphism_failure(DM4, DM4, range(4)) is None
-
-
 def test_isomorphism_reflexive_on_catalog():
     for e in catalog_entries():
         w = is_isomorphic(e.algebra, e.algebra)
@@ -1239,7 +1205,7 @@ def _extend_map_reference(A, B, gen_map):
     if len(mapping) != A.size:
         return None
     f = [mapping[a] for a in range(A.size)]
-    if len(set(f)) != A.size or homomorphism_failure(A, B, f) is not None:
+    if len(set(f)) != A.size or _first_hom_failure(A, B, f) is not None:
         return None
     return mapping
 

@@ -5,6 +5,7 @@ balanced-regular preservation behaviour on randomly generated systems.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmbl import finalg
+from dmbl import finalg, sums
 from dmbl.catalog import build_basics, build_U_system, entry, get_algebra
+from dmbl.decomp import decompose
 from dmbl.finalg import (
     FiniteAlgebra,
     ValidationError,
-    homomorphism_failure,
+    dual,
     is_class,
     is_isomorphic,
     product,
@@ -72,6 +74,158 @@ def a5_system() -> InvSemilatticeSystem:
 # ------------------------------------------------------------------ validation
 
 
+def _hom_failure(A, B, f):
+    # where the map f: A -> B first fails to be a homomorphism: pairs row by
+    # row, meet before join, then neg when both algebras have one
+    for a in range(A.size):
+        for b in range(A.size):
+            for op, at, bt in (("meet", A.meet, B.meet), ("join", A.join, B.join)):
+                if f[at[a][b]] != bt[f[a]][f[b]]:
+                    return op, (a, b)
+    if A.neg is not None and B.neg is not None:
+        for a in range(A.size):
+            if f[A.neg[a]] != B.neg[f[a]]:
+                return "neg", (a,)
+    return None
+
+
+def _validate_by_loop(system):
+    # the axioms one map, one pair and one element at a time; fibres are
+    # checked on copies, so a verdict `validate` memoised is not read back
+    out = []
+    idx = system.index
+    if idx.neg is None:
+        return ["index has no negation"]
+    if not is_class(idx.rename(idx.name), "involutive semilattice"):
+        out.append("index is not an involutive semilattice")
+
+    els = idx.elements
+    if set(system.fibres) != set(els):
+        missing = set(els) - set(system.fibres)
+        extra = set(system.fibres) - set(els)
+        out.append(f"fibre keys mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+        return out
+    for i, F in system.fibres.items():
+        if F.neg is not None:
+            out.append(f"fibre at {i} must be negation-free")
+        if not is_class(F.rename(F.name), "distributive lattice"):
+            out.append(f"fibre at {i} is not a distributive lattice")
+
+    le = [[row[b] == b for b in range(idx.size)] for row in idx.join]
+    pairs = [(els[a], els[b]) for a, row in enumerate(le) for b, x in enumerate(row) if x]
+    if set(system.transitions) != set(pairs):
+        missing = set(pairs) - set(system.transitions)
+        extra = set(system.transitions) - set(pairs)
+        out.append(
+            f"transition keys mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
+        )
+        return out
+
+    for (i, j), p in system.transitions.items():
+        Fi, Fj = system.fibres[i], system.fibres[j]
+        if len(p) != Fi.size or any(not 0 <= v < Fj.size for v in p):
+            out.append(f"transition {i}->{j} is not a map F({i}) -> F({j})")
+            return out
+        if i == j and any(p[a] != a for a in range(Fi.size)):
+            out.append(f"transition {i}->{i} is not the identity")
+        failure = _hom_failure(Fi, Fj, p)
+        if failure is not None:
+            op, args = failure
+            out.append(
+                f"transition {i}->{j} not a {op}-homomorphism at "
+                f"({','.join(Fi.elements[a] for a in args)})"
+            )
+
+    for i, j in pairs:
+        for k, above in zip(els, le[idx.index(j)]):
+            if above:
+                pij = system.transitions[(i, j)]
+                pjk = system.transitions[(j, k)]
+                pik = system.transitions[(i, k)]
+                for a in range(system.fibres[i].size):
+                    if pjk[pij[a]] != pik[a]:
+                        out.append(
+                            f"functoriality fails: p[{j}->{k}] o p[{i}->{j}] != "
+                            f"p[{i}->{k}] at {system.fibres[i].elements[a]}"
+                        )
+                        break
+
+    if set(system.dualisers) != set(els):
+        out.append("dualiser keys must be exactly the index elements")
+        return out
+    neg_of = dict(zip(els, (els[a] for a in idx.neg)))
+    for i in els:
+        ni = neg_of[i]
+        n = system.dualisers[i]
+        if len(n) != system.fibres[i].size or any(
+            not 0 <= v < system.fibres[ni].size for v in n
+        ):
+            out.append(f"dualiser at {i} is not a map F({i}) -> F({ni})")
+            return out
+    for i in els:
+        ni = neg_of[i]
+        n = system.dualisers[i]
+        Fi, Fni = system.fibres[i], system.fibres[ni]
+        if len(set(n)) != Fi.size or Fi.size != Fni.size:
+            out.append(f"dualiser at {i} is not a bijection")
+            continue
+        back = system.dualisers[ni]
+        if any(back[n[a]] != a for a in range(Fi.size)):
+            out.append(f"dualiser at {ni} is not the inverse of the one at {i}")
+        failure = _hom_failure(Fi, dual(Fni), n)
+        if failure is not None:
+            out.append(
+                f"dualiser at {i} is not an isomorphism onto the dual "
+                f"(fails at ({','.join(Fi.elements[a] for a in failure[1])}))"
+            )
+
+    for i, j in pairs:
+        ni, nj = neg_of[i], neg_of[j]
+        if (ni, nj) not in system.transitions:
+            continue  # already reported above
+        p = system.transitions[(i, j)]
+        pn = system.transitions[(ni, nj)]
+        for a in range(system.fibres[i].size):
+            if system.dualisers[j][p[a]] != pn[system.dualisers[i][a]]:
+                out.append(
+                    f"equivariance fails between {i}->{j} and {ni}->{nj} at "
+                    f"{system.fibres[i].elements[a]}"
+                )
+                break
+    return out
+
+
+def _assemble_by_loop(idx, fibres, transitions, dualisers, name):
+    # the sum's tables one pair of elements at a time
+    els = idx.elements
+    offsets, names, fib_of, local = {}, [], [], []
+    for i in els:
+        offsets[i] = len(names)
+        for a, nm in enumerate(fibres[i].elements):
+            names.append(f"({i},{nm})")
+            fib_of.append(i)
+            local.append(a)
+    n = len(names)
+    jidx = {e: k for k, e in enumerate(els)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for g in range(n):
+        for h in range(n):
+            i, j = fib_of[g], fib_of[h]
+            k = els[idx.join[jidx[i]][jidx[j]]]
+            a = transitions[(i, k)][local[g]]
+            b = transitions[(j, k)][local[h]]
+            meet[g][h] = offsets[k] + fibres[k].meet[a][b]
+            join[g][h] = offsets[k] + fibres[k].join[a][b]
+    neg = None
+    if dualisers is not None:
+        neg = [0] * n
+        for g in range(n):
+            ni = els[idx.neg[jidx[fib_of[g]]]]
+            neg[g] = offsets[ni] + dualisers[fib_of[g]][local[g]]
+    return FiniteAlgebra(name, names, meet, join, neg)
+
+
 def test_a5_and_u_systems_are_valid():
     assert validate(a5_system()) == []
     assert validate(build_U_system()) == []
@@ -119,6 +273,22 @@ def test_validate_reports_broken_functoriality():
     bad = dataclasses.replace(sys_, transitions=bad_trans)
     msgs = validate(bad)
     assert any("functorial" in m and "c0" in m and "c2" in m for m in msgs)
+
+
+def test_validate_reports_the_missing_composite_of_a_non_transitive_index():
+    # a <= b <= c but not a <= c, so there is no p[a->c] to compare with
+    # p[b->c] o p[a->b]; looking it up used to raise KeyError
+    join = ((0, 1, 0), (1, 1, 2), (0, 2, 2))
+    idx = FiniteAlgebra("X", ("a", "b", "c"), join, join, (0, 1, 2))
+    pairs = InvSemilatticeSystem(idx, {}).comparable_pairs()
+    fibres, dualisers = dict.fromkeys(idx.elements, D1), dict.fromkeys(idx.elements, (0,))
+    system = InvSemilatticeSystem(idx, fibres, dict.fromkeys(pairs, (0,)), dualisers)
+    assert validate(system) == [
+        "index is not an involutive semilattice",
+        "functoriality fails: p[b->c] o p[a->b] != p[a->c] at 0",
+        "functoriality fails: p[c->a] o p[b->c] != p[b->a] at 0",
+        "functoriality fails: p[a->b] o p[c->a] != p[c->b] at 0",
+    ]
 
 
 def test_validate_reports_non_identity_p_ii():
@@ -199,6 +369,41 @@ def test_dpl_sum_of_a_validated_system_evaluates_nothing(monkeypatch):
     summed = dpl_sum(system)
     assert scans == []
     assert is_isomorphic(summed, u)
+
+
+def test_validate_runs_two_evaluations_and_no_map_check(monkeypatch):
+    # on a fresh copy of the system of U x U: the index's class check and one
+    # run over all the fibres; no dual algebra is built
+    u = get_algebra("U")
+    system = system_from_json(system_to_json(decompose(product(u, u))))
+    calls = collections.Counter()
+    run = finalg._run
+
+    def counted(*args, **kwargs):
+        calls["_run"] += 1
+        return run(*args, **kwargs)
+
+    for module in (finalg, sums):
+        monkeypatch.setattr(module, "_run", counted)
+        monkeypatch.setattr(module, "dual", lambda *args: calls.update(["dual"]))
+    assert validate(system) == []
+    assert calls == {"_run": 2}
+
+
+@pytest.mark.parametrize("block", [1, 27, 64, 1 << 20])
+def test_fibre_verdicts_do_not_depend_on_the_batch(block, monkeypatch):
+    # fibres past the batch's bound are checked alone; one that fails sends
+    # every fibre of its batch to `is_class`, which must name only it
+    nc = FiniteAlgebra("nc", ("0", "1"), ((0, 1), (0, 1)), ((0, 1), (1, 1)))
+    d3 = FiniteAlgebra("D3", ("0", "1", "2"), ((0, 0, 0), (0, 1, 1), (0, 1, 2)),
+                       ((0, 1, 2), (1, 1, 2), (2, 2, 2)))
+    fibres = [D1, D2, nc, d3, product(D2, D2), finalg.dual(D2), D2]
+    copies = [F.rename(F.name) for F in fibres]
+    monkeypatch.setattr(sums, "_BLOCK", block)
+    sums._check_fibres(copies)
+    assert [is_class(F, "distributive lattice") for F in copies] == [
+        is_class(F.rename(F.name), "distributive lattice") for F in fibres
+    ] == [True, True, False, True, True, True, True]
 
 
 def test_dpl_sum_refuses_invalid_system():
@@ -392,7 +597,7 @@ def test_all_homs_lists_every_homomorphism_in_order(data):
     expected = [
         f
         for f in itertools.product(range(G.size), repeat=F.size)
-        if homomorphism_failure(F, G, f) is None
+        if _hom_failure(F, G, f) is None
     ]
     assert _all_homs(F, G) == expected
 
@@ -402,6 +607,98 @@ def test_random_system_with_fresh_pools_validates():
         for _ in range(3):
             sys_ = random_system(random.Random(seed), *_fresh_product_pools())
             assert validate(sys_) == []
+
+
+def _corrupted(data, system):
+    # 0-3 corruptions: a map entry set to -1, to |F| or to another element; a
+    # fibre table entry changed; a transition dropped or added; a dualiser
+    # made non-bijective; p[i->i] altered; a fibre given a negation
+    idx = system.index
+    neg_of = {e: idx.elements[idx.neg[k]] for k, e in enumerate(idx.elements)}
+    fibres = dict(system.fibres)
+    trans = {k: list(v) for k, v in system.transitions.items()}
+    duals = {k: list(v) for k, v in system.dualisers.items()}
+    for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
+        kinds = ["entry", "fibre", "negate", "drop", "add", "collapse", "identity"]
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "entry":
+            maps = data.draw(st.sampled_from([m for m in (trans, duals) if m]))
+            key = data.draw(st.sampled_from(sorted(maps)))
+            target = fibres[key[1] if maps is trans else neg_of[key]]
+            at = data.draw(st.integers(0, len(maps[key]) - 1))
+            maps[key][at] = data.draw(st.sampled_from([-1, target.size, *range(target.size)]))
+        elif kind == "fibre":
+            i = data.draw(st.sampled_from(sorted(fibres)))
+            F = fibres[i]
+            tables = [[list(r) for r in F.meet], [list(r) for r in F.join]]
+            x, y, v = (data.draw(st.integers(0, F.size - 1)) for _ in range(3))
+            data.draw(st.sampled_from(tables))[x][y] = v
+            fibres[i] = FiniteAlgebra(F.name, F.elements, *tables)
+        elif kind == "negate":
+            i = data.draw(st.sampled_from(sorted(fibres)))
+            F = fibres[i]
+            neg = data.draw(st.permutations(range(F.size)))
+            fibres[i] = FiniteAlgebra(F.name, F.elements, F.meet, F.join, neg)
+        elif kind == "drop" and trans:
+            trans.pop(data.draw(st.sampled_from(sorted(trans))))
+        elif kind == "add":
+            i, j = (data.draw(st.sampled_from(idx.elements)) for _ in "ij")
+            trans.setdefault((j, i), [0] * fibres[j].size)
+        elif kind == "collapse":
+            i = data.draw(st.sampled_from(sorted(duals)))
+            duals[i] = [0] * len(duals[i])
+        else:
+            i = data.draw(st.sampled_from(idx.elements))
+            if (i, i) in trans:
+                p = trans[(i, i)]
+                at = data.draw(st.integers(0, len(p) - 1))
+                p[at] = data.draw(st.integers(0, fibres[i].size - 1))
+    return InvSemilatticeSystem(
+        idx,
+        fibres,
+        {k: tuple(v) for k, v in trans.items()},
+        {k: tuple(v) for k, v in duals.items()},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_and_the_sums_match_the_loop_oracles(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    pools = _fresh_product_pools() if data.draw(st.booleans(), label="fresh pools") else ()
+    system = _corrupted(data, random_system(rng, *pools))
+    expected = _validate_by_loop(system)
+    assert validate(system) == expected
+    # again, now reading the fibre verdicts the first call kept
+    assert validate(system) == expected
+    if expected:
+        return
+    idx, fibres, trans = system.index, system.fibres, system.transitions
+    summed = dpl_sum(system)
+    loop = _assemble_by_loop(idx, fibres, trans, system.dualisers, summed.name)
+    assert (summed.elements, summed.meet, summed.join, summed.neg) == (
+        loop.elements, loop.meet, loop.join, loop.neg
+    )
+    # the negation-free sum over the same index, read as a plain semilattice
+    plain = FiniteAlgebra(idx.name, idx.elements, idx.meet, idx.join)
+    summed = plonka_sum(plain, fibres, trans)
+    loop = _assemble_by_loop(plain, fibres, trans, None, summed.name)
+    assert (summed.elements, summed.meet, summed.join, summed.neg) == (
+        loop.elements, loop.meet, loop.join, None
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_validate_does_not_depend_on_the_row_bound(data):
+    # a bound of a few rows splits the map checks down to one map at a time
+    # and checks most fibres one by one
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    system = _corrupted(data, random_system(rng, *_fresh_product_pools()))
+    expected = _validate_by_loop(system)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sums, "_BLOCK", data.draw(st.sampled_from([1, 4, 64]), label="bound"))
+        assert validate(system) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))
