@@ -371,7 +371,7 @@ def test_dpl_sum_of_a_validated_system_evaluates_nothing(monkeypatch):
     assert is_isomorphic(summed, u)
 
 
-def test_validate_runs_two_evaluations_and_no_map_check(monkeypatch):
+def test_validate_runs_two_evaluations_and_builds_no_dual(monkeypatch):
     # on a fresh copy of the system of U x U: the index's class check and one
     # run over all the fibres; no dual algebra is built
     u = get_algebra("U")
@@ -639,8 +639,9 @@ def _corrupted(data, system):
             F = fibres[i]
             neg = data.draw(st.permutations(range(F.size)))
             fibres[i] = FiniteAlgebra(F.name, F.elements, F.meet, F.join, neg)
-        elif kind == "drop" and trans:
-            trans.pop(data.draw(st.sampled_from(sorted(trans))))
+        elif kind == "drop":
+            if trans:
+                trans.pop(data.draw(st.sampled_from(sorted(trans))))
         elif kind == "add":
             i, j = (data.draw(st.sampled_from(idx.elements)) for _ in "ij")
             trans.setdefault((j, i), [0] * fibres[j].size)
