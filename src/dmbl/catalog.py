@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .finalg import (
     FiniteAlgebra,
     ValidationError,
@@ -65,9 +67,8 @@ class CatalogEntry:
 
 
 def _chain(n: int, names: list[str], neg: list[int] | None) -> FiniteAlgebra:
-    meet = [[min(a, b) for b in range(n)] for a in range(n)]
-    join = [[max(a, b) for b in range(n)] for a in range(n)]
-    return FiniteAlgebra("chain", names, meet, join, neg)
+    ar = np.arange(n)
+    return FiniteAlgebra("chain", names, np.minimum.outer(ar, ar), np.maximum.outer(ar, ar), neg)
 
 
 @lru_cache(maxsize=1)
@@ -120,9 +121,7 @@ def dagger(algebra: FiniteAlgebra, name: str | None = None) -> FiniteAlgebra:
     if not is_class(algebra, "De Morgan lattice"):
         raise ValidationError(f"dagger needs a De Morgan lattice, got {algebra.name}")
     basics = _basics()
-    reduct = FiniteAlgebra(
-        algebra.name, algebra.elements, algebra.meet, algebra.join, None
-    )
+    reduct = FiniteAlgebra(algebra.name, algebra.elements, *algebra.arrays()[:2])
     system = InvSemilatticeSystem(
         index=basics["IS2"],
         fibres={"i": reduct, "j": basics["D1"]},
@@ -131,7 +130,7 @@ def dagger(algebra: FiniteAlgebra, name: str | None = None) -> FiniteAlgebra:
             ("j", "j"): (0,),
             ("i", "j"): (0,) * algebra.size,
         },
-        dualisers={"i": tuple(algebra.neg), "j": (0,)},  # type: ignore[arg-type]
+        dualisers={"i": algebra.neg, "j": (0,)},
     )
     return dpl_sum(system, name=name or f"{algebra.name}+")
 

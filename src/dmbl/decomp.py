@@ -11,19 +11,20 @@ isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .finalg import (
     FiniteAlgebra,
     ValidationError,
+    _compatible,
     _dot_table,
     _induced,
     _memoised,
     _partition,
     _row_keys,
     is_class,
-    is_congruence,
     satisfies,
 )
 from .sums import InvSemilatticeSystem, validate
@@ -49,12 +50,6 @@ def _dot(s: Term, t: Term) -> Term:
 
 
 _x, _y, _z, _a, _b1, _b2 = (Var(v) for v in ("x", "y", "z", "a", "b1", "b2"))
-
-# a band's own operation, read as the meet of its reduct
-_SEMIGROUP_LAWS = (
-    ("not idempotent at", Identity(Meet(_x, _x), _x)),
-    ("not associative at", Identity(Meet(Meet(_x, _y), _z), Meet(_x, Meet(_y, _z)))),
-)
 
 # the derived x.y := x /\ (x \/ y) of an algebra
 _BAND_LAWS = (
@@ -119,39 +114,39 @@ def _law_failures(algebra: FiniteAlgebra, laws) -> list[str]:
 # ---------------------------------------------------------------------------
 # bands and Green's relations
 
-@dataclass(frozen=True, slots=True)
 class Band:
     """An idempotent semigroup given by its multiplication table, plus an
-    optional involution carried over from the source algebra."""
+    optional involution carried over from the source algebra: the table of
+    x.y = x /\\ (x \\/ y) (`table`) of an algebra whose band laws hold, as
+    its memo keeps them, and that algebra's negation (`involution`), both
+    read-only int16 arrays read as tuples by `dot` and `neg`.  The algebra
+    is a De Morgan bisemilattice for :func:`band_of`, and for ``Band(size,
+    dot, neg)`` the one with meet `dot` and x \\/ y = y, whose x.y is `dot`."""
 
-    size: int
-    dot: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...] | None = None
-
-    def __post_init__(self):
+    def __init__(self, size: int, dot, neg=None):
         # shapes, ranges and the bijection are checked by FiniteAlgebra
-        problems = _law_failures(_reduct(self), _SEMIGROUP_LAWS)
+        right = np.broadcast_to(np.arange(size), (size, size))
+        self._read(FiniteAlgebra("band", [str(x) for x in range(size)], dot, right, neg))
+
+    def _read(self, algebra: FiniteAlgebra) -> None:
+        problems = _memoised(algebra, _band_law_failures)
         if problems:
             raise ValidationError(problems[0])
+        self.size, self.table = algebra.size, _memoised(algebra, _dot_table)
+        self.involution = algebra.arrays()[2]
+
+    @cached_property
+    def dot(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
+    @cached_property
+    def neg(self) -> tuple[int, ...] | None:
+        return None if self.involution is None else tuple(self.involution.tolist())
 
 
 def _band_law_failures(algebra: FiniteAlgebra) -> list[str]:
     # read through _memoised, so check_ailnb and band_of check them once
     return _law_failures(algebra, _BAND_LAWS)
-
-
-def _checked_band(size: int, dot, neg) -> Band:
-    # a Band whose laws are already checked: __post_init__ does not run
-    band = object.__new__(Band)
-    for field, value in (("size", size), ("dot", dot), ("neg", neg)):
-        object.__setattr__(band, field, value)
-    return band
-
-
-def _reduct(band: Band) -> FiniteAlgebra:
-    # the band as an algebra whose meet and join are both the band operation
-    names = tuple(map(str, range(band.size)))
-    return FiniteAlgebra("band", names, band.dot, band.dot, band.neg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,18 +182,15 @@ def band_of(algebra: FiniteAlgebra) -> Band:
     verdict `is_class` keeps in the algebra's memo."""
     if not is_class(algebra, "De Morgan bisemilattice"):
         raise ValidationError(f"{algebra.name} is not a De Morgan bisemilattice")
-    dot = tuple(map(tuple, _memoised(algebra, _dot_table).tolist()))
-    # the band laws of x.y on the algebra are the semigroup laws of dot
-    problems = _memoised(algebra, _band_law_failures)
-    if problems:
-        raise ValidationError(problems[0])
-    return _checked_band(algebra.size, dot, algebra.neg)
+    band = Band.__new__(Band)
+    band._read(algebra)
+    return band
 
 
 def greens(band: Band) -> GreenData:
     """Compute and sanity-check Green's preorders and the D-classes, as
     boolean arrays read off the band's table."""
-    d = np.array(band.dot)
+    d = band.table
     a = np.arange(band.size)[:, None]
     leqL, leqR, leqD = d == a, d.T == a, d[d, a] == a
     leqH = leqL & leqR
@@ -220,7 +212,7 @@ def greens(band: Band) -> GreenData:
     # a D-class is a set of elements with the same row of D = leqD ∩ leqD^T
     D = _partition(_row_keys(leqD & leqD.T))
     # D is a congruence of the band and of its involution when present
-    if not is_congruence(_reduct(band), D):
+    if not _compatible((band.table, band.involution), D.block_of):
         raise ValidationError("D-classes not a congruence of the band")
 
     rows = lambda r: tuple(map(tuple, r.tolist()))
@@ -291,7 +283,7 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     # on b: lo[x, j] and hi[x, j] are the least and greatest x.b over class
     # j, and rows taken in `order` meet failures in the order (i, j, a)
     lo, hi = (f.reduceat(dot[:, order], starts, axis=1) for f in (np.minimum, np.maximum))
-    le = np.array(index.meet) == np.arange(nblocks)
+    le = index.arrays()[0] == np.arange(nblocks)
     fail = le[bo[order]] & ((lo != hi) | (bo[lo] != np.arange(nblocks)))[order]
     if fail.any():
         r, j = min(zip(*np.nonzero(fail)), key=lambda rj: (bo[order[rj[0]]], rj[1], rj[0]))
@@ -306,7 +298,7 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     }
 
     # dualisers: the algebra's own negation, restricted per class
-    bad = (bo[neg] != np.array(index.neg)[bo])[order]
+    bad = (bo[neg] != index.arrays()[2][bo])[order]
     if bad.any():
         x = order[np.argmax(bad)]
         raise ValidationError(f"negation of {names[x]} leaves class ~{key_of[bo[x]]}")

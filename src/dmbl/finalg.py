@@ -1,7 +1,7 @@
 r"""Finite algebras with two binary operations and an optional involution.
 
 The carrier is always ``range(n)`` with a parallel list of element names;
-operation tables are dense ``n x n`` (or length ``n``) integer tables.
+operation tables are dense ``n x n`` (or length ``n``) read-only int16 arrays.
 Everything downstream (catalog, sums, decompositions, variety checks) works
 on these tables.
 
@@ -72,14 +72,12 @@ __all__ = [
     "algebra_to_json",
     "congruences",
     "dual",
-    "eval_term",
     "is_class",
     "is_isomorphic",
     "is_subdirectly_irreducible",
     "isomorphism_key",
     "join_partitions",
     "load_algebra",
-    "monolith",
     "power",
     "product",
     "quotient",
@@ -98,19 +96,23 @@ class FiniteAlgebra:
     """A finite algebra of type <2,2> or <2,2,1>.
 
     `meet` and `join` are n x n tables, `neg` an optional length-n table.
-    Construction checks shapes, ranges and that `neg` is a bijection; it does
-    *not* impose any equational laws — use :func:`is_class` for that.
+    Each is stored once, as a read-only int16 array (:meth:`arrays`); the
+    attributes `meet`, `join` and `neg` read them as tuples of Python ints,
+    built on first read and then kept.  Construction copies its tables and
+    checks, in array passes, that their entries are integers, then their
+    shapes, then their ranges, and that `neg` is a bijection; it does *not*
+    impose any equational laws — use :func:`is_class` for that.
     """
 
-    __slots__ = ("name", "elements", "meet", "join", "neg", "_index", "_np", "_memo")
+    __slots__ = ("name", "elements", "_tables", "_views", "_index", "_memo")
 
     def __init__(
         self,
         name: str,
         elements: Sequence[str],
-        meet: Sequence[Sequence[int]],
-        join: Sequence[Sequence[int]],
-        neg: Sequence[int] | None = None,
+        meet: Sequence[Sequence[int]] | np.ndarray,
+        join: Sequence[Sequence[int]] | np.ndarray,
+        neg: Sequence[int] | np.ndarray | None = None,
     ):
         elements = tuple(elements)
         n = len(elements)
@@ -118,41 +120,15 @@ class FiniteAlgebra:
             raise ValidationError("algebra needs at least one element")
         if len(set(elements)) != n:
             raise ValidationError("element names must be distinct")
-
-        def check_table(tbl, label):
-            try:
-                tbl = tuple(tuple(map(operator.index, row)) for row in tbl)
-            except TypeError:
-                raise ValidationError(f"{label} table must hold integer entries") from None
-            if len(tbl) != n or any(len(row) != n for row in tbl):
-                raise ValidationError(f"{label} table must be {n}x{n}")
-            # the distinct entries are few; find the offender only on failure
-            seen = set().union(*tbl)
-            if min(seen) < 0 or max(seen) >= n:
-                v = next(v for row in tbl for v in row if not 0 <= v < n)
-                raise ValidationError(f"{label} table entry {v} out of range [0,{n})")
-            return tbl
-
         self.name = str(name)
         self.elements = elements
-        self.meet = check_table(meet, "meet")
-        self.join = check_table(join, "join")
-        if neg is None:
-            self.neg = None
-        else:
-            try:
-                neg = tuple(map(operator.index, neg))
-            except TypeError:
-                raise ValidationError("neg table must hold integer entries") from None
-            if len(neg) != n:
-                raise ValidationError(f"neg table must have length {n}")
-            if any(not 0 <= v < n for v in neg):
-                raise ValidationError("neg table entry out of range")
-            if len(set(neg)) != n:
-                raise ValidationError("neg table must be a bijection")
-            self.neg = neg
+        m, j = _checked_table(meet, n, "meet"), _checked_table(join, n, "join")
+        g = None if neg is None else _checked_table(neg, n, "neg")
+        if g is not None and np.count_nonzero(np.bincount(g, minlength=n)) != n:
+            raise ValidationError("neg table must be a bijection")
+        self._tables = (m, j, g)
+        self._views: list = [None, None, None]
         self._index = {name_: i for i, name_ in enumerate(elements)}
-        self._np = None
         # derived data of the tables (colours, generating set), filled lazily
         self._memo: dict = {}
 
@@ -161,6 +137,18 @@ class FiniteAlgebra:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    def _view(self, k: int):
+        # table k as tuples of Python ints, built on its first read
+        view = self._views[k]
+        if view is None and self._tables[k] is not None:
+            rows = self._tables[k].tolist()
+            view = self._views[k] = tuple(map(tuple, rows)) if k < 2 else tuple(rows)
+        return view
+
+    meet = property(lambda self: self._view(0))
+    join = property(lambda self: self._view(1))
+    neg = property(lambda self: self._view(2))
 
     def index(self, element: str | int) -> int:
         """Resolve an element name (or index) to its index."""
@@ -177,24 +165,20 @@ class FiniteAlgebra:
         return i
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """numpy views of (meet, join, neg), cached."""
-        if self._np is None:
-            m = np.array(self.meet, dtype=np.int16)
-            j = np.array(self.join, dtype=np.int16)
-            g = None if self.neg is None else np.array(self.neg, dtype=np.int16)
-            self._np = (m, j, g)
-        return self._np
+        """The stored (meet, join, neg) tables: read-only int16 arrays, neg
+        None without a negation."""
+        return self._tables
 
     def __repr__(self) -> str:
-        sig = "<2,2,1>" if self.neg is not None else "<2,2>"
+        sig = "<2,2,1>" if self._tables[2] is not None else "<2,2>"
         return f"FiniteAlgebra({self.name!r}, {self.size} elements, {sig})"
 
     def rename(self, name: str) -> "FiniteAlgebra":
-        return FiniteAlgebra(name, self.elements, self.meet, self.join, self.neg)
+        return FiniteAlgebra(name, self.elements, *self._tables)
 
     def rename_elements(self, mapping: Mapping[str, str]) -> "FiniteAlgebra":
         new = [mapping.get(e, e) for e in self.elements]
-        return FiniteAlgebra(self.name, new, self.meet, self.join, self.neg)
+        return FiniteAlgebra(self.name, new, *self._tables)
 
     def permute(self, order: Sequence[str | int]) -> "FiniteAlgebra":
         """Reorder the carrier; `order` lists every element exactly once."""
@@ -202,9 +186,47 @@ class FiniteAlgebra:
         if sorted(perm) != list(range(self.size)):
             raise ValidationError("permutation must mention every element once")
         return _induced(
-            self.name, [self.elements[p] for p in perm], self.arrays(), perm,
+            self.name, [self.elements[p] for p in perm], self._tables, perm,
             np.argsort(perm),
         )
+
+
+def _checked_table(data, n: int, label: str) -> np.ndarray:
+    """`data`, the table `label` ("meet", "join" or "neg") of an algebra of
+    `n` elements, as a new read-only int16 array.  Raises ValidationError
+    unless every entry is an integer, as ``operator.index`` reads the entries
+    of anything but an integer array of the right rank, then unless the
+    shape is n x n (n for neg), then unless every entry is in ``range(n)``,
+    naming the first one out of it in row order."""
+    square = label != "neg"
+    what, shape = f"{label} table", (n,) * (1 + square)
+    bad_shape = f"{what} must be {n}x{n}" if square else f"{what} must have length {n}"
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iu" and data.ndim == len(shape):
+        if data.shape != shape:
+            raise ValidationError(bad_shape)
+        a = data
+    else:
+        try:
+            rows = [r if type(r) in (list, tuple) else tuple(r) for r in (data if square else [data])]
+            entries = lambda: map(operator.index, itertools.chain.from_iterable(rows))
+            try:
+                a = np.fromiter(entries(), dtype=np.int64)
+            except OverflowError:  # entries past int64, so out of range
+                a = np.array(list(entries()), dtype=object)
+        except TypeError:
+            raise ValidationError(f"{what} must hold integer entries") from None
+        if (square and len(rows) != n) or set(map(len, rows)) != {n}:
+            raise ValidationError(bad_shape)
+        a = a.reshape(shape)
+    # read as unsigned, a negative entry is past any n
+    if a.dtype == object or int(a.view(f"u{a.itemsize}").max()) >= n:
+        if not square:
+            raise ValidationError(f"{what} entry out of range")
+        v = a.ravel()[((a < 0) | (a >= n)).ravel().argmax()]
+        raise ValidationError(f"{what} entry {int(v)} out of range [0,{n})")
+    a = a.astype(np.int16)
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +379,9 @@ def _dot_table(A: FiniteAlgebra) -> np.ndarray:
     """The table of x.y = x /\\ (x \\/ y): entry ``[x, y]`` is
     ``meet[x, join[x, y]]``."""
     meet, join, _ = A.arrays()
-    return np.take_along_axis(meet, join.astype(np.intp), axis=1)
+    dot = np.take_along_axis(meet, join.astype(np.intp), axis=1)
+    dot.flags.writeable = False
+    return dot
 
 
 def _checked_tables(A: FiniteAlgebra, prog: _Program, grids: Sequence) -> tuple:
@@ -437,18 +461,6 @@ def _run(
             for c in drop:
                 vals[c] = None
     return None
-
-
-def eval_term(algebra: FiniteAlgebra, term: Term, assignment: Mapping[str, str | int]) -> str:
-    """Evaluate `term` under `assignment` (names or indices); returns a name."""
-    prog = _program((term,), False)
-    grids = [
-        np.array(algebra.index(assignment[v]), dtype=np.int16) if v in assignment else None
-        for v in prog.names
-    ]
-    out = np.empty(1, dtype=np.int16)
-    _run(algebra, prog, grids, out=out)
-    return algebra.elements[int(out[0])]
 
 
 # nodes over more values than this read their tables by chunked `take`
@@ -542,11 +554,13 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
 
 def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The table of a product built from the same table x of the first
-    factor and y of the second: argument ``(i, j)`` is ``i * len(y) + j``."""
+    factor and y of the second: argument ``(i, j)`` is ``i * len(y) + j``.
+    In int16 while the product has at most 2**15 elements."""
     # the outer sum has the axes of x, then of y, and each argument of the
     # product is an axis of x followed by one of y
     d, nb = x.ndim, len(y)
-    v = np.add.outer(x.astype(np.intp) * nb, y).transpose(
+    code = np.int16 if len(x) * nb <= 1 << 15 else np.intp
+    v = np.add.outer(x.astype(code) * nb, y).transpose(
         [i + d * k for i in range(d) for k in (0, 1)]
     )
     return v.reshape((len(x) * nb,) * d)
@@ -569,16 +583,14 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; both factors must have negation, or neither.  The pair
     (i, j) is element ``i * b.size + j``, named "(p,q)" (with the factors'
     commas and backslashes escaped if that would make two names equal)."""
-    if (a.neg is None) != (b.neg is None):
+    if (a.arrays()[2] is None) != (b.arrays()[2] is None):
         raise ValidationError("cannot form a product of a <2,2,1> and a <2,2> algebra")
     names = _tuple_names([a.elements, b.elements]) or _tuple_names(
         [_escaped(a.elements), _escaped(b.elements)]
     )
     (am, aj, an), (bm, bj, bn) = a.arrays(), b.arrays()
-    neg = None if an is None else _pair(an, bn).tolist()
-    return FiniteAlgebra(
-        f"{a.name}x{b.name}", names, _pair(am, bm).tolist(), _pair(aj, bj).tolist(), neg
-    )
+    neg = None if an is None else _pair(an, bn)
+    return FiniteAlgebra(f"{a.name}x{b.name}", names, _pair(am, bm), _pair(aj, bj), neg)
 
 
 def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
@@ -592,8 +604,7 @@ def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
         raise ValidationError("power needs k >= 1")
     if k == 1:
         return a
-    tables = a.arrays()
-    out = tables
+    out = tables = a.arrays()
     for _ in range(k - 1):
         out = tuple(None if t is None else _pair(o, t) for o, t in zip(out, tables))
     bare = [e.replace("(", "").replace(")", "") for e in a.elements]
@@ -602,8 +613,7 @@ def power(a: FiniteAlgebra, k: int) -> FiniteAlgebra:
         or _tuple_names([a.elements] * k)
         or _tuple_names([_escaped(a.elements)] * k)
     )
-    meet, join, neg = (None if t is None else t.tolist() for t in out)
-    return FiniteAlgebra(f"{a.name}^{k}", names, meet, join, neg)
+    return FiniteAlgebra(f"{a.name}^{k}", names, *out)
 
 
 def subalgebra_generated(
@@ -628,18 +638,19 @@ def subalgebra_generated(
 def _closure(A: FiniteAlgebra, seed: set[int]) -> set[int]:
     # smallest subuniverse containing seed; each round combines the elements
     # found in the last round with everything found so far
+    meet, join, neg = A.meet, A.join, A.neg
     current = set(seed)
     fresh = set(seed)
     while fresh:
         new = set()
         for a in fresh:
-            if A.neg is not None:
-                new.add(A.neg[a])
+            if neg is not None:
+                new.add(neg[a])
             for b in current:
-                new.add(A.meet[a][b])
-                new.add(A.meet[b][a])
-                new.add(A.join[a][b])
-                new.add(A.join[b][a])
+                new.add(meet[a][b])
+                new.add(meet[b][a])
+                new.add(join[a][b])
+                new.add(join[b][a])
         fresh = new - current
         current |= fresh
     return current
@@ -661,13 +672,8 @@ def _induced(
     label = np.asarray(label, dtype=np.intp)
     meet, join, neg = tables
     square = np.ix_(keep, keep)
-    return FiniteAlgebra(
-        name,
-        names,
-        label[meet[square]].tolist(),
-        label[join[square]].tolist(),
-        None if neg is None else label[neg[keep]].tolist(),
-    )
+    neg = None if neg is None else label[neg[keep]]
+    return FiniteAlgebra(name, names, label[meet[square]], label[join[square]], neg)
 
 
 # ---------------------------------------------------------------------------
@@ -939,13 +945,17 @@ def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
 
 
 def is_congruence(algebra: FiniteAlgebra, part: Congruence) -> bool:
-    """Is the partition compatible with every operation?  Each element is
-    compared with the first element of its block, row- and column-wise."""
-    if part.size != algebra.size:
-        return False
-    bo = np.asarray(part.block_of)
+    """Is the partition compatible with every operation?"""
+    return part.size == algebra.size and _compatible(algebra.arrays(), part.block_of)
+
+
+def _compatible(tables: Iterable[np.ndarray | None], block_of: Sequence[int]) -> bool:
+    """Do the operation tables (None skipped) preserve the partition
+    `block_of`?  Each element is compared with the first element of its
+    block, row- and column-wise."""
+    bo = np.asarray(block_of)
     rep = _least(bo)
-    for table in algebra.arrays():
+    for table in tables:
         if table is None:
             continue
         img = bo[table]
@@ -1034,28 +1044,16 @@ def principal_congruence(algebra: FiniteAlgebra, a: str | int, b: str | int) -> 
     return Congruence(tuple(_canonical(rows[k]).tolist()))
 
 
-def monolith(algebra: FiniteAlgebra) -> Congruence | None:
-    """Least nontrivial congruence, or None if the principals don't intersect
-    above the identity (i.e. the algebra is not subdirectly irreducible).
-    It is the meet of the principals: x and y share a block when every
-    principal's label row gives them the same label.  Limited, like
-    :func:`congruences`, to ``CONGRUENCE_SIZE_LIMIT`` elements."""
-    n = algebra.size
-    if n == 1:
-        return None
-    mono = _partition(_row_keys(_principal_rows(n, _ops_of(algebra)).T))
-    return None if mono.is_identity() else mono
-
-
 def is_subdirectly_irreducible(algebra: FiniteAlgebra) -> bool:
-    """True when the algebra has a least nontrivial congruence.
-
-    One-element algebras count as subdirectly irreducible (the usual
-    convention: they have no pair of distinct congruences to separate).
-    """
+    """True when the algebra has a least nontrivial congruence: the identity
+    congruence's entry of ``si_quotient_flags(congruences(algebra))``, so
+    limited to ``CONGRUENCE_SIZE_LIMIT`` elements and
+    ``CONGRUENCE_COUNT_LIMIT`` congruences.  One-element algebras count as
+    subdirectly irreducible (the usual convention: they have no pair of
+    distinct congruences to separate)."""
     if algebra.size == 1:
         return True
-    return monolith(algebra) is not None
+    return si_quotient_flags(congruences(algebra))[0]
 
 
 def quotient(algebra: FiniteAlgebra, part: Congruence) -> FiniteAlgebra:
@@ -1106,17 +1104,18 @@ def _colors(A: FiniteAlgebra) -> list[int]:
         (meet == ar[:, None]).sum(axis=1).tolist(),
         (join == ar[:, None]).sum(axis=1).tolist(),
     ))
+    meet, join, neg = A.meet, A.join, A.neg
     seed_ranks = {k: r for r, k in enumerate(sorted(set(seed)))}
     colors: list[int] = [seed_ranks[k] for k in seed]
     for _ in range(n):
         nxt = []
         for x in range(n):
             row = sorted(
-                (colors[y], colors[A.meet[x][y]], colors[A.meet[y][x]],
-                 colors[A.join[x][y]], colors[A.join[y][x]])
+                (colors[y], colors[meet[x][y]], colors[meet[y][x]],
+                 colors[join[x][y]], colors[join[y][x]])
                 for y in range(n)
             )
-            key = (colors[x], colors[A.neg[x]] if A.neg is not None else -1, tuple(row))
+            key = (colors[x], colors[neg[x]] if neg is not None else -1, tuple(row))
             nxt.append(key)
         ranks = {k: r for r, k in enumerate(sorted(set(nxt)))}
         fresh = [ranks[k] for k in nxt]
@@ -1136,6 +1135,12 @@ def _memoised(A: FiniteAlgebra, compute):
     return memo[compute]
 
 
+def _table_key(A: FiniteAlgebra) -> tuple:
+    """A key equal exactly for algebras with equal tables, for the caches
+    keyed by content: each stored array's shape and bytes, or None."""
+    return tuple(None if t is None else (t.shape, t.tobytes()) for t in A.arrays())
+
+
 def isomorphism_key(A: FiniteAlgebra) -> tuple:
     """An isomorphism invariant: isomorphic algebras get equal keys, so
     :func:`is_isomorphic` need only compare algebras with the same key."""
@@ -1149,10 +1154,11 @@ def _homomorphisms(
     sends each generator g into ``images(g, f)``, f the partial map so far
     (-1 where unset), in the lexicographic order of the candidates;
     negation counts only if B has one too."""
-    if B.neg is None and A.neg is not None:
-        A = FiniteAlgebra(A.name, A.elements, A.meet, A.join)
+    if B.arrays()[2] is None and A.arrays()[2] is not None:
+        A = FiniteAlgebra(A.name, A.elements, *A.arrays()[:2])
     gens = _memoised(A, _generating_set)
     ops = ((A.meet, B.meet), (A.join, B.join))
+    aneg, bneg = A.neg, B.neg
 
     def extend(f: list[int], g: int, u: int) -> list[int] | None:
         # semi-naive closure: each round pairs the elements the last round
@@ -1163,7 +1169,7 @@ def _homomorphisms(
             dom, new = [b for b, y in enumerate(f) if y >= 0], []
             for a in fresh:
                 x = f[a]
-                forced = [] if A.neg is None else [(A.neg[a], B.neg[x])]
+                forced = [] if aneg is None else [(aneg[a], bneg[x])]
                 for b in dom:
                     for at, bt in ops:
                         forced += ((at[a][b], bt[x][f[b]]), (at[b][a], bt[f[b]][x]))
@@ -1215,9 +1221,8 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[str, str] | None:
 
 def dual(algebra: FiniteAlgebra) -> FiniteAlgebra:
     """Same carrier, meet and join tables swapped."""
-    return FiniteAlgebra(
-        f"{algebra.name}^op", algebra.elements, algebra.join, algebra.meet, algebra.neg
-    )
+    meet, join, neg = algebra.arrays()
+    return FiniteAlgebra(f"{algebra.name}^op", algebra.elements, join, meet, neg)
 
 
 def _parse_axioms(texts: Sequence[str]) -> tuple[Identity, ...]:
@@ -1311,12 +1316,13 @@ def is_class(algebra: FiniteAlgebra, cls: str) -> bool:
 # JSON round trip
 
 def algebra_to_json(algebra: FiniteAlgebra) -> dict:
+    meet, join, neg = algebra.arrays()
     return {
         "name": algebra.name,
         "elements": list(algebra.elements),
-        "meet": [list(r) for r in algebra.meet],
-        "join": [list(r) for r in algebra.join],
-        "neg": None if algebra.neg is None else list(algebra.neg),
+        "meet": meet.tolist(),
+        "join": join.tolist(),
+        "neg": None if neg is None else neg.tolist(),
     }
 
 

@@ -9,9 +9,9 @@ whose operations route both arguments into the fibre at the join of their
 indices and whose negation sends the fibre at ``i`` through ``n[i]``.
 
 Both work on one flat form of the system (:func:`_flat`): the carrier of the
-sum, the fibres' tables block-diagonal on it, every transition as one column
-of ``route`` and the dualisers as one map, so that each check and each table
-of the sum is a whole-system array pass rather than a loop over maps.
+sum, the fibres' tables stored one after another, every transition as one
+column of ``route`` and the dualisers as one map, so that each check and each
+table of the sum is a whole-system array pass rather than a loop over maps.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .finalg import (
     ValidationError,
     _class_program,
     _homomorphisms,
+    _memoised,
     _run,
+    _table_key,
     algebra_from_json,
     algebra_to_json,
     dual,
@@ -74,43 +76,32 @@ class InvSemilatticeSystem:
         els = self.index.elements
         return [(els[a], els[b]) for a, b in zip(*np.nonzero(_order(self.index)))]
 
-    def neg_of(self, i: str) -> str:
-        a = self.index.index(i)
-        return self.index.elements[self.index.neg[a]]  # type: ignore[index]
-
 
 def _order(index: FiniteAlgebra) -> np.ndarray:
     # the index order as a boolean matrix: a <= b iff a \/ b = b
-    return np.array(index.join) == np.arange(index.size)
-
-
-def _block_diagonal(algebras: Sequence[FiniteAlgebra]) -> tuple[np.ndarray, ...]:
-    """Offsets and block-diagonal meet, join and neg tables of `algebras`
-    side by side: element a of the k-th is ``off[k] + a``; off-block entries
-    are 0, and neg is the identity on an algebra without one."""
-    off = np.cumsum([0] + [A.size for A in algebras])
-    meet = np.zeros((off[-1], off[-1]), dtype=np.int16)
-    join, neg = meet.copy(), np.arange(off[-1])
-    for o, A in zip(off, algebras):
-        m, j, g = A.arrays()
-        block = slice(o, o + A.size)
-        meet[block, block], join[block, block] = m + o, j + o
-        if g is not None:
-            neg[block] = g + o
-    return off, meet, join, neg
+    return index.arrays()[1] == np.arange(index.size)
 
 
 def _flat(system: InvSemilatticeSystem) -> SimpleNamespace:
     """The system on the carrier of its sum, its fibres side by side in index
-    order (`off` their offsets, ``fib[g]`` g's fibre), with the fibres'
-    tables as in :func:`_block_diagonal` (`negs` says which fibres have a
-    negation); ``route[g, k]`` is p[fib(g)->k](g), and ``dual[g]`` the
-    dualiser's image of g, each -1 where the map is missing or malformed.
-    The transition keys must be the index's comparable pairs."""
+    order (`off` their offsets, ``fib[g]`` g's fibre); their meet and join
+    tables stored one after another, valued on the carrier (g /\\ h is
+    ``meet[row[g] + h]`` for g, h in one fibre), and their negations, the
+    identity where `negs` says a fibre has none.  ``route[g, k]`` is
+    p[fib(g)->k](g), and ``dual[g]`` the dualiser's image of g, each -1
+    where the map is missing or malformed.  The transition keys must be the
+    index's comparable pairs."""
     idx, els = system.index, system.index.elements
     at, F = {e: k for k, e in enumerate(els)}, [system.fibres[i] for i in els]
     is_map = lambda p, A, B: len(p) == A.size and 0 <= min(p) and max(p) < B.size
-    off, meet, join, neg = _block_diagonal(F)
+    size, tables = np.array([A.size for A in F]), [A.arrays() for A in F]
+    off, base = np.cumsum(np.r_[0, size]), np.cumsum(np.r_[0, size**2])
+    fib = np.repeat(np.arange(len(els)), size)
+    row = base[fib] + (np.arange(off[-1]) - off[fib]) * size[fib] - off[fib]
+    meet, join, neg = (np.concatenate([
+        np.arange(o, o + len(t[0])) if t[k] is None else t[k].ravel() + o
+        for o, t in zip(off, tables)
+    ]) for k in (0, 1, 2))
     route = np.full((off[-1], len(els)), -1)
     for (i, j), p in system.transitions.items():
         a, b = at[i], at[j]
@@ -122,9 +113,13 @@ def _flat(system: InvSemilatticeSystem) -> SimpleNamespace:
         if a is not None and is_map(d, F[a], F[idx.neg[a]]):
             dual[off[a] : off[a + 1]] = np.add(d, off[idx.neg[a]])
     return SimpleNamespace(
-        off=off, fib=np.repeat(np.arange(len(els)), np.diff(off)), meet=meet, join=join, neg=neg,
-        negs=np.array([A.neg is not None for A in F]), route=route, dual=dual,
+        off=off, fib=fib, row=row, meet=meet, join=join, neg=neg,
+        negs=np.array([t[2] is not None for t in tables]), route=route, dual=dual,
     )
+
+
+# most (map, pair) rows, about 100 bytes each, one pass of `validate` holds
+_PAIRS = 1 << 16
 
 
 def _firsts(bad: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
@@ -147,13 +142,19 @@ def _check_fibres(fibres: Iterable[FiniteAlgebra]) -> None:
     todo: dict[tuple, list[FiniteAlgebra]] = {}
     for F in fibres:
         if cls not in F._memo.get(is_class, {}):
-            todo.setdefault((F.meet, F.join), []).append(F)
+            todo.setdefault(_memoised(F, _table_key)[:2], []).append(F)
     sizes = np.array([same[0].size for same in todo.values()], dtype=np.int64)
     fits = (np.cumsum(sizes**3) <= _BLOCK) & (np.cumsum(sizes) ** 2 <= _BLOCK)
     batch = [same for same, fit in zip(todo.values(), fits) if fit]
     if not batch:
         return
-    off, meet, join, _ = _block_diagonal([same[0] for same in batch])
+    off = np.cumsum([0] + [same[0].size for same in batch])
+    meet = np.zeros((off[-1], off[-1]), dtype=np.int16)  # 0 off the blocks
+    join = meet.copy()
+    for o, same in zip(off, batch):
+        m, j, _ = same[0].arrays()
+        block = slice(o, o + len(m))
+        meet[block, block], join[block, block] = m + o, j + o
     cubes = [o + np.indices((same[0].size,) * 3).reshape(3, -1) for o, same in zip(off, batch)]
     grids = list(np.concatenate(cubes, axis=1).astype(np.int16))
     dot = np.take_along_axis(meet, join.astype(np.intp), axis=1)
@@ -171,9 +172,9 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
     checks come first, each ending the list where it fails.  The fibres run
     their class check as one batch (:func:`_check_fibres`); the maps are
     checked by array comparisons over the flat form (:func:`_flat`), in
-    arrays no larger than it or ``_BLOCK`` rows, each map reporting its first
-    failure: pairs (a, b) row by row, meet before join, then negation where
-    both fibres have one."""
+    arrays no larger than its `route` or ``_PAIRS`` rows, each map reporting
+    its first failure: pairs (a, b) row by row, meet before join, then
+    negation where both fibres have one."""
     out: list[str] = []
     idx = system.index
     if idx.neg is None:
@@ -207,7 +208,7 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         # image(x, dst[u]): pairs (g, h) row by row under each (source, target)
         # pair of tables, then elements under ~ where both fibres have one
         n2, n1 = sizes[src] ** 2, sizes[src]
-        if n2.sum() > _BLOCK and len(src) > 1:  # halve, to keep the rows bounded
+        if n2.sum() > _PAIRS and len(src) > 1:  # halve, to keep the rows bounded
             parts = np.array_split(np.arange(len(src)), 2)
             return [r for p in parts for r in failures(src[p], dst[p], image, tables)]
         u2, u1 = (np.repeat(np.arange(len(src)), c) for c in (n2, n1))
@@ -215,7 +216,8 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         g, h = f.off[src][u2] + q // n1[u2], f.off[src][u2] + q % n1[u2]
         x = f.off[src][u1] + np.arange(n1.sum()) - np.repeat(np.cumsum(n1) - n1, n1)
         y, k2 = image(x, dst[u1]), dst[u2]
-        bad = [image(t[g, h], k2) != s[image(g, k2), image(h, k2)] for t, s in tables]
+        ig, ih = image(g, k2), image(h, k2)
+        bad = [image(t[f.row[g] + h], k2) != s[f.row[ig] + ih] for t, s in tables]
         neg = f.negs[f.fib[x]] & f.negs[f.fib[y]] & (image(f.neg[x], dst[u1]) != f.neg[y])
         rows = np.concatenate([np.stack(bad, axis=1).ravel(), neg])
         first = _firsts(rows[:, None], np.concatenate([np.repeat(u2, 2), u1]), len(src))[:, 0]
@@ -285,13 +287,14 @@ def _require_valid(violations: list[str]) -> None:
 
 def _assemble(system: InvSemilatticeSystem, name: str, negation: bool = True) -> FiniteAlgebra:
     # meet[g, h] = M[rg[g, h], rg[h, g]], rg[g, h] = route[g, k] with k the
-    # (commutative) index join of fib(g) and fib(h); join likewise, neg = dual
+    # (commutative) index join of fib(g) and fib(h), read from the fibres'
+    # stored tables at row[rg[g, h]] + rg[h, g]; join likewise, neg = dual
     f = _flat(system)
-    k = np.array(system.index.join)[f.fib[:, None], f.fib]
+    k = system.index.arrays()[1][f.fib[:, None], f.fib]
     rg = np.take_along_axis(f.route, k, axis=1)
+    at = f.row[rg] + rg.T
     names = [f"({i},{x})" for i in system.index.elements for x in system.fibres[i].elements]
-    neg = f.dual.tolist() if negation else None
-    return FiniteAlgebra(name, names, f.meet[rg, rg.T].tolist(), f.join[rg, rg.T].tolist(), neg)
+    return FiniteAlgebra(name, names, f.meet[at], f.join[at], f.dual if negation else None)
 
 
 def dpl_sum(system: InvSemilatticeSystem, name: str | None = None) -> FiniteAlgebra:
@@ -325,9 +328,7 @@ def plonka_sum(
     if withneg and len(withneg) != len(fibres):
         raise ValidationError("either all fibres carry a negation or none do")
 
-    idx = FiniteAlgebra(
-        index.name, index.elements, index.meet, index.join, tuple(range(index.size))
-    )
+    idx = FiniteAlgebra(index.name, index.elements, *index.arrays()[:2], np.arange(index.size))
     trans = {k: tuple(v) for k, v in transitions.items()}
     if withneg:
         stripped = {}
@@ -337,8 +338,8 @@ def plonka_sum(
                 raise ValidationError(
                     f"fibre at {i} must be a De Morgan lattice to act as its own dualiser"
                 )
-            stripped[i] = FiniteAlgebra(F.name, F.elements, F.meet, F.join, None)
-            duals[i] = tuple(F.neg)  # type: ignore[arg-type]
+            stripped[i] = FiniteAlgebra(F.name, F.elements, *F.arrays()[:2])
+            duals[i] = F.neg
         system = InvSemilatticeSystem(idx, stripped, trans, duals)
         return dpl_sum(system, name=name)
 
@@ -361,8 +362,8 @@ def bilateralise(algebra: FiniteAlgebra) -> FiniteAlgebra:
         raise ValidationError("bilateralisation applies to negation-free algebras")
     n = algebra.size
     pairs = product(algebra, dual(algebra))
-    swap = [j * n + i for i in range(n) for j in range(n)]
-    return FiniteAlgebra(f"Bl({algebra.name})", pairs.elements, pairs.meet, pairs.join, swap)
+    swap = np.arange(n * n).reshape(n, n).T.ravel()  # (i, j) -> (j, i)
+    return FiniteAlgebra(f"Bl({algebra.name})", pairs.elements, *pairs.arrays()[:2], swap)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ _HOM_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
 
 def _all_homs(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
     # every homomorphism F -> G in lexicographic order, cached by the tables
-    key = ((F.meet, F.join, F.neg), (G.meet, G.join, G.neg))
+    key = (_memoised(F, _table_key), _memoised(G, _table_key))
     if key not in _HOM_CACHE:
         _HOM_CACHE[key] = sorted(_homomorphisms(F, G, lambda g, f: range(G.size)))
     return _HOM_CACHE[key]

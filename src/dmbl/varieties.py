@@ -35,6 +35,7 @@ from .finalg import (
     _meet,
     _memoised,
     _row_keys,
+    _table_key,
     congruences,
     is_isomorphic,
     product,
@@ -452,7 +453,7 @@ def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
     index = term_index()
     labels = []
     for a in algebras:
-        key = (a.meet, a.join, a.neg)
+        key = _memoised(a, _table_key)
         if key not in _PARTITIONS:
             _PARTITIONS[key] = theory_partition(a, index)
             _PARTITIONS[key].flags.writeable = False
@@ -870,9 +871,9 @@ def _subpower(U: FiniteAlgebra, place: np.ndarray, elements: np.ndarray) -> Fini
     return FiniteAlgebra(
         f"{U.name}^{len(place)}:{len(elements)}",
         [str(c) for c in elements],
-        index[meet[x[:, None], x] @ place].tolist(),
-        index[join[x[:, None], x] @ place].tolist(),
-        None if neg is None else index[neg[x] @ place].tolist(),
+        index[meet[x[:, None], x] @ place],
+        index[join[x[:, None], x] @ place],
+        None if neg is None else index[neg[x] @ place],
     )
 
 

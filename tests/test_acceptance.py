@@ -15,7 +15,6 @@ from dmbl.catalog import CATALOG_NAMES, build_U_system, catalog_entries, entry, 
 from dmbl.decomp import band_of, check_ailnb, decompose, greens, index_subvariety
 from dmbl.finalg import (
     Congruence,
-    eval_term,
     is_class,
     is_congruence,
     is_isomorphic,
@@ -50,6 +49,7 @@ from dmbl.varieties import (
     syntactic_vs_semantic,
     variety_satisfies,
 )
+from oracles import eval_term
 
 
 def _report(capsys, number, label, ok, elapsed=None):

@@ -21,7 +21,6 @@ from dmbl.catalog import (
 from dmbl.finalg import (
     ValidationError,
     congruences,
-    eval_term,
     is_class,
     is_isomorphic,
     is_subdirectly_irreducible,
@@ -32,6 +31,7 @@ from dmbl.finalg import (
 )
 from dmbl.sums import validate
 from dmbl.terms import parse, parse_term
+from oracles import eval_term
 
 
 BASICS = build_basics()

@@ -321,6 +321,83 @@ def test_sum_of_a_mutated_system_is_a_result_or_an_error(capsys, tmp_path, data)
     assert code == 0 or (code == 2 and err.startswith("error:") and "Traceback" not in err)
 
 
+_ALGEBRAS = {name: algebra_to_json(get_algebra(name)) for name in ("B2", "A5", "U")}
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_a_mutated_algebra_file_is_a_result_or_an_error(capsys, tmp_path, data):
+    # 1-3 mutations of a valid algebra's JSON: a key or list item deleted, a
+    # value set to -1, the size, a float, a string, true, null or [], a list
+    # shortened, or an element name duplicated; `dmbl check` and
+    # `dmbl decompose --in` answer each with a result (0) or an error (2)
+    blob = json.loads(json.dumps(_ALGEBRAS[data.draw(st.sampled_from(sorted(_ALGEBRAS)))]))
+    size = len(blob["elements"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        *where, last = data.draw(st.sampled_from([p for p in _paths(blob) if p]))
+        parent = blob
+        for key in where:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from(["delete", "set", "shorten", "duplicate"]))
+        if kind == "delete":
+            del parent[last]
+        elif kind == "set":
+            parent[last] = data.draw(st.sampled_from([-1, size, 0.5, "a", True, None, []]))
+        elif kind == "shorten":
+            if isinstance(parent[last], list) and parent[last]:
+                parent[last].pop()
+        elif isinstance(blob.get("elements"), list) and len(blob["elements"]) > 1:
+            names = blob["elements"]
+            names[data.draw(st.integers(1, len(names) - 1))] = names[0]
+    file = tmp_path / "algebra.json"
+    file.write_text(json.dumps(blob))
+    command = data.draw(st.sampled_from([
+        ("check", "--algebra", str(file), "x /\\ ~y = ~(~x \\/ y)"),
+        ("check", "--algebra", str(file), "x \\/ (y /\\ z) = (x \\/ y) /\\ (x \\/ z)"),
+        ("decompose", "--in", str(file)),
+    ]))
+    start = time.perf_counter()
+    code, _, err = run(capsys, *command)
+    assert time.perf_counter() - start < 5
+    assert code == 0 or (code == 2 and err.startswith("error:") and "Traceback" not in err)
+
+
+_IDENTITIES = (
+    "x /\\ ~x = y /\\ ~y",
+    "x \\/ (y /\\ z) = (x \\/ y) /\\ (x \\/ z)",
+    "~(x /\\ y) = ~x \\/ ~y",
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_check_of_a_mutated_identity_is_a_result_or_an_error(capsys, data):
+    # 1-3 edits of a valid identity: a character deleted, inserted or
+    # duplicated; `dmbl check` answers each with a verdict (0), a parse
+    # error (1) or a validation error (2)
+    text = data.draw(st.sampled_from(_IDENTITIES))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif kind == "insert":
+            text = text[:at] + data.draw(st.sampled_from(list("xyzw~/\\()= 01"))) + text[at:]
+        else:
+            text = text[:at] + text[at : at + 3] + text[at:]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--algebra", data.draw(st.sampled_from(["DM4", "U"])), text)
+    assert time.perf_counter() - start < 5
+    if code == 0:
+        assert out.startswith(("true", "false"))
+    else:
+        assert code in (1, 2) and err.startswith("error:") and "Traceback" not in err
+
+
 def test_decompose_to_stdout(capsys):
     code, out, _ = run(capsys, "decompose", "--in", "U")
     assert code == 0

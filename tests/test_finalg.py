@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -34,7 +35,6 @@ from dmbl.finalg import (
     congruences,
     congruences_ops,
     dual,
-    eval_term,
     is_class,
     is_congruence,
     is_isomorphic,
@@ -42,7 +42,6 @@ from dmbl.finalg import (
     join_partitions,
     load_algebra,
     meet_partitions,
-    monolith,
     power,
     principal_congruence,
     product,
@@ -53,7 +52,8 @@ from dmbl.finalg import (
     subalgebra_generated,
 )
 from dmbl.finalg import _JOIN, _MEET, _NEG, _VAR
-from dmbl.sums import bilateralise
+from dmbl.decomp import decompose
+from dmbl.sums import bilateralise, system_to_json
 from dmbl.sweep import (
     enumerate_terms,
     first_violation,
@@ -77,6 +77,7 @@ from dmbl.terms import (
     parse_term,
     polarities,
 )
+from oracles import eval_term
 
 
 BASICS = build_basics()
@@ -105,6 +106,176 @@ def test_construction_rejects_bad_tables():
             FiniteAlgebra("x", ("a", "b"), bad_meet, ((0, 1), (1, 1)))
     with pytest.raises(ValidationError, match="integer entries"):
         FiniteAlgebra("x", ("a", "b"), ((0, 0), (0, 1)), ((0, 1), (1, 1)), neg=(1.2, 0.3))
+
+
+def _oracle_tables(n, meet, join, neg):
+    # the constructor's checks as they were, entry by entry over tuples:
+    # the (meet, join, neg) tuples an algebra of n elements holds, or the
+    # ValidationError it raises
+    def check_table(tbl, label):
+        try:
+            tbl = tuple(tuple(map(operator.index, row)) for row in tbl)
+        except TypeError:
+            raise ValidationError(f"{label} table must hold integer entries") from None
+        if len(tbl) != n or any(len(row) != n for row in tbl):
+            raise ValidationError(f"{label} table must be {n}x{n}")
+        seen = set().union(*tbl)
+        if min(seen) < 0 or max(seen) >= n:
+            v = next(v for row in tbl for v in row if not 0 <= v < n)
+            raise ValidationError(f"{label} table entry {v} out of range [0,{n})")
+        return tbl
+
+    meet, join = check_table(meet, "meet"), check_table(join, "join")
+    if neg is not None:
+        try:
+            neg = tuple(map(operator.index, neg))
+        except TypeError:
+            raise ValidationError("neg table must hold integer entries") from None
+        if len(neg) != n:
+            raise ValidationError(f"neg table must have length {n}")
+        if any(not 0 <= v < n for v in neg):
+            raise ValidationError("neg table entry out of range")
+        if len(set(neg)) != n:
+            raise ValidationError("neg table must be a bijection")
+    return meet, join, neg
+
+
+# values an entry, a row or a whole table may be replaced by: integers out
+# of range, and each other kind of value operator.index accepts or refuses
+_ODD_ENTRIES = st.sampled_from([
+    -1, 3, 0.5, 1.0, "a", "", None, [], [0], 2**70, -(2**70), 2**63,
+    True, np.int64(5), np.True_, np.float64(1),
+])
+_NOT_ROWS = st.sampled_from([5, None, "ab", "", 0.5, np.int64(1)])
+
+
+def _draw_table(data, n, square):
+    # a valid table of n elements (n x n, or a permutation for neg) as nested
+    # lists of Python, bool and numpy integers, with 0-2 faults: an entry
+    # replaced, a row replaced, shortened or lengthened, the table shortened
+    # or lengthened, or the whole of it replaced; sometimes converted to a
+    # numpy array of some dtype
+    ints = st.one_of(
+        st.integers(0, n - 1), st.integers(0, n - 1).map(np.int64),
+        st.integers(0, n - 1).map(np.uint8), st.booleans().filter(lambda b: b < n),
+    )
+    if square:
+        table = [[data.draw(ints) for _ in range(n)] for _ in range(n)]
+    else:
+        table = list(data.draw(st.permutations(range(n))))
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        fault = data.draw(st.sampled_from(["entry", "row", "length", "whole"]))
+        rows = [r for r in table if isinstance(r, list)] if square else [table]
+        if fault == "entry" and rows:
+            row = data.draw(st.sampled_from(rows))
+            if row:
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(ints | _ODD_ENTRIES)
+        elif fault == "row" and rows:
+            row = data.draw(st.sampled_from(rows))
+            change = data.draw(st.sampled_from(["pop", "append", "replace"]))
+            if change == "pop" and row:
+                row.pop()
+            elif change == "append":
+                row.append(data.draw(ints))
+            elif square:
+                table[data.draw(st.integers(0, n - 1))] = data.draw(_NOT_ROWS)
+        elif fault == "length" and square:
+            if table and data.draw(st.booleans()):
+                table.pop()
+            else:
+                table.append([0] * n)
+        elif fault == "whole":
+            return data.draw(_NOT_ROWS)
+    dtype = data.draw(st.sampled_from([None, None, None, np.int64, np.int16, np.uint8, bool, float, object]))
+    if dtype is not None:
+        try:
+            return np.array(table, dtype=dtype)
+        except Exception:  # ragged, out of the dtype's range, or not numbers
+            pass
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_construction_accepts_and_refuses_as_the_entrywise_checks(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    meet, join = _draw_table(data, n, True), _draw_table(data, n, True)
+    neg = data.draw(st.one_of(st.none(), st.builds(lambda: _draw_table(data, n, False))))
+    copies = [np.array(t, copy=True) if isinstance(t, np.ndarray) else None for t in (meet, join, neg)]
+    try:
+        expected = _oracle_tables(n, meet, join, neg)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            FiniteAlgebra("x", [str(i) for i in range(n)], meet, join, neg)
+        assert str(got.value) == str(exc)
+        return
+    a = FiniteAlgebra("x", [str(i) for i in range(n)], meet, join, neg)
+    assert (a.meet, a.join, a.neg) == expected
+    for table, given_, copy in zip(a.arrays(), (meet, join, neg), copies):
+        if table is None:
+            continue
+        assert table.dtype == np.int16 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+        if copy is not None:  # the caller's array is copied, and stays writable
+            assert given_.flags.writeable and not np.shares_memory(given_, table)
+            assert np.array_equal(given_, copy)
+
+
+def test_construction_messages():
+    ab, ok = ("a", "b"), ((0, 1), (1, 1))
+    for meet, message in (
+        (((0, 2**70), (0, 1)), f"meet table entry {2**70} out of range [0,2)"),
+        (((0, -1), (2, 1)), "meet table entry -1 out of range [0,2)"),
+        (np.array([[0, 1], [5, -3]]), "meet table entry 5 out of range [0,2)"),
+        ((((0,), 1), (0, 1)), "meet table must hold integer entries"),
+        (((0, 1), (0, 1, 1)), "meet table must be 2x2"),
+        (((0, 1), (0, 0.5, 1)), "meet table must hold integer entries"),
+        (np.zeros((2, 3), dtype=np.int16), "meet table must be 2x2"),
+        (np.zeros((2, 2), dtype=bool), "meet table must hold integer entries"),
+        (((True, False), (np.int64(1), np.uint8(1))), None),
+    ):
+        if message is None:
+            assert FiniteAlgebra("x", ab, meet, ok).meet == ((1, 0), (1, 1))
+            continue
+        with pytest.raises(ValidationError) as got:
+            FiniteAlgebra("x", ab, meet, ok)
+        assert str(got.value) == message
+    # meet is checked in full before join
+    with pytest.raises(ValidationError, match=r"^meet table entry 5 out of range \[0,2\)$"):
+        FiniteAlgebra("x", ab, ((0, 5), (0, 1)), ((0, 1),))
+    for neg, message in (
+        ((0,), "neg table must have length 2"),
+        ((0, 2), "neg table entry out of range"),
+        (np.array([1, 1]), "neg table must be a bijection"),
+        (np.array([[0, 1]]), "neg table must hold integer entries"),
+    ):
+        with pytest.raises(ValidationError) as got:
+            FiniteAlgebra("x", ab, ok, ok, neg)
+        assert str(got.value) == message
+
+
+def test_a_large_power_is_built_as_arrays():
+    # IS3^7 has 2187 elements, and its two tables take 9.1 MiB each as
+    # int16; built as tuples of Python ints, they raised max RSS by 508 MiB
+    code = (
+        "import resource\n"
+        "from dmbl.catalog import get_algebra\n"
+        "from dmbl.finalg import power\n"
+        "is3 = get_algebra('IS3')\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "a = power(is3, 7)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(a.size, grown // 1024, a._views == [None] * 3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(finalg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    size, grown_mib, no_views = out.stdout.split()
+    assert size == "2187"
+    assert int(grown_mib) < 80
+    assert no_views == "True"
 
 
 def test_element_name_index_lookup():
@@ -872,6 +1043,18 @@ def test_quotient_rejects_block_ids_out_of_first_occurrence_order():
             quotient(IS2, Congruence(block_of))
 
 
+def monolith(algebra: FiniteAlgebra) -> Congruence | None:
+    # least nontrivial congruence, or None: the meet of the principals, x
+    # and y sharing a block when every principal's label row gives them the
+    # same label; limited like the principals to CONGRUENCE_SIZE_LIMIT
+    n = algebra.size
+    if n == 1:
+        return None
+    rows = finalg._principal_rows(n, finalg._ops_of(algebra))
+    mono = finalg._partition(finalg._row_keys(rows.T))
+    return None if mono.is_identity() else mono
+
+
 def test_subdirect_irreducibility_examples():
     assert is_subdirectly_irreducible(DM4)
     assert is_subdirectly_irreducible(IS4)
@@ -887,6 +1070,7 @@ def test_monolith_of_si_algebra_is_least_nontrivial():
         if not c.is_identity():
             assert m.refines(c)
     assert monolith(product(IS2, IS3)) is None
+    assert is_subdirectly_irreducible(DM4) and not is_subdirectly_irreducible(product(IS2, IS3))
 
 
 def test_congruence_from_blocks_roundtrip():
@@ -1007,6 +1191,7 @@ def test_principal_congruences_and_monolith_match_oracle(data):
     expected = None if meet is None or meet.is_identity() else meet
     assert monolith(a) == expected
     assert is_subdirectly_irreducible(a) == _oracle_is_si(a)
+    assert is_subdirectly_irreducible(a) == (n == 1 or expected is not None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1372,6 +1557,17 @@ def test_json_round_trip_exact():
         assert back.join == e.algebra.join
         assert back.neg == e.algebra.neg
         assert algebra_to_json(back) == blob
+
+
+def test_json_bytes_are_pinned():
+    # every catalog and auxiliary algebra, U^2 and the system of U x U, as
+    # saved: the bytes written before the tables were stored as arrays
+    u = get_algebra("U")
+    blobs = [algebra_to_json(get_algebra(name)) for name in known_algebra_names()]
+    blobs += [algebra_to_json(power(u, 2)), system_to_json(decompose(product(u, u)))]
+    assert hashlib.sha256(json.dumps(blobs, indent=2, sort_keys=True).encode()).hexdigest() == (
+        "0345cb0f16a2d07c5125c12a7817145c69027384f77f05118a6e963a6326b0e9"
+    )
 
 
 def test_json_file_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from dmbl.finalg import (
     dual,
     is_class,
     is_isomorphic,
+    power,
     product,
     satisfies,
     subalgebra_generated,
@@ -697,9 +699,33 @@ def test_validate_does_not_depend_on_the_row_bound(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     system = _corrupted(data, random_system(rng, *_fresh_product_pools()))
     expected = _validate_by_loop(system)
+    bound = data.draw(st.sampled_from([1, 4, 64]), label="bound")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sums, "_BLOCK", data.draw(st.sampled_from([1, 4, 64]), label="bound"))
+        mp.setattr(sums, "_BLOCK", bound)
+        mp.setattr(sums, "_PAIRS", bound)
         assert validate(system) == expected
+
+
+def test_validate_holds_the_fibres_tables_not_the_sums():
+    # 243 fibres D2^4 over IS3^5, identity transitions and complements as
+    # dualisers: N = 3888 elements, so the N x N tables of the sum would take
+    # 29 MiB each as int16; the fibres' own tables take 0.5 MiB.  Holding
+    # the sum's tables, validate peaked at 126 MiB here
+    index = power(get_algebra("IS3"), 5)
+    F = power(get_algebra("D2"), 4)
+    complement = tuple(range(F.size))[::-1]
+    system = InvSemilatticeSystem(index, {i: F for i in index.elements}, {}, {})
+    system.transitions = {p: tuple(range(F.size)) for p in system.comparable_pairs()}
+    system.dualisers = {i: complement for i in index.elements}
+    tracemalloc.start()
+    try:
+        problems = validate(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problems == []
+    assert len(system.transitions) == 3125
+    assert peak < 48 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -27,7 +27,6 @@ from dmbl.finalg import (
     _require_canonical_rows,
     _row_keys,
     congruences,
-    eval_term,
     is_congruence,
     is_isomorphic,
     power,
@@ -78,6 +77,7 @@ from dmbl.varieties import (
     _subuniverses,
     _term_codes,
 )
+from oracles import eval_term
 
 # ---------------------------------------------------------------------------
 # descriptors and generator sets
