@@ -43,6 +43,7 @@ from .finalg import (
 
 __all__ = [
     "InvSemilatticeSystem",
+    "MAX_ATTEMPTS",
     "bilateralise",
     "dpl_sum",
     "load_system",
@@ -399,13 +400,17 @@ def _default_pools() -> tuple[list[FiniteAlgebra], list[FiniteAlgebra]]:
     return indices, [basics["D1"], d2, product(d2, d2)]
 
 
+#: most draws `random_system` makes before it gives up
+MAX_ATTEMPTS = 500
+
+
 def random_system(
     rng: random.Random,
     indices: Sequence[FiniteAlgebra] | None = None,
     fibre_pool: Sequence[FiniteAlgebra] | None = None,
-    max_attempts: int = 500,
 ) -> InvSemilatticeSystem:
-    """A uniformly-seeded valid system (rejection sampling).
+    """A uniformly-seeded valid system (rejection sampling, at most
+    ``MAX_ATTEMPTS`` draws).
 
     Defaults: index drawn from IS1..IS4, fibres from {D1, D2, D2xD2}.  Dual
     index pairs get a fibre and its dual copy with the identity dualiser;
@@ -419,7 +424,7 @@ def random_system(
     if fibre_pool is None:
         fibre_pool = default_fib
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         idx = rng.choice(list(indices))
         els = idx.elements
         neg_of = {e: els[idx.neg[idx.index(e)]] for e in els}  # type: ignore[index]
@@ -505,7 +510,7 @@ def random_system(
         system = InvSemilatticeSystem(idx, fibres, trans, dualisers)
         if not validate(system):
             return system
-    raise RuntimeError(f"no valid system found in {max_attempts} attempts")
+    raise RuntimeError(f"no valid system found in {MAX_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -237,21 +237,9 @@ def partition_ids(keys: Sequence) -> np.ndarray:
     return out
 
 
-def _aligned(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p, q = np.asarray(p), np.asarray(q)
-    if len(p) != len(q):
-        raise ValidationError(f"cannot compare partitions of {len(p)} and {len(q)} elements")
-    return p, q
-
-
 def refines(p: np.ndarray, q: np.ndarray) -> bool:
-    """Does the partition labelled by p refine the one labelled by q?  It
-    does when q is constant on each run of equal p-labels once the labels
-    are sorted stably by p."""
-    p, q = _aligned(p, q)
-    order = np.argsort(p, kind="stable")
-    p, q = p[order], q[order]
-    return not ((p[1:] == p[:-1]) & (q[1:] != q[:-1])).any()
+    """Does the partition labelled by p refine the one labelled by q?"""
+    return first_violation(p, q) is None
 
 
 def same_partition(p: np.ndarray, q: np.ndarray) -> bool:
@@ -262,7 +250,9 @@ def first_violation(p: np.ndarray, q: np.ndarray) -> tuple[int, int] | None:
     """First index pair grouped by p but split by q (for error reporting):
     the least index i whose q-label differs from that of the first index
     with p-label p[i], after it."""
-    p, q = _aligned(p, q)
+    p, q = np.asarray(p), np.asarray(q)
+    if len(p) != len(q):
+        raise ValidationError(f"cannot compare partitions of {len(p)} and {len(q)} elements")
     rep = _least(p)
     bad = np.flatnonzero(q[rep] != q)
     return (int(rep[bad[0]]), int(bad[0])) if len(bad) else None

@@ -29,6 +29,7 @@ from .finalg import (
     FiniteAlgebra,
     SatisfactionResult,
     ValidationError,
+    _BATCH,
     _canonical,
     _closure,
     _least,
@@ -61,6 +62,10 @@ __all__ = [
     "COLLAPSE",
     "CoverEdge",
     "HspResult",
+    "MAX_FACTORS",
+    "MAX_SUBALGEBRA_GENERATORS",
+    "PAIR_SEEDS_ABOVE",
+    "PRODUCT_BUDGET",
     "R_ABS",
     "RB_ABS",
     "RBISL_AXIOM",
@@ -382,16 +387,17 @@ def _split(bip: np.ndarray, bipolar: Sequence, other: Sequence) -> np.ndarray:
     return _meet(bip, *(np.where(bip, b, o) for b, o in pairs))
 
 
-def classifier_sweep(max_nodes: int = 7) -> dict:
-    """Exhaustive syntactic-vs-semantic agreement over the bounded term space.
+def classifier_sweep() -> dict:
+    """Exhaustive syntactic-vs-semantic agreement over the bounded term space
+    (:func:`enumerate_terms`).
 
     Works pairwise-free: an identity built from two enumerated terms holds in
     the test algebra iff the terms share a value row, and lies in the class
     iff they share the syntactic key, so agreement over every pair is one
     partition comparison per class.
     """
-    terms = enumerate_terms(max_nodes)
-    index = term_index(max_nodes)
+    terms = enumerate_terms()
+    index = term_index()
     v, p, m, bip = _signature_columns(index)
     keys = {
         "regular": v,
@@ -498,11 +504,23 @@ def _pool_separator(
     return None
 
 
+#: the bounds of `hsp_membership`'s search: products of at most MAX_FACTORS
+#: generators and PRODUCT_BUDGET elements, their subalgebras generated by at
+#: most MAX_SUBALGEBRA_GENERATORS elements (by pairs only on products of more
+#: than PAIR_SEEDS_ABOVE elements) plus the whole product, and the
+#: congruences of those up to ``CONGRUENCE_SIZE_LIMIT`` elements
+MAX_FACTORS = 3
+PRODUCT_BUDGET = 100
+MAX_SUBALGEBRA_GENERATORS = 3
+PAIR_SEEDS_ABOVE = 20
+
+
 def _subuniverses(P: FiniteAlgebra, max_generators: int) -> list[tuple[int, ...]]:
-    """Subuniverses generated by up to `max_generators` elements, plus the
-    whole carrier; deduplicated, smallest first."""
+    """Subuniverses generated by up to `max_generators` elements (up to two
+    above ``PAIR_SEEDS_ABOVE`` elements), plus the whole carrier;
+    deduplicated, smallest first."""
     n = P.size
-    take = max_generators if n <= 20 else min(max_generators, 2)
+    take = max_generators if n <= PAIR_SEEDS_ABOVE else min(max_generators, 2)
     seen: set[frozenset[int]] = set()
     for size in range(1, take + 1):
         for seed in itertools.combinations(range(n), size):
@@ -511,27 +529,19 @@ def _subuniverses(P: FiniteAlgebra, max_generators: int) -> list[tuple[int, ...]
     return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))
 
 
-def hsp_membership(
-    algebra: FiniteAlgebra,
-    generators,
-    *,
-    max_factors: int = 3,
-    product_budget: int = 100,
-    max_subalgebra_generators: int = 3,
-    congruence_budget: int = CONGRUENCE_SIZE_LIMIT,
-) -> HspResult:
+def hsp_membership(algebra: FiniteAlgebra, generators) -> HspResult:
     """Bounded search for `algebra` in the variety of the given generators.
 
     "out": an identity valid in every generator but failing in the algebra,
     from the curated pool or the bounded term sweep.  "in": the algebra is
-    isomorphic to a quotient of a subalgebra of a product of at most
-    `max_factors` generators (products over `product_budget` elements are not
-    formed; subalgebras are taken generated by at most
-    `max_subalgebra_generators` elements -- pairs only on products above 20
-    elements -- plus the full product; congruences are enumerated on
-    subalgebras up to `congruence_budget` elements).  "unknown": both
-    searches exhausted.  Generators may be algebras, catalog indices or
-    known algebra names.
+    isomorphic to a quotient of a subalgebra of a product of generators,
+    searched within ``MAX_FACTORS``, ``PRODUCT_BUDGET``,
+    ``MAX_SUBALGEBRA_GENERATORS``, ``PAIR_SEEDS_ABOVE`` and
+    ``CONGRUENCE_SIZE_LIMIT``; a subalgebra with more than
+    ``CONGRUENCE_COUNT_LIMIT`` congruences is skipped like a larger one.
+    "unknown": both searches exhausted.  Generators may be algebras, catalog
+    indices or known algebra names; the algebra and every generator must
+    have at most ``PRODUCT_BUDGET`` elements.
     """
     gens = (
         [_resolve(generators)]
@@ -540,11 +550,10 @@ def hsp_membership(
     )
     if not gens:
         raise ValidationError("need at least one generator")
-    cap = max(product_budget, 1)
-    oversized = [a.name for a in [algebra, *gens] if a.size > cap]
+    oversized = [a.name for a in [algebra, *gens] if a.size > PRODUCT_BUDGET]
     if oversized:
         raise ValidationError(
-            f"size budget exceeded: {', '.join(oversized)} larger than {cap} elements"
+            f"size budget exceeded: {', '.join(oversized)} larger than {PRODUCT_BUDGET} elements"
         )
 
     found = _pool_separator(gens, [algebra])
@@ -558,28 +567,24 @@ def hsp_membership(
         return HspResult("out", identity=str(e), counterexample=res.counterexample)
 
     # membership search, smallest products first
-    multisets = [
-        ms
-        for k in range(1, max_factors + 1)
+    products = sorted(
+        (reduce(lambda size, i: size * gens[i].size, ms, 1), k, ms)
+        for k in range(1, MAX_FACTORS + 1)
         for ms in itertools.combinations_with_replacement(range(len(gens)), k)
-    ]
-
-    def prod_size(ms):
-        size = 1
-        for i in ms:
-            size *= gens[i].size
-        return size
-
-    multisets.sort(key=lambda ms: (prod_size(ms), len(ms), ms))
-    for ms in multisets:
-        if prod_size(ms) > product_budget:
-            continue
+    )
+    for size, _, ms in products:
+        if size > PRODUCT_BUDGET:
+            break
         P = reduce(product, [gens[i] for i in ms])
-        for sub in _subuniverses(P, max_subalgebra_generators):
-            if len(sub) < algebra.size or len(sub) > congruence_budget:
+        for sub in _subuniverses(P, MAX_SUBALGEBRA_GENERATORS):
+            if len(sub) < algebra.size or len(sub) > CONGRUENCE_SIZE_LIMIT:
                 continue
             S, inclusion = subalgebra_generated(P, sub)
-            for theta in congruences(S):
+            try:
+                cons = congruences(S)
+            except ValidationError:  # too many congruences to list
+                continue
+            for theta in cons:
                 if theta.num_blocks != algebra.size:
                     continue
                 Q = quotient(S, theta)
@@ -796,15 +801,12 @@ def build_lattice() -> SubvarietyLattice:
 # ---------------------------------------------------------------------------
 # the Jónsson search, through the free algebra on two generators
 
-_GATHER = 1 << 16  # term values per batch of seeds or pairs
-
-
 def _free_pair(U: FiniteAlgebra) -> np.ndarray:
     """F(2) of V(U), the free algebra on two generators: the subalgebra of
     U^(U x U) generated by the two projections, one row per binary term
     function t of U, with ``T[t, a * n + b] = t(a, b)``.  A semi-naive
     closure: each round applies the operations to the rows found in the last
-    round and all rows so far, about 2^19 values at a time."""
+    round and all rows so far, about ``_BATCH`` values at a time."""
     n = U.size
     meet, join, neg = U.arrays()
     # a commutative table needs one order of its arguments only
@@ -814,7 +816,7 @@ def _free_pair(U: FiniteAlgebra) -> np.ndarray:
     fresh = rows
     while len(fresh):
         new = set() if neg is None else set(_row_keys(neg.astype(np.uint8)[fresh]).tolist())
-        step = max(1, (1 << 19) // (len(rows) * n * n))
+        step = max(1, _BATCH // (len(rows) * n * n))
         for lo in range(len(rows) - len(fresh), len(rows), step):
             left = rows[lo : lo + step, None].astype(np.int16) * n
             for flat in flats.values():
@@ -852,7 +854,7 @@ def _masks(codes: np.ndarray, N: int) -> np.ndarray:
 def _generating_kernels(T: np.ndarray, n: int, place: np.ndarray, elements) -> set[bytes]:
     """The kernels of the pairs of `elements`, a subuniverse of U^k, that
     generate it: the κ with F(2)/κ isomorphic to it."""
-    size, step, out = len(elements), max(1, _GATHER // len(T)), set()
+    size, step, out = len(elements), max(1, _BATCH // len(T)), set()
     for lo in range(0, size * size, step):
         pair = np.arange(lo, min(lo + step, size * size))
         codes = _term_codes(T, n, place, elements[pair // size], elements[pair % size])
@@ -881,7 +883,7 @@ def _canonical_seeds(perms: np.ndarray, batch: int) -> Iterable[tuple[np.ndarray
     """The seeds a <= b of U^k (a == b: one element) that are the least image
     of themselves under the coordinate permutations `perms`, in batches."""
     N = perms.shape[1]
-    span = max(1, (1 << 16) // N)
+    span = max(1, _BATCH // N)
     for lo in range(0, N, span):
         a, b = np.nonzero(np.arange(lo, min(lo + span, N))[:, None] <= np.arange(N))
         a += lo
@@ -894,27 +896,31 @@ def _canonical_seeds(perms: np.ndarray, batch: int) -> Iterable[tuple[np.ndarray
             yield a[i : i + batch], b[i : i + batch]
 
 
-def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap: int) -> dict:
-    """Search quotients of 2-generated subalgebras of powers of U for
-    subdirectly irreducible members; each must embed into U itself.
+def jonsson_check(max_power: int = 2) -> dict:
+    """Subdirectly irreducible quotients of 2-generated subalgebras of U, U^2
+    (and up to U^`max_power`) all embed into U -- the bounded sanity check
+    behind using generator sets of subdirectly irreducibles.  Returns search
+    counts and failures (expected none).
 
-    The subalgebra S generated by a seed (a, b) of U^k is the set of values
-    t(a, b), t in F(2) (:func:`_free_pair`), so S is F(2)/κ for the kernel κ
-    of t -> t(a, b).  Subuniverses are counted up to coordinate permutations,
-    and those above `congruence_cap` elements are skipped (and counted).
-    S ≅ S' exactly when the kernel of the seed of S' is the kernel of some
+    The search runs through the free algebra F(2) of V(U): the subalgebra S
+    generated by a seed (a, b) of U^k is the set of values t(a, b), t in
+    F(2) (:func:`_free_pair`), so S is F(2)/κ for the kernel κ of
+    t -> t(a, b).  Subuniverses are counted up to coordinate permutations,
+    and those above ``CONGRUENCE_SIZE_LIMIT`` elements are skipped (and
+    counted).  S ≅ S' exactly when the kernel of the seed of S' is the kernel of some
     generating pair of S: each new isomorphism representative registers all
     those kernels, and later subalgebras of the same power cost one lookup.
     Congruences are computed on representatives only.  The kernel of S/θ is
     θ's block of each entry of κ, and S/θ embeds into U exactly when that is
     the kernel of a pair of elements of U.
     """
+    U = get_algebra("U")
     T = _memoised(U, _free_pair)
-    n, batch = U.size, max(1, _GATHER // len(T))
+    n, batch = U.size, max(1, _BATCH // len(T))
     embeds = set(_keys(T.T))  # the kernels of U's pairs
     report = dict.fromkeys(("subalgebras", "skipped_large", "quotients", "si_quotients"), 0)
     report["failures"] = []
-    for k in powers:
+    for k in range(1, max_power + 1):
         N, place = n**k, n ** np.arange(k - 1, -1, -1)
         # perms[i][x]: x with its coordinates permuted by the i-th permutation
         digits = np.arange(N)[:, None] // place % n
@@ -936,7 +942,7 @@ def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap:
         known: set[bytes] = set()  # kernels of the representatives' generating pairs
         for size, kernel, seed in sorted(found.values()):
             report["subalgebras"] += 1
-            if size > congruence_cap:
+            if size > CONGRUENCE_SIZE_LIMIT:
                 report["skipped_large"] += 1
                 continue
             if kernel in known:
@@ -960,16 +966,6 @@ def _si_quotients_embed(U: FiniteAlgebra, powers: Iterable[int], congruence_cap:
                     )
     report["ok"] = not report["failures"]
     return report
-
-
-def jonsson_check(max_power: int = 2, congruence_cap: int = CONGRUENCE_SIZE_LIMIT) -> dict:
-    """Subdirectly irreducible quotients of 2-generated subalgebras of U, U^2
-    (and up to U^`max_power`) all embed into U -- the bounded sanity check
-    behind using generator sets of subdirectly irreducibles.  The search runs
-    through the free algebra F(2) of V(U) (:func:`_si_quotients_embed`).
-    Returns search counts and failures (expected none)."""
-    U = get_algebra("U")
-    return _si_quotients_embed(U, range(1, max_power + 1), congruence_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,9 +1213,9 @@ def _theorem_checks() -> list[dict]:
             (RB_ABS, "RB-absorption", "R(Bip(DML))"),
         ):
             expected = set(lattice.below(top))
-            actual = {
-                v.name for v in lattice.nodes if variety_satisfies(v, axiom)
-            }
+            # a descriptor's axioms are the pool identities its generators
+            # satisfy, each verdict read once per algebra (`_verdict`)
+            actual = {v.name for v in lattice.nodes if axiom in v.axioms}
             ok = expected == actual
             detail = f"{len(expected)} varieties below {top}"
             if not ok:

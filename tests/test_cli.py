@@ -452,6 +452,15 @@ def test_catalog_single_algebra(capsys):
     assert "neg:" in out
 
 
+def test_catalog_algebra_takes_names_only(capsys, tmp_path):
+    # unlike check --algebra, catalog --algebra reads no file
+    path = tmp_path / "dm4.json"
+    save_algebra(entry("DM4").algebra, path)
+    code, out, err = run(capsys, "catalog", "--algebra", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: unknown algebra") and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- lattice
 
 def test_lattice_text(capsys):

@@ -418,17 +418,21 @@ def test_satisfies_reads_243_elements_through_int32_codes(monkeypatch):
 
 def test_value_matrix_does_not_depend_on_the_gather(monkeypatch):
     # U's rows of 9^3 values gather only at chunk 1; the int16 rows of
-    # 243^2 values of the product gather at the default chunk too
+    # 243^2 values of the product gather at the default chunk too.  Chunk 1
+    # makes one `take` per value, so there the terms have one variable
+    # (rows of 9 and 243 values); each matrix is compared with the default
+    # chunk's on the same terms
     p = product(product(U, U), IS3)
-    spaces = [(U, enumerate_terms(5, 3), 3), (p, enumerate_terms(4, 2), 2)]
-    default = finalg._CHUNK
-    for a, terms, k in spaces:
-        mats = []
-        for chunk in (1, 2**40, default):
+    for a, nodes, k in ((U, 5, 3), (p, 4, 2)):
+        expected = {}
+        for v in (1, k):
+            m = value_matrix(a, enumerate_terms(nodes, v), v)
+            expected[v] = (m.dtype, m.shape, m.tobytes())
+        for chunk in (1, 2**40, finalg._CHUNK):
+            v = 1 if chunk == 1 else k
             monkeypatch.setattr(finalg, "_CHUNK", chunk)
-            m = value_matrix(a, terms, k)
-            mats.append((m.dtype, m.shape, m.tobytes()))
-        assert mats[0] == mats[1] == mats[2], a.name
+            m = value_matrix(a, enumerate_terms(nodes, v), v)
+            assert (m.dtype, m.shape, m.tobytes()) == expected[v], (a.name, chunk)
 
 
 def test_satisfies_memory_is_bounded_by_block():
@@ -1721,17 +1725,22 @@ def test_theory_partition_does_not_depend_on_the_gather_chunk(monkeypatch):
     # batches of one row, of 22 rows with a shorter last one (U's rows of
     # 9^3 values, at the default chunk) and of every new code of a level at
     # once; the product's rows of 243^2 values read int32 codes.  Batches
-    # follow _CHUNK alone, so each _CHUNK of the grid is one case
-    spaces = [(U, term_index(), 3), (product(product(U, U), IS3), term_index(4, 2), 2)]
-    for a, index, k in spaces:
-        labels = {"default": theory_partition(a, index, k)}
+    # follow _CHUNK alone, so each _CHUNK of the grid is one case.  At
+    # _CHUNK 1 each value is one `take`, so there the terms have one
+    # variable (rows of 9 and 243 values), compared with the default chunk's
+    # labels on the same terms
+    spaces = [(U, 7, 3), (product(product(U, U), IS3), 4, 2)]
+    for a, nodes, k in spaces:
+        default = {v: theory_partition(a, term_index(nodes, v), v) for v in (1, k)}
+        labels = {}
         for chunk, block in _SCAN_GRID:
             monkeypatch.setattr(finalg, "_CHUNK", chunk)
             monkeypatch.setattr(finalg, "_BLOCK", block)
+            v = 1 if chunk == 1 else k
             if chunk not in labels:
-                labels[chunk] = theory_partition(a, index, k)
-        assert len(labels) == 3
-        assert all(np.array_equal(labels["default"], x) for x in labels.values()), a.name
+                labels[chunk] = (v, theory_partition(a, term_index(nodes, v), v))
+        assert len(labels) == 2
+        assert all(np.array_equal(default[v], x) for v, x in labels.values()), a.name
 
 
 # ---------------------------------------------------------- term space index

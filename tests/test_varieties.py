@@ -401,6 +401,24 @@ def test_hsp_membership_input_errors():
         hsp_membership(entry("B2").algebra, [])
 
 
+def test_hsp_membership_is_unknown_past_the_search_bounds():
+    # IS3^4 has 81 elements, more than CONGRUENCE_SIZE_LIMIT, and the
+    # products of IS3 within the budget have 3, 9 or 27: no identity
+    # separates them, and no subalgebra is large enough
+    result = hsp_membership(power(entry("IS3").algebra, 4), "IS3")
+    assert result.verdict == "unknown"
+    assert (result.certificate, result.identity, result.counterexample) == (None, None, None)
+
+
+def test_hsp_membership_skips_a_subalgebra_with_too_many_congruences():
+    # IS2^5 has 32 elements but more than CONGRUENCE_COUNT_LIMIT congruences,
+    # which congruences refuses; the search skips it as it skips a larger one
+    is2_5 = power(entry("IS2").algebra, 5)
+    with pytest.raises(ValidationError, match="limited to 65536 congruences"):
+        congruences(is2_5)
+    assert hsp_membership(is2_5, is2_5).verdict == "unknown"
+
+
 def test_hsp_result_json():
     data = hsp_membership(entry("B2").algebra, "IS4").to_json()
     assert data["verdict"] == "out"
