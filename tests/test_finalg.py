@@ -417,11 +417,11 @@ def test_satisfies_reads_243_elements_through_int32_codes(monkeypatch):
 
 
 def test_value_matrix_does_not_depend_on_the_gather(monkeypatch):
-    # U's rows of 9^3 values gather only at chunk 1; the int16 rows of
-    # 243^2 values of the product gather at the default chunk too.  Chunk 1
-    # makes one `take` per value, so there the terms have one variable
-    # (rows of 9 and 243 values); each matrix is compared with the default
-    # chunk's on the same terms
+    # chunk 1 makes one `take` per value, so there the terms have one
+    # variable: U's rows of 9 values and the product's int16 rows of 243;
+    # the product's rows of 243^2 values gather by chunks at the default
+    # chunk too.  Each matrix is compared with the default chunk's on the
+    # same terms
     p = product(product(U, U), IS3)
     for a, nodes, k in ((U, 5, 3), (p, 4, 2)):
         expected = {}
