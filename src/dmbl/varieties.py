@@ -516,8 +516,8 @@ PAIR_SEEDS_ABOVE = 20
 
 
 def _subuniverses(P: FiniteAlgebra, max_generators: int) -> list[tuple[int, ...]]:
-    """Subuniverses generated by up to `max_generators` elements (up to two
-    above ``PAIR_SEEDS_ABOVE`` elements), plus the whole carrier;
+    """Subuniverses generated by up to `max_generators` elements (by at most
+    two on more than ``PAIR_SEEDS_ABOVE`` elements), plus the whole carrier;
     deduplicated, smallest first."""
     n = P.size
     take = max_generators if n <= PAIR_SEEDS_ABOVE else min(max_generators, 2)
@@ -568,7 +568,7 @@ def hsp_membership(algebra: FiniteAlgebra, generators) -> HspResult:
 
     # membership search, smallest products first
     products = sorted(
-        (reduce(lambda size, i: size * gens[i].size, ms, 1), k, ms)
+        (reduce(lambda s, i: s * gens[i].size, ms, 1), k, ms)
         for k in range(1, MAX_FACTORS + 1)
         for ms in itertools.combinations_with_replacement(range(len(gens)), k)
     )
