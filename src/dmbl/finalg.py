@@ -24,8 +24,9 @@ a pre-order walk meets them (``_checked_tables``).  A step over more than
 (int16 codes while ``n * n <= 2**15``, int32 beyond) or, for ``~``, the
 argument's entry, through ``take`` one chunk of ``_CHUNK`` indices at a time;
 smaller steps index the tables directly.  When the scan fixes leading
-variables, the steps that read none of them run only in its first block, and
-every value is dropped after its last reader.  :func:`is_class` runs all of
+variables, the steps that read only those run once over their prefixes, the
+rest once per distinct frontier (the values of those steps that the rest
+read), and every value is dropped after its last reader.  :func:`is_class` runs all of
 a class's axioms as one program and keeps the verdict in the algebra's memo.
 Assignments times steps above ``SATISFIES_COST_LIMIT`` are refused before any
 evaluation.
@@ -256,7 +257,7 @@ class _Program:
     paired: bool
     checks: tuple[int, ...]
     dots: bool
-    plans: dict[int, tuple[list, list]] = field(default_factory=dict)
+    plans: dict[int, tuple[list, int, list]] = field(default_factory=dict)
 
     @cached_property
     def levels(self) -> list[tuple[np.ndarray, ...]]:
@@ -325,53 +326,59 @@ def _program(terms: tuple[Term, ...], paired: bool) -> _Program:
     return _Program(tuple(steps), tuple(names), roots, paired, tuple(dict.fromkeys(checks)), dots)
 
 
-def _plan(prog: _Program, fixed: int) -> tuple[list, list]:
-    """The plans of the first block and of every later block, with the first
-    `fixed` names fixed in each block.
+def _plan(prog: _Program, fixed: int) -> tuple[list, int, list]:
+    """The plans of a scan that fixes the first `fixed` names: ``(head,
+    width, tail)``.
 
-    A later block runs only the steps that read a fixed variable; the other
-    steps are hoisted, and their values kept from the first block when a
-    later block reads them.  A plan lists ``(step, op, left, right, pairs,
-    rows, drop)`` per step run: after the step's value is computed, the
-    `pairs` that now have both sides are compared, the value is written to
-    the output `rows`, and the values in `drop`, read here for the last
-    time, are dropped."""
+    The head runs the steps that read only fixed variables and writes to
+    output row i the value of the i-th of the `width` frontier steps: the
+    head steps that a tail step reads or a pair compares.  The tail runs the
+    other steps, reads frontier step i as variable ``k + i`` (k names) and
+    compares the pairs; with nothing fixed it runs every step.  A plan lists
+    ``(step, op, left, right, pairs, rows, drop)`` per step run: after the
+    step's value is computed, the `pairs` that now have both sides are
+    compared, the value is written to the output `rows`, and the values in
+    `drop`, read here for the last time, are dropped."""
     if fixed in prog.plans:
         return prog.plans[fixed]
-    steps = prog.steps
-    reads = []  # does the step read a fixed variable
+    steps, k = prog.steps, len(prog.names)
+    free = []  # does the step read a free variable
     for op, left, right in steps:
-        reads.append(left < fixed if op == _VAR else reads[left] or (right >= 0 and reads[right]))
+        free.append(left >= fixed if op == _VAR else free[left] or (right >= 0 and free[right]))
+    tail = [s for s in range(len(steps)) if free[s]]
+    read = {c for s in tail if steps[s][0] != _VAR for c in steps[s][1:]}
+    frontier = sorted(s for s in read.union(prog.roots) if s >= 0 and not free[s])
     pairs = list(zip(prog.roots[::2], prog.roots[1::2])) if prog.paired else []
     rows: dict[int, list[int]] = {}
     for i, s in enumerate(() if prog.paired else prog.roots):
         rows.setdefault(s, []).append(i)
 
-    def plan(run: list[int], kept: set[int]) -> tuple[list, set[int]]:
-        # also returns the values the plan reads but does not compute
-        ran = set(run)
+    def plan(run: list[int], pairs: list, rows: dict, var: dict[int, int]) -> list:
         last = {s: s for s in run}  # value -> the last step reading it
         for s in run:
             op, left, right = steps[s]
-            if op != _VAR:
+            if op != _VAR and s not in var:
                 last.update((c, s) for c in (left, right) if c >= 0)
         compared: dict[int, list] = {}  # step -> the pairs compared after it
         for pair in pairs:
-            live = ran.intersection(pair)
-            if live:
-                p = max(live)
-                compared.setdefault(p, []).append(pair)
-                last.update((c, max(last.get(c, p), p)) for c in pair)
+            compared.setdefault(max(pair), []).append(pair)
+            last.update((c, max(last[c], *pair)) for c in pair)
         drop: dict[int, list[int]] = {}
         for c, p in last.items():
-            if c in ran and c not in kept:
-                drop.setdefault(p, []).append(c)
+            drop.setdefault(p, []).append(c)
         return [
-            (s, *steps[s], compared.get(s, ()), rows.get(s), drop.get(s, ())) for s in run
-        ], set(last) - ran
+            (s, *((_VAR, var[s], -1) if s in var else steps[s]),
+             compared.get(s, ()), rows.get(s), drop.get(s, ()))
+            for s in run
+        ]
 
-    later, kept = plan([s for s in range(len(steps)) if reads[s]], set()) if fixed else ([], set())
-    prog.plans[fixed] = plan(list(range(len(steps))), kept)[0], later
+    head = [s for s in range(len(steps)) if not free[s]]
+    given = {s: i for i, s in enumerate(frontier)}
+    prog.plans[fixed] = (
+        plan(head, [], {s: [i] for s, i in given.items()}, {}),
+        len(frontier),
+        plan(sorted(frontier + tail), pairs, rows, {s: k + i for s, i in given.items()}),
+    )
     return prog.plans[fixed]
 
 
@@ -422,44 +429,35 @@ def _step(op: int, a: np.ndarray, b: np.ndarray | None, table: np.ndarray, n: in
 def _run(
     A: FiniteAlgebra,
     prog: _Program,
-    grids: list,
-    fixed: int = 0,
+    grids: Sequence,
     out: np.ndarray | None = None,
     tables: tuple | None = None,
-) -> tuple[tuple[int, ...], np.ndarray] | None:
+    plan: list | None = None,
+) -> np.ndarray | None:
     """Run `prog` with variable i bound to the index array ``grids[i]``; the
     arrays broadcast against each other, and so do the values.  `tables`,
-    indexed by op as :func:`_checked_tables` returns them, replace A's.
+    indexed by op as :func:`_checked_tables` returns them, replace A's, and
+    `plan`, a head or tail of :func:`_plan`, replaces the plan of every step.
 
-    The first `fixed` variables are fixed in each block, to each tuple of
-    elements in turn; their grids are replaced.  Returns ``(prefix, bad)``
-    for the first block in which a pair differs, `bad` marking where, or
-    None.  A term's value goes to ``out[i]`` for each term i it is the root
-    of, and is then read back from there.  Every step but a variable is one
-    :func:`_step`."""
+    Returns where the first pair that differs differs, a boolean array, or
+    None.  A value goes to ``out[i]`` for each output row i of its step (for
+    each term it is the root of), and is then read back from there.  Every
+    step but a variable is one :func:`_step`."""
     if tables is None:
         tables = _checked_tables(A, prog, grids)
     n = len(tables[_MEET])
-    first, later = _plan(prog, fixed)
     vals: list = [None] * len(prog.steps)
-    for block, prefix in enumerate(itertools.product(range(n), repeat=fixed)):
-        for v, c in enumerate(prefix):
-            grids[v] = np.array(c, dtype=np.int16)
-        for s, op, left, right, pairs, rows, drop in later if block else first:
-            if op == _VAR:
-                val = grids[left]
-            else:
-                val = _step(op, vals[left], vals[right], tables[op], n)
-            vals[s] = val
-            for x, y in pairs:
-                bad = vals[x] != vals[y]
-                if bad.any():
-                    return prefix, bad
-            if rows:
-                out[rows] = val
-                vals[s] = out[rows[0], ...]
-            for c in drop:
-                vals[c] = None
+    for s, op, left, right, pairs, rows, drop in _plan(prog, 0)[2] if plan is None else plan:
+        vals[s] = grids[left] if op == _VAR else _step(op, vals[left], vals[right], tables[op], n)
+        for x, y in pairs:
+            bad = vals[x] != vals[y]
+            if bad.any():
+                return bad
+        if rows:
+            out[rows] = vals[s]
+            vals[s] = out[rows[0], ...]
+        for c in drop:
+            vals[c] = None
     return None
 
 
@@ -497,16 +495,36 @@ class SatisfactionResult:
 # most assignments one step of `satisfies` evaluates at once
 _BLOCK = 1 << 20
 
+# most frontier values (prefixes times frontier steps) one labelling pass of
+# a scan holds; a scan fixes one variable more than its blocks need when all
+# its prefixes fit in one pass
+_PREFIXES = 1 << 16
+
 #: most work `satisfies` and `is_class` take on: assignments (n to the number
 #: of variables) times program steps, checked before any evaluation
 SATISFIES_COST_LIMIT = 1 << 33
 
 
-def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """:func:`_run` over every assignment of the program's variables, in
-    blocks of at most ``_BLOCK`` that fix as few leading variables as they
-    must; the rest span broadcast axes.  Raises ValidationError above
-    ``SATISFIES_COST_LIMIT``."""
+def _first(bad: np.ndarray, shape: tuple[int, ...]) -> tuple[int, ...]:
+    # the index of the first True of `bad`, broadcast to `shape`, in C order
+    flat = int(np.argmax(np.broadcast_to(bad, shape)))
+    return tuple(int(i) for i in np.unravel_index(flat, shape))
+
+
+def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
+    """An assignment (element indices, in the order of the program's names)
+    at which a pair differs, the least one if there is one pair, or None.
+    Raises ValidationError above ``SATISFIES_COST_LIMIT``.
+
+    Up to ``_BLOCK`` assignments are one :func:`_run` over broadcast axes.
+    Past that, the scan fixes the fewest leading variables that leave at
+    most ``_BLOCK`` free assignments, and one more when the prefixes' whole
+    frontier fits in ``_PREFIXES`` values.  The head of :func:`_plan` runs
+    over the prefixes in lexicographic order, ``_PREFIXES`` frontier values
+    a pass, and labels each prefix by its frontier (:func:`_meet`,
+    :func:`_least`).  The tail runs once per distinct frontier, in order of
+    first occurrence, batched to at most one block of assignments: the first
+    prefix of the first failing frontier is the least failing prefix."""
     n, k = A.size, len(prog.names)
     cost = n**k * len(prog.steps)
     if cost > SATISFIES_COST_LIMIT:
@@ -514,12 +532,32 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[tuple[int, ...], np.ndarray
             f"{n}^{k} assignments times {len(prog.steps)} steps is {cost}, above "
             f"the limit of {SATISFIES_COST_LIMIT} on identity checks"
         )
-    fixed = 0
+    fixed, batch = 0, 1  # batch: the frontiers one tail run takes
     while n ** (k - fixed) > _BLOCK:
         fixed += 1
     ar = np.arange(n, dtype=np.int16)
     grids = [ar.reshape((-1,) + (1,) * (k - 1 - axis)) for axis in range(k)]
-    return _run(A, prog, grids, fixed)
+    tables = _checked_tables(A, prog, grids)
+    if not fixed:
+        bad = _run(A, prog, grids, tables=tables)
+        return None if bad is None else _first(bad, (n,) * k)
+    if fixed < k - 1 and n ** (fixed + 1) * _plan(prog, fixed + 1)[1] <= _PREFIXES:
+        fixed, batch = fixed + 1, n
+    head, width, tail = _plan(prog, fixed)
+    free, chunk = (n,) * (k - fixed), max(1, _PREFIXES // width)
+    for lo in range(0, n**fixed, chunk):
+        coords = np.unravel_index(np.arange(lo, min(lo + chunk, n**fixed)), (n,) * fixed)
+        front = np.empty((width, len(coords[0])), dtype=np.int16)
+        _run(A, prog, coords, front, tables, head)
+        firsts = np.flatnonzero(_least(_meet(*front)) == np.arange(front.shape[1]))
+        for s in range(0, len(firsts), batch):
+            at = firsts[s : s + batch]
+            given = [f[at].reshape((-1,) + (1,) * len(free)) for f in front]
+            bad = _run(A, prog, grids + given, tables=tables, plan=tail)
+            if bad is not None:
+                r, *rest = _first(bad, (len(at),) + free)
+                return tuple(int(c[at[r]]) for c in coords) + tuple(rest)
+    return None
 
 
 def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
@@ -528,13 +566,13 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     The counterexample, when there is one, is the lexicographically least
     assignment (variables sorted by name, elements ordered as in the algebra).
     Both sides are compiled into one program (:func:`_program`), with every
-    ``s /\\ (s \\/ t)`` read as one step from the table of x.y.  Assignments
-    are scanned in that order, in blocks of at most ``_BLOCK``: each block
-    fixes as few leading variables as it must, the rest span broadcast axes,
-    and the scan stops at the first block with a failure.  Steps that read
-    no fixed variable run only in the first block, and each value is dropped
-    after its last reader.  Raises ValidationError when assignments times
-    steps exceed ``SATISFIES_COST_LIMIT``, before any evaluation.
+    ``s /\\ (s \\/ t)`` read as one step from the table of x.y.  Up to
+    ``_BLOCK`` assignments are evaluated at once; past that, :func:`_scan`
+    evaluates the steps that read only some leading variables once over
+    their prefixes, and the rest once per distinct frontier (the values of
+    those steps that the rest read), at most ``_BLOCK`` assignments at a
+    time.  Raises ValidationError when assignments times steps exceed
+    ``SATISFIES_COST_LIMIT``, before any evaluation.
     """
     prog = _program((identity.lhs, identity.rhs), True)
     if not prog.names:
@@ -542,10 +580,7 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     failure = _scan(algebra, prog)
     if failure is None:
         return SatisfactionResult(True, None)
-    prefix, bad = failure
-    # every free variable occurs, so bad spans all free axes
-    coords = prefix + np.unravel_index(int(np.argmax(bad)), bad.shape)
-    cex = {v: algebra.elements[int(c)] for v, c in zip(prog.names, coords)}
+    cex = {v: algebra.elements[c] for v, c in zip(prog.names, failure)}
     return SatisfactionResult(False, cex)
 
 

@@ -243,12 +243,13 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
             op, where = hom[a, b]
             out.append(f"transition {i}->{j} not a {op}-homomorphism at {where}")
 
-    # per j, so that the arrays stay N x m: p[j->k](p[i->j](g)) != p[i->k](g)
+    # per j, over the k above it: p[j->k](p[i->j](g)) != p[i->k](g)
     fun: dict[tuple, int] = {}
     for b, above in enumerate(_order(idx)):
-        rows = np.flatnonzero(up[:, b])
-        for r, c in zip(*np.nonzero(above & (route[route[rows, b]] != route[rows]))):
-            fun.setdefault((f.fib[rows[r]], b, c), rows[r])
+        rows, cols = np.flatnonzero(up[:, b]), np.flatnonzero(above)
+        bad = route[route[rows, b][:, None], cols] != route[rows[:, None], cols]
+        for r, c in zip(*np.nonzero(bad)):
+            fun.setdefault((f.fib[rows[r]], b, cols[c]), rows[r])
     for (a, b, c), g in sorted(fun.items()):
         i, j, k = els[a], els[b], els[c]
         out.append(f"functoriality fails: p[{j}->{k}] o p[{i}->{j}] != p[{i}->{k}] at {names[g]}")

@@ -159,13 +159,15 @@ def _parsed(text: str) -> Identity:
     return parse_identity(text)
 
 
-def _verdict(a: FiniteAlgebra, text: str) -> SatisfactionResult:
-    """``satisfies(a, text)`` for a named identity, computed once per algebra
-    and kept in the algebra's memo (its tables never change)."""
+def _verdict(a: FiniteAlgebra, e: Identity | str) -> SatisfactionResult:
+    """``satisfies(a, e)``, computed once per algebra and identity and kept
+    in the algebra's memo (its tables never change), keyed by the parsed
+    identity."""
+    e = _parsed(e) if isinstance(e, str) else e
     verdicts = a._memo.setdefault(_verdict, {})
-    if text not in verdicts:
-        verdicts[text] = satisfies(a, _parsed(text))
-    return verdicts[text]
+    if e not in verdicts:
+        verdicts[e] = satisfies(a, e)
+    return verdicts[e]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +314,11 @@ def variety(name: str) -> VarietyDescriptor:
 
 
 def variety_satisfies(v: VarietyDescriptor | str, e: Identity | str) -> bool:
-    """Does the identity hold in every generator of the variety?"""
+    """Does the identity hold in every generator of the variety?  Each
+    generator's verdict is read through its memo (`_verdict`)."""
     if isinstance(v, str):
         v = variety(v)
-    if isinstance(e, str):
-        e = parse_identity(e)
-    return all(bool(satisfies(a, e)) for a in v.generator_algebras())
+    return all(_verdict(a, e) for a in v.generator_algebras())
 
 
 # ---------------------------------------------------------------------------

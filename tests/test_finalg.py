@@ -448,6 +448,80 @@ def test_satisfies_memory_is_bounded_by_block():
     assert peak < 64 * 2**20
 
 
+def _scan_identity(rng, k):
+    # an instance of a law of every De Morgan bisemilattice (it holds in
+    # every catalog algebra) or a random identity (it mostly fails), in
+    # exactly k variables
+    while True:
+        s, t, u = (sweep.random_term(rng, 3, k) for _ in range(3))
+        e = random_identity(rng, 4, k) if rng.random() < 0.5 else rng.choice([
+            Identity(s & (t | u), (s & t) | (s & u)),
+            Identity(~(s & t), ~s | ~t),
+            Identity((s | t) | u, s | (t | u)),
+        ])
+        if len(_vars_of(e)) == k:
+            return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frontier_scan_finds_the_least_counterexample(data):
+    # _BLOCK is drawn so that the scan's blocks fix f of the k variables,
+    # 1 <= f < k, and _PREFIXES so that the prefixes are labelled in one
+    # pass or in several, with or without one more variable fixed
+    e = _scan_identity(random.Random(data.draw(st.integers(0, 2**32))), data.draw(st.integers(3, 5)))
+    a = data.draw(st.sampled_from([B2, IS2, K3, IS3, DM4, IS4, get_algebra("A5")]))
+    n, k = a.size, len(_vars_of(e))
+    f = data.draw(st.integers(1, k - 1), label="fixed")
+    block = data.draw(st.integers(n ** (k - f), n ** (k - f + 1) - 1), label="block")
+    prefixes = data.draw(st.sampled_from([1, 5, 64, finalg._PREFIXES]), label="prefixes")
+    cex = _least_counterexample(a, e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finalg, "_BLOCK", block)
+        mp.setattr(finalg, "_PREFIXES", prefixes)
+        r = satisfies(a, e)
+    assert (bool(r), r.counterexample) == (cex is None, cex), (e, block, prefixes)
+
+
+@pytest.mark.parametrize(
+    "algebra, cls",
+    [(DM4, "involutive semilattice"), (DM4, "Kleene lattice"), (K3, "Boolean-algebra-reduct"),
+     (IS3, "involutive semilattice"), (K3, "Kleene lattice"), (B2, "Boolean-algebra-reduct")],
+)
+def test_is_class_compares_sides_that_read_only_fixed_variables(monkeypatch, algebra, cls):
+    # each class's last axiom reads only x and y, and the first three
+    # algebras fail that axiom alone.  With _BLOCK = n the scan fixes x and
+    # y of x, y, z, so both sides of it are frontier values, read by the
+    # tail as variables past the program's names; with _BLOCK = 1 every
+    # variable is fixed
+    axioms = finalg._parse_axioms(finalg._CLASS_AXIOMS[cls][0])
+    failing = [str(e) for e in axioms if not satisfies(algebra, e)]
+    assert failing in ([], [str(axioms[-1])]) and _vars_of(axioms[-1]) == {"x", "y"}
+    prog = finalg._class_program(cls)
+    tail = finalg._plan(prog, 2)[2]
+    given = {s for s, op, left, *_ in tail if op == _VAR and left >= len(prog.names)}
+    assert {prog.roots[-2], prog.roots[-1]} <= given
+    for block in (algebra.size, 1):
+        monkeypatch.setattr(finalg, "_BLOCK", block)
+        assert is_class(_fresh(algebra), cls) == (not failing), block
+
+
+def test_frontier_scan_evaluates_each_free_grid_once_per_frontier(monkeypatch):
+    # a, b fixed and c, d free over U x U: the free steps read a and b only
+    # through a /\ ~b, which takes at most 81 values, so each of the three
+    # steps over all four variables runs over at most 81 * 81^2 values,
+    # where the parent's scan of 81 blocks of 81^3 ran each over 81^4
+    uu = product(U, U)
+    e = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) /\\ ~(c /\\ ~d)")
+    sizes = []
+    step = finalg._step
+    monkeypatch.setattr(finalg, "_step", lambda *args: sizes.append(step(*args).size) or step(*args))
+    assert satisfies(uu, e)
+    full = [s for s in sizes if s > 81**2]
+    assert len(full) == 3 and sum(full) <= 3 * 81 * 81**2
+    assert sum(sizes) - sum(full) <= 13 * 81**2  # the prefix grid's steps
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_satisfies_matches_pointwise_eval(data):

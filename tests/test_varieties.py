@@ -236,6 +236,21 @@ def test_variety_satisfies_accepts_descriptors_and_parsed_identities():
     assert not variety_satisfies(v, parse_identity(COLLAPSE))
 
 
+def test_variety_satisfies_reads_each_verdict_once(monkeypatch):
+    calls = []
+    check = varieties.satisfies
+    monkeypatch.setattr(varieties, "satisfies", lambda a, e: calls.append(a.name) or check(a, e))
+    text = "x /\\ (y \\/ ~y) = x \\/ (y /\\ ~y)"  # in no pool, so no verdict is kept yet
+    assert not variety_satisfies("DML", text)
+    assert calls
+    first = list(calls)
+    # the same identity again, as text, parsed afresh or through another
+    # variety with the same generators, is read from the generators' memos
+    assert not variety_satisfies("DML", text)
+    assert not variety_satisfies(variety("DML"), parse_identity(text))
+    assert calls == first
+
+
 def test_exact_satisfaction_sets():
     names = lambda text: {v.name for v in all_varieties() if variety_satisfies(v, text)}
     assert names(COLLAPSE) == {"T", "R(T)", "Bip(T)", "R(Bip(T))", "B(T)"}
