@@ -510,12 +510,18 @@ def test_frontier_scan_evaluates_each_free_grid_once_per_frontier(monkeypatch):
     # a, b fixed and c, d free over U x U: the free steps read a and b only
     # through a /\ ~b, which takes at most 81 values, so each of the three
     # steps over all four variables runs over at most 81 * 81^2 values,
-    # where the parent's scan of 81 blocks of 81^3 ran each over 81^4
+    # where a scan of every block of 81^3 assignments runs each over 81^4
     uu = product(U, U)
     e = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) /\\ ~(c /\\ ~d)")
     sizes = []
     step = finalg._step
-    monkeypatch.setattr(finalg, "_step", lambda *args: sizes.append(step(*args).size) or step(*args))
+
+    def counted(*args):
+        val = step(*args)
+        sizes.append(val.size)
+        return val
+
+    monkeypatch.setattr(finalg, "_step", counted)
     assert satisfies(uu, e)
     full = [s for s in sizes if s > 81**2]
     assert len(full) == 3 and sum(full) <= 3 * 81 * 81**2

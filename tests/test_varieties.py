@@ -244,8 +244,8 @@ def test_variety_satisfies_reads_each_verdict_once(monkeypatch):
     assert not variety_satisfies("DML", text)
     assert calls
     first = list(calls)
-    # the same identity again, as text, parsed afresh or through another
-    # variety with the same generators, is read from the generators' memos
+    # the same identity again, as text or parsed afresh and with the
+    # variety's descriptor, is read from the generators' memos
     assert not variety_satisfies("DML", text)
     assert not variety_satisfies(variety("DML"), parse_identity(text))
     assert calls == first
