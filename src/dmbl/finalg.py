@@ -23,11 +23,14 @@ a pre-order walk meets them (``_checked_tables``).  A step over more than
 ``_CHUNK`` values reads its table as a flat array: entry ``left * n + right``
 (int16 codes while ``n * n <= 2**15``, int32 beyond) or, for ``~``, the
 argument's entry, through ``take`` one chunk of ``_CHUNK`` indices at a time;
-smaller steps index the tables directly.  When the scan fixes leading
-variables, the steps that read only those run once over their prefixes, the
-rest once per distinct frontier (the values of those steps that the rest
-read), and every value is dropped after its last reader.  :func:`is_class` runs all of
-a class's axioms as one program and keeps the verdict in the algebra's memo.
+smaller steps index the tables directly.  Every value is dropped after its
+last reader.  When the scan fixes leading variables, it labels prefixes
+level by level by their frontier (the values of the steps over those
+variables that later steps read), and runs the rest once per distinct
+frontier: least-first, in runs of 1, 2, 4, ... frontiers, and once the
+runs of a level have taken one batch, the frontiers left are deepened by the
+next variable.  :func:`is_class` runs all of a class's axioms as one program
+and keeps the verdict in the algebra's memo.
 Assignments times steps above ``SATISFIES_COST_LIMIT`` are refused before any
 evaluation.
 
@@ -249,7 +252,7 @@ class _Program:
     and NEG steps in the order a pre-order walk of the terms first meets
     them, which is the order their errors are raised in.  `dots` says
     whether a step reads the table of x.y; `plans` caches :func:`_plan` by
-    the number of fixed variables."""
+    its two levels."""
 
     steps: tuple[tuple[int, int, int], ...]
     names: tuple[str, ...]
@@ -257,7 +260,7 @@ class _Program:
     paired: bool
     checks: tuple[int, ...]
     dots: bool
-    plans: dict[int, tuple[list, int, list]] = field(default_factory=dict)
+    plans: dict[tuple[int, int], tuple[list, int]] = field(default_factory=dict)
 
     @cached_property
     def levels(self) -> list[tuple[np.ndarray, ...]]:
@@ -326,60 +329,61 @@ def _program(terms: tuple[Term, ...], paired: bool) -> _Program:
     return _Program(tuple(steps), tuple(names), roots, paired, tuple(dict.fromkeys(checks)), dots)
 
 
-def _plan(prog: _Program, fixed: int) -> tuple[list, int, list]:
-    """The plans of a scan that fixes the first `fixed` names: ``(head,
-    width, tail)``.
+def _plan(prog: _Program, lo: int, hi: int) -> tuple[list, int]:
+    """The plan that takes the frontier of level `lo` to that of level `hi`
+    (``0 <= lo <= hi <= k``, k names), and its number of output rows.
 
-    The head runs the steps that read only fixed variables and writes to
-    output row i the value of the i-th of the `width` frontier steps: the
-    head steps that a tail step reads or a pair compares.  The tail runs the
-    other steps, reads frontier step i as variable ``k + i`` (k names) and
-    compares the pairs; with nothing fixed it runs every step.  A plan lists
-    ``(step, op, left, right, pairs, rows, drop)`` per step run: after the
-    step's value is computed, the `pairs` that now have both sides are
-    compared, the value is written to the output `rows`, and the values in
-    `drop`, read here for the last time, are dropped."""
-    if fixed in prog.plans:
-        return prog.plans[fixed]
+    A step's level is one more than the highest name it reads.  The
+    frontier of level m < k is the steps of level at most m that a step
+    above m reads or that are roots; level 0's is empty.  The plan runs the
+    steps of levels ``lo + 1`` to `hi`, reads frontier step i of level `lo`
+    as variable ``k + i`` and, below level k, writes frontier step i of
+    level `hi` to output row i.  At level k it compares the pairs, or
+    writes each root to the row of its term when the program is unpaired.
+    So ``_plan(prog, 0, k)`` runs every step; :func:`_scan` labels level
+    m + 1 by ``_plan(prog, m, m + 1)`` and runs its tails at level m by
+    ``_plan(prog, m, k)``.  A plan lists ``(step, op, left, right, pairs,
+    rows, drop)`` per step run: after the step's value is computed, the
+    `pairs` that now have both sides are compared, the value is written to
+    the output `rows`, and the values in `drop`, read here for the last
+    time, are dropped."""
+    if (lo, hi) in prog.plans:
+        return prog.plans[lo, hi]
     steps, k = prog.steps, len(prog.names)
-    free = []  # does the step read a free variable
+    level: list[int] = []
     for op, left, right in steps:
-        free.append(left >= fixed if op == _VAR else free[left] or (right >= 0 and free[right]))
-    tail = [s for s in range(len(steps)) if free[s]]
-    read = {c for s in tail if steps[s][0] != _VAR for c in steps[s][1:]}
-    frontier = sorted(s for s in read.union(prog.roots) if s >= 0 and not free[s])
-    pairs = list(zip(prog.roots[::2], prog.roots[1::2])) if prog.paired else []
-    rows: dict[int, list[int]] = {}
-    for i, s in enumerate(() if prog.paired else prog.roots):
+        level.append(left + 1 if op == _VAR else max(level[c] for c in (left, right) if c >= 0))
+
+    def frontier(m: int) -> list[int]:
+        read = {c for s, (op, *kids) in enumerate(steps) if op != _VAR and level[s] > m
+                for c in kids}
+        return sorted(s for s in read.union(prog.roots) if s >= 0 and level[s] <= m)
+
+    given = frontier(lo)
+    var = {s: k + i for i, s in enumerate(given)}
+    run = sorted(var.keys() | {s for s in range(len(steps)) if lo < level[s] <= hi})
+    rows: dict[int, list[int]] = {s: [i] for i, s in enumerate(frontier(hi))} if hi < k else {}
+    for i, s in enumerate(() if prog.paired or hi < k else prog.roots):
         rows.setdefault(s, []).append(i)
-
-    def plan(run: list[int], pairs: list, rows: dict, var: dict[int, int]) -> list:
-        last = {s: s for s in run}  # value -> the last step reading it
-        for s in run:
-            op, left, right = steps[s]
-            if op != _VAR and s not in var:
-                last.update((c, s) for c in (left, right) if c >= 0)
-        compared: dict[int, list] = {}  # step -> the pairs compared after it
-        for pair in pairs:
-            compared.setdefault(max(pair), []).append(pair)
-            last.update((c, max(last[c], *pair)) for c in pair)
-        drop: dict[int, list[int]] = {}
-        for c, p in last.items():
-            drop.setdefault(p, []).append(c)
-        return [
-            (s, *((_VAR, var[s], -1) if s in var else steps[s]),
-             compared.get(s, ()), rows.get(s), drop.get(s, ()))
-            for s in run
-        ]
-
-    head = [s for s in range(len(steps)) if not free[s]]
-    given = {s: i for i, s in enumerate(frontier)}
-    prog.plans[fixed] = (
-        plan(head, [], {s: [i] for s, i in given.items()}, {}),
-        len(frontier),
-        plan(sorted(frontier + tail), pairs, rows, {s: k + i for s, i in given.items()}),
-    )
-    return prog.plans[fixed]
+    pairs = list(zip(prog.roots[::2], prog.roots[1::2])) if prog.paired and hi == k else []
+    last = {s: s for s in run}  # value -> the last step reading it
+    for s in run:
+        op, left, right = steps[s]
+        if op != _VAR and s not in var:
+            last.update((c, s) for c in (left, right) if c >= 0)
+    compared: dict[int, list] = {}  # step -> the pairs compared after it
+    for pair in pairs:
+        compared.setdefault(max(pair), []).append(pair)
+        last.update((c, max(last[c], *pair)) for c in pair)
+    drop: dict[int, list[int]] = {}
+    for c, p in last.items():
+        drop.setdefault(p, []).append(c)
+    prog.plans[lo, hi] = [
+        (s, *((_VAR, var[s], -1) if s in var else steps[s]),
+         compared.get(s, ()), rows.get(s), drop.get(s, ()))
+        for s in run
+    ], sum(map(len, rows.values()))
+    return prog.plans[lo, hi]
 
 
 def _dot_table(A: FiniteAlgebra) -> np.ndarray:
@@ -437,7 +441,7 @@ def _run(
     """Run `prog` with variable i bound to the index array ``grids[i]``; the
     arrays broadcast against each other, and so do the values.  `tables`,
     indexed by op as :func:`_checked_tables` returns them, replace A's, and
-    `plan`, a head or tail of :func:`_plan`, replaces the plan of every step.
+    `plan`, one of :func:`_plan`, replaces the plan of every step.
 
     Returns where the first pair that differs differs, a boolean array, or
     None.  A value goes to ``out[i]`` for each output row i of its step (for
@@ -447,7 +451,9 @@ def _run(
         tables = _checked_tables(A, prog, grids)
     n = len(tables[_MEET])
     vals: list = [None] * len(prog.steps)
-    for s, op, left, right, pairs, rows, drop in _plan(prog, 0)[2] if plan is None else plan:
+    if plan is None:
+        plan = _plan(prog, 0, len(prog.names))[0]
+    for s, op, left, right, pairs, rows, drop in plan:
         vals[s] = grids[left] if op == _VAR else _step(op, vals[left], vals[right], tables[op], n)
         for x, y in pairs:
             bad = vals[x] != vals[y]
@@ -492,12 +498,13 @@ class SatisfactionResult:
         return self.holds
 
 
-# most assignments one step of `satisfies` evaluates at once
+# most assignments one step of `satisfies` evaluates at once (n at the
+# least: a scan leaves one variable free)
 _BLOCK = 1 << 20
 
 # most frontier values (prefixes times frontier steps) one labelling pass of
-# a scan holds; a scan fixes one variable more than its blocks need when all
-# its prefixes fit in one pass
+# a scan holds; a scan starts its tail runs one level deeper than its blocks
+# need when that level's whole prefix grid fits in one pass
 _PREFIXES = 1 << 16
 
 #: most work `satisfies` and `is_class` take on: assignments (n to the number
@@ -517,14 +524,19 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
     Raises ValidationError above ``SATISFIES_COST_LIMIT``.
 
     Up to ``_BLOCK`` assignments are one :func:`_run` over broadcast axes.
-    Past that, the scan fixes the fewest leading variables that leave at
-    most ``_BLOCK`` free assignments, and one more when the prefixes' whole
-    frontier fits in ``_PREFIXES`` values.  The head of :func:`_plan` runs
-    over the prefixes in lexicographic order, ``_PREFIXES`` frontier values
-    a pass, and labels each prefix by its frontier (:func:`_meet`,
-    :func:`_least`).  The tail runs once per distinct frontier, in order of
-    first occurrence, batched to at most one block of assignments: the first
-    prefix of the first failing frontier is the least failing prefix."""
+    Past that, the scan labels prefixes by their frontier (:func:`_plan`),
+    level by level from the empty prefix: each distinct frontier of a level
+    is extended by the next variable, and the extensions are labelled by
+    first occurrence (:func:`_meet`, :func:`_least`), ``_PREFIXES`` values a
+    pass.  At the first level that leaves at most ``_BLOCK`` free
+    assignments, or at the next when its whole prefix grid's frontier fits
+    in ``_PREFIXES`` values, tail runs take 1, 2, 4, ... distinct frontiers
+    in order of first prefix, until they have taken one batch in all: as
+    many assignments as that first level leaves free.  The frontiers not yet
+    scanned are then deepened by one more variable, and the scan goes on
+    there the same way; with one variable left free, runs double up to one
+    batch a run.  The first prefix of the first failing frontier is the
+    least failing prefix."""
     n, k = A.size, len(prog.names)
     cost = n**k * len(prog.steps)
     if cost > SATISFIES_COST_LIMIT:
@@ -532,8 +544,8 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
             f"{n}^{k} assignments times {len(prog.steps)} steps is {cost}, above "
             f"the limit of {SATISFIES_COST_LIMIT} on identity checks"
         )
-    fixed, batch = 0, 1  # batch: the frontiers one tail run takes
-    while n ** (k - fixed) > _BLOCK:
+    fixed = 0
+    while fixed < k - 1 and n ** (k - fixed) > _BLOCK:
         fixed += 1
     ar = np.arange(n, dtype=np.int16)
     grids = [ar.reshape((-1,) + (1,) * (k - 1 - axis)) for axis in range(k)]
@@ -541,23 +553,48 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
     if not fixed:
         bad = _run(A, prog, grids, tables=tables)
         return None if bad is None else _first(bad, (n,) * k)
-    if fixed < k - 1 and n ** (fixed + 1) * _plan(prog, fixed + 1)[1] <= _PREFIXES:
-        fixed, batch = fixed + 1, n
-    head, width, tail = _plan(prog, fixed)
-    free, chunk = (n,) * (k - fixed), max(1, _PREFIXES // width)
-    for lo in range(0, n**fixed, chunk):
-        coords = np.unravel_index(np.arange(lo, min(lo + chunk, n**fixed)), (n,) * fixed)
-        front = np.empty((width, len(coords[0])), dtype=np.int16)
-        _run(A, prog, coords, front, tables, head)
-        firsts = np.flatnonzero(_least(_meet(*front)) == np.arange(front.shape[1]))
-        for s in range(0, len(firsts), batch):
-            at = firsts[s : s + batch]
-            given = [f[at].reshape((-1,) + (1,) * len(free)) for f in front]
-            bad = _run(A, prog, grids + given, tables=tables, plan=tail)
+    batch = n ** (k - fixed)  # the most assignments of one tail run
+    if fixed < k - 1 and n ** (fixed + 1) * _plan(prog, 0, fixed + 1)[1] <= _PREFIXES:
+        fixed += 1
+    done: dict[int, int] = {}  # level -> the frontiers its tail runs have taken
+
+    def scan(level: int, front: np.ndarray, coords: np.ndarray) -> tuple[int, ...] | None:
+        # `front`: a row per frontier step of `level`, a column per distinct
+        # frontier; `coords`: a row per fixed variable, the first prefixes
+        def bind(part):
+            return grids + [f.reshape((-1,) + (1,) * (k - level)) for f in part]
+
+        cap, at = batch // n ** (k - level) if level >= fixed else 0, 0
+        while at < front.shape[1]:
+            # runs double: 1, 2, 4, ... frontiers, up to one batch a run at
+            # the last level and one batch in all at the others, which then
+            # deepen the rest (at once short of the first tail level, cap 0)
+            d = done.setdefault(level, 0)
+            part = front[:, at : at + min(d + 1, cap if level == k - 1 else cap - d)]
+            if not part.shape[1]:
+                break
+            bad = _run(A, prog, bind(part), tables=tables, plan=_plan(prog, level, k)[0])
             if bad is not None:
-                r, *rest = _first(bad, (len(at),) + free)
-                return tuple(int(c[at[r]]) for c in coords) + tuple(rest)
-    return None
+                r, *rest = _first(bad, (part.shape[1],) + (n,) * (k - level))
+                return (*coords[:, at + r].tolist(), *rest)
+            at, done[level] = at + part.shape[1], d + part.shape[1]
+        else:
+            return None
+        plan, width = _plan(prog, level, level + 1)
+        per = max(1, _PREFIXES // (n * width))
+        for lo in range(at, front.shape[1], per):
+            part = front[:, lo : lo + per]
+            out = np.empty((width, part.shape[1], n) + (1,) * (k - level - 1), dtype=np.int16)
+            _run(A, prog, bind(part), out, tables, plan)
+            out = out.reshape(width, -1)
+            firsts = np.flatnonzero(_least(_meet(*out)) == np.arange(out.shape[1]))
+            parent, value = np.divmod(firsts, n)
+            found = scan(level + 1, out[:, firsts], np.vstack([coords[:, lo + parent], value]))
+            if found is not None:
+                return found
+        return None
+
+    return scan(0, np.empty((0, 1), dtype=np.int16), np.empty((0, 1), dtype=np.intp))
 
 
 def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
@@ -568,10 +605,13 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     Both sides are compiled into one program (:func:`_program`), with every
     ``s /\\ (s \\/ t)`` read as one step from the table of x.y.  Up to
     ``_BLOCK`` assignments are evaluated at once; past that, :func:`_scan`
-    evaluates the steps that read only some leading variables once over
-    their prefixes, and the rest once per distinct frontier (the values of
-    those steps that the rest read), at most ``_BLOCK`` assignments at a
-    time.  Raises ValidationError when assignments times steps exceed
+    evaluates the steps that read only some leading variables over their
+    prefixes, and the rest once per distinct frontier (the values of those
+    steps that the rest read), at most ``_BLOCK`` assignments at a time.
+    Frontiers are taken least first, 1, 2, 4, ... a run, so an early
+    counterexample costs one frontier's assignments; once they have taken
+    one batch, the frontiers left are deepened by one more variable.  Raises
+    ValidationError when assignments times steps exceed
     ``SATISFIES_COST_LIMIT``, before any evaluation.
     """
     prog = _program((identity.lhs, identity.rhs), True)

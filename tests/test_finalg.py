@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -177,8 +178,8 @@ def _draw_table(data, n, square):
                 row.pop()
             elif change == "append":
                 row.append(data.draw(ints))
-            elif square:
-                table[data.draw(st.integers(0, n - 1))] = data.draw(_NOT_ROWS)
+            elif square and table:  # a "length" fault may have shortened it
+                table[data.draw(st.integers(0, len(table) - 1))] = data.draw(_NOT_ROWS)
         elif fault == "length" and square:
             if table and data.draw(st.booleans()):
                 table.pop()
@@ -346,9 +347,11 @@ def test_satisfies_counterexample_is_lex_least():
     assert not res and res.counterexample == found
 
 
-def _least_counterexample(a, e):
+def _least_counterexample(a, e, prefix=()):
+    # over the assignments whose leading elements are `prefix`
     names = sorted(_vars_of(e))
-    grid = list(itertools.product(range(a.size), repeat=len(names)))
+    free = itertools.product(range(a.size), repeat=len(names) - len(prefix))
+    grid = [prefix + rest for rest in free]
     columns = {v: [row[k] for row in grid] for k, v in enumerate(names)}
     sides = zip(_columns(a, e.lhs, columns), _columns(a, e.rhs, columns))
     for row, (x, y) in zip(grid, sides):
@@ -449,16 +452,21 @@ def test_satisfies_memory_is_bounded_by_block():
 
 
 def _scan_identity(rng, k):
-    # an instance of a law of every De Morgan bisemilattice (it holds in
-    # every catalog algebra) or a random identity (it mostly fails), in
-    # exactly k variables
+    # in exactly k variables: an instance of a law of every De Morgan
+    # bisemilattice (it holds in every catalog algebra), a random identity
+    # (it mostly fails at the first assignments), or one guarded by x1 /\
+    # (its sides agree where x1 is the bottom, the first element of most
+    # catalog algebras, so its least counterexample mostly lies past the
+    # first frontiers)
     while True:
         s, t, u = (sweep.random_term(rng, 3, k) for _ in range(3))
-        e = random_identity(rng, 4, k) if rng.random() < 0.5 else rng.choice([
+        laws = [
             Identity(s & (t | u), (s & t) | (s & u)),
             Identity(~(s & t), ~s | ~t),
             Identity((s | t) | u, s | (t | u)),
-        ])
+        ]
+        guarded = Identity(Var("x1") & s, Var("x1") & t)
+        e = rng.choice([random_identity(rng, 4, k), guarded, rng.choice(laws)])
         if len(_vars_of(e)) == k:
             return e
 
@@ -468,7 +476,10 @@ def _scan_identity(rng, k):
 def test_frontier_scan_finds_the_least_counterexample(data):
     # _BLOCK is drawn so that the scan's blocks fix f of the k variables,
     # 1 <= f < k, and _PREFIXES so that the prefixes are labelled in one
-    # pass or in several, with or without one more variable fixed
+    # pass or in several, with the tail runs starting at level f or f + 1.
+    # Once runs there have taken a batch with frontiers left, the rest are
+    # deepened, and the guarded identities put many least counterexamples
+    # past that point
     e = _scan_identity(random.Random(data.draw(st.integers(0, 2**32))), data.draw(st.integers(3, 5)))
     a = data.draw(st.sampled_from([B2, IS2, K3, IS3, DM4, IS4, get_algebra("A5")]))
     n, k = a.size, len(_vars_of(e))
@@ -490,42 +501,107 @@ def test_frontier_scan_finds_the_least_counterexample(data):
 )
 def test_is_class_compares_sides_that_read_only_fixed_variables(monkeypatch, algebra, cls):
     # each class's last axiom reads only x and y, and the first three
-    # algebras fail that axiom alone.  With _BLOCK = n the scan fixes x and
-    # y of x, y, z, so both sides of it are frontier values, read by the
-    # tail as variables past the program's names; with _BLOCK = 1 every
-    # variable is fixed
+    # algebras fail that axiom alone.  With _BLOCK = n the tail runs fix x
+    # and y of x, y, z, so both sides of it are frontier values, read by the
+    # tail as variables past the program's names; with _BLOCK = n^2 and
+    # _PREFIXES = 1 a run of one frontier of x comes first, and the rest are
+    # deepened to frontiers of x and y
     axioms = finalg._parse_axioms(finalg._CLASS_AXIOMS[cls][0])
     failing = [str(e) for e in axioms if not satisfies(algebra, e)]
     assert failing in ([], [str(axioms[-1])]) and _vars_of(axioms[-1]) == {"x", "y"}
     prog = finalg._class_program(cls)
-    tail = finalg._plan(prog, 2)[2]
+    tail = finalg._plan(prog, 2, 3)[0]
     given = {s for s, op, left, *_ in tail if op == _VAR and left >= len(prog.names)}
     assert {prog.roots[-2], prog.roots[-1]} <= given
-    for block in (algebra.size, 1):
+    n = algebra.size
+    for block, prefixes in ((n, finalg._PREFIXES), (n * n, 1)):
         monkeypatch.setattr(finalg, "_BLOCK", block)
+        monkeypatch.setattr(finalg, "_PREFIXES", prefixes)
         assert is_class(_fresh(algebra), cls) == (not failing), block
+
+
+def _count_steps(monkeypatch):
+    # two lists that fill as the scan runs: the value count of every step,
+    # and per tail run its level, its frontiers and the value counts of its
+    # steps over the whole run (its frontiers times every free assignment),
+    # the steps over every variable.  A tail run is the one kind of run
+    # that reads frontier values and compares
+    sizes, runs, run, step = [], [], finalg._run, finalg._step
+
+    def counted_run(A, prog, grids, out=None, tables=None, plan=None):
+        k = len(prog.names)
+        if out is None and len(grids) > k:
+            m, free = grids[k].shape[0], grids[k].ndim - 1
+            runs.append((k - free, m, (m,) + (A.size,) * free, []))
+        return run(A, prog, grids, out, tables, plan)
+
+    def counted_step(*args):
+        val = step(*args)
+        sizes.append(val.size)
+        if runs and val.shape == runs[-1][2]:
+            runs[-1][3].append(val.size)
+        return val
+
+    monkeypatch.setattr(finalg, "_run", counted_run)
+    monkeypatch.setattr(finalg, "_step", counted_step)
+    return sizes, runs
 
 
 def test_frontier_scan_evaluates_each_free_grid_once_per_frontier(monkeypatch):
     # a, b fixed and c, d free over U x U: the free steps read a and b only
-    # through a /\ ~b, which takes at most 81 values, so each of the three
-    # steps over all four variables runs over at most 81 * 81^2 values,
-    # where a scan of every block of 81^3 assignments runs each over 81^4
+    # through a /\ ~b, which takes at most 81 values, so the three steps
+    # over all four variables run over at most 81 * 81^2 values each, in
+    # runs of 1, 2, 4, ... frontiers, where a scan of every block of 81^3
+    # assignments runs each over 81^4.  No other step runs over more than
+    # the 81^2 prefixes or free assignments
     uu = product(U, U)
     e = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) /\\ ~(c /\\ ~d)")
-    sizes = []
-    step = finalg._step
-
-    def counted(*args):
-        val = step(*args)
-        sizes.append(val.size)
-        return val
-
-    monkeypatch.setattr(finalg, "_step", counted)
+    sizes, runs = _count_steps(monkeypatch)
     assert satisfies(uu, e)
-    full = [s for s in sizes if s > 81**2]
-    assert len(full) == 3 and sum(full) <= 3 * 81 * 81**2
-    assert sum(sizes) - sum(full) <= 13 * 81**2  # the prefix grid's steps
+    assert [level for level, *_ in runs] == [2] * len(runs)
+    assert [m for _, m, _, _ in runs[:-1]] == [2**i for i in range(len(runs) - 1)]
+    for _, m, _, full in runs:
+        assert full == [m * 81**2] * 3
+    full = [v for *_, f in runs for v in f]
+    assert sum(full) <= 3 * 81 * 81**2
+    assert max(Counter(sizes) - Counter(full)) <= 81**2
+
+
+def test_frontier_scan_takes_one_frontier_first(monkeypatch):
+    # the identity fails under the least prefix, a = b = the first element:
+    # the first tail run takes that one frontier, so no step evaluates more
+    # than its 81^2 free assignments before the scan returns, where a batch
+    # of 81 frontiers runs each step over all four variables over 81^3
+    uu = product(U, U)
+    e = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) \\/ ~(c /\\ ~d)")
+    cex = _least_counterexample(uu, e, (0, 0))
+    assert cex is not None
+    sizes, runs = _count_steps(monkeypatch)
+    r = satisfies(uu, e)
+    assert (bool(r), r.counterexample) == (False, cex)
+    assert [(level, m) for level, m, *_ in runs] == [(2, 1)]
+    assert runs[0][3] and max(sizes) <= 81**2
+
+
+def test_frontier_scan_deepens_the_frontiers_left(monkeypatch):
+    # an instance of the distributive law over U x U: its 1296 distinct
+    # frontiers of a and b, scanned in full, run each step over all four
+    # variables over 1296 * 81^2 = 8.5M values.  Once runs of 1, 2, 4, ...
+    # have taken a batch of 81 of them, the scan labels the rest by
+    # frontiers of a, b and c, with one variable free, and evaluates less
+    # than half of that, each run within the batch of 81^3 assignments
+    uu = product(U, U)
+    e = parse("(a /\\ ~b) /\\ ((c \\/ ~d) \\/ (b /\\ ~c))"
+              " = ((a /\\ ~b) /\\ (c \\/ ~d)) \\/ ((a /\\ ~b) /\\ (b /\\ ~c))")
+    sizes, runs = _count_steps(monkeypatch)
+    assert satisfies(uu, e)
+    levels = [level for level, *_ in runs]
+    assert levels == sorted(levels) and levels[-1] == 3
+    assert [m for level, m, *_ in runs if level == 2] == [1, 2, 4, 8, 16, 32, 18]
+    assert max(sizes) <= 81**3
+    for level, m, _, full in runs:
+        assert full and set(full) == {m * 81 ** (4 - level)}
+    assert sum(m * 81 ** (4 - level) for level, m, *_ in runs) <= 1296 * 81**2 // 2
 
 
 @settings(max_examples=60, deadline=None)
