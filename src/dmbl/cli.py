@@ -10,13 +10,10 @@ r"""Command-line front end.
 
 Exit codes: 0 success (for `check`, regardless of the verdict), 1 parse or
 I/O error, 2 validation failure, 3 verification report not clean.  Output is
-deterministic for identical inputs.  `check` evaluates at most 2^20
-assignments at a time, the rest of the identity once per distinct frontier
-of the leading variables it fixes, least first in runs of 1, 2, 4, ...
-frontiers, fixing one more variable for the frontiers left once the runs
-have taken one batch, and stops at the least counterexample; an identity
-whose assignments times program steps exceed `finalg.SATISFIES_COST_LIMIT`
-is a validation failure, refused before the scan.
+deterministic for identical inputs.  `check` reports the least
+counterexample, as `finalg.satisfies` finds it; an identity whose
+assignments times program steps exceed `finalg.SATISFIES_COST_LIMIT` is a
+validation failure, refused before any evaluation.
 """
 
 from __future__ import annotations

@@ -100,15 +100,18 @@ class FiniteAlgebra:
     """A finite algebra of type <2,2> or <2,2,1>.
 
     `meet` and `join` are n x n tables, `neg` an optional length-n table.
-    Each is stored once, as a read-only int16 array (:meth:`arrays`); the
-    attributes `meet`, `join` and `neg` read them as tuples of Python ints,
-    built on first read and then kept.  Construction copies its tables and
-    checks, in array passes, that their entries are integers, then their
-    shapes, then their ranges, and that `neg` is a bijection; it does *not*
-    impose any equational laws — use :func:`is_class` for that.
+    Each is stored once, as a read-only int16 array (:meth:`arrays`).  An
+    algebra is its name, elements, tables and one memo: every fact derived
+    from the tables (the tuple views that `meet`, `join` and `neg` read, the
+    name index, class and identity verdicts, colours, theory partitions) is
+    computed on first use by :func:`_memoised` and kept there, so it lives
+    and dies with the algebra.  Construction copies its tables and checks,
+    in array passes, that their entries are integers, then their shapes,
+    then their ranges, and that `neg` is a bijection; it does *not* impose
+    any equational laws — use :func:`is_class` for that.
     """
 
-    __slots__ = ("name", "elements", "_tables", "_views", "_index", "_memo")
+    __slots__ = ("name", "elements", "_tables", "_memo")
 
     def __init__(
         self,
@@ -131,10 +134,7 @@ class FiniteAlgebra:
         if g is not None and np.count_nonzero(np.bincount(g, minlength=n)) != n:
             raise ValidationError("neg table must be a bijection")
         self._tables = (m, j, g)
-        self._views: list = [None, None, None]
-        self._index = {name_: i for i, name_ in enumerate(elements)}
-        # derived data of the tables (colours, generating set), filled lazily
-        self._memo: dict = {}
+        self._memo: dict = {}  # see _memoised
 
     # -- basics ---------------------------------------------------------
 
@@ -142,23 +142,15 @@ class FiniteAlgebra:
     def size(self) -> int:
         return len(self.elements)
 
-    def _view(self, k: int):
-        # table k as tuples of Python ints, built on its first read
-        view = self._views[k]
-        if view is None and self._tables[k] is not None:
-            rows = self._tables[k].tolist()
-            view = self._views[k] = tuple(map(tuple, rows)) if k < 2 else tuple(rows)
-        return view
-
-    meet = property(lambda self: self._view(0))
-    join = property(lambda self: self._view(1))
-    neg = property(lambda self: self._view(2))
+    meet = property(lambda self: _memoised(self, _view, 0))
+    join = property(lambda self: _memoised(self, _view, 1))
+    neg = property(lambda self: _memoised(self, _view, 2))
 
     def index(self, element: str | int) -> int:
         """Resolve an element name (or index) to its index."""
         if isinstance(element, str):
             try:
-                return self._index[element]
+                return _memoised(self, _positions)[element]
             except KeyError:
                 raise ValidationError(
                     f"{self.name} has no element named {element!r}"
@@ -193,6 +185,33 @@ class FiniteAlgebra:
             self.name, [self.elements[p] for p in perm], self._tables, perm,
             np.argsort(perm),
         )
+
+
+def _memoised(A: FiniteAlgebra, f: Callable, *args):
+    """``f(A, *args)``, computed once per algebra and kept in its one memo,
+    keyed by ``(f, *args)``.  A's tables never change, so neither does
+    anything derived from them; the memo is an attribute of A, so what it
+    keeps is freed with A and never read for another algebra."""
+    key = (f, *args)
+    try:
+        return A._memo[key]
+    except KeyError:
+        pass
+    A._memo[key] = value = f(A, *args)
+    return value
+
+
+def _view(A: FiniteAlgebra, k: int) -> tuple | None:
+    # table k of A as tuples of Python ints
+    t = A.arrays()[k]
+    if t is None:
+        return None
+    return tuple(map(tuple, t.tolist())) if k < 2 else tuple(t.tolist())
+
+
+def _positions(A: FiniteAlgebra) -> dict[str, int]:
+    # element name -> index
+    return {e: i for i, e in enumerate(A.elements)}
 
 
 def _checked_table(data, n: int, label: str) -> np.ndarray:
@@ -502,10 +521,12 @@ class SatisfactionResult:
 # least: a scan leaves one variable free)
 _BLOCK = 1 << 20
 
-# most frontier values (prefixes times frontier steps) one labelling pass of
-# a scan holds; a scan starts its tail runs one level deeper than its blocks
-# need when that level's whole prefix grid fits in one pass
-_PREFIXES = 1 << 16
+# most values one pass of a batched loop holds: frontier values (prefixes
+# times frontier steps) in a labelling pass of `_scan`, label rows times
+# elements in the congruence engine, (map, pair) rows in `sums.validate`.
+# A scan starts its tail runs one level deeper than its blocks need when
+# that level's whole prefix grid fits in one pass
+_BATCH = 1 << 16
 
 #: most work `satisfies` and `is_class` take on: assignments (n to the number
 #: of variables) times program steps, checked before any evaluation
@@ -527,10 +548,10 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
     Past that, the scan labels prefixes by their frontier (:func:`_plan`),
     level by level from the empty prefix: each distinct frontier of a level
     is extended by the next variable, and the extensions are labelled by
-    first occurrence (:func:`_meet`, :func:`_least`), ``_PREFIXES`` values a
+    first occurrence (:func:`_meet`, :func:`_least`), ``_BATCH`` values a
     pass.  At the first level that leaves at most ``_BLOCK`` free
     assignments, or at the next when its whole prefix grid's frontier fits
-    in ``_PREFIXES`` values, tail runs take 1, 2, 4, ... distinct frontiers
+    in ``_BATCH`` values, tail runs take 1, 2, 4, ... distinct frontiers
     in order of first prefix, until they have taken one batch in all: as
     many assignments as that first level leaves free.  The frontiers not yet
     scanned are then deepened by one more variable, and the scan goes on
@@ -554,7 +575,7 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
         bad = _run(A, prog, grids, tables=tables)
         return None if bad is None else _first(bad, (n,) * k)
     batch = n ** (k - fixed)  # the most assignments of one tail run
-    if fixed < k - 1 and n ** (fixed + 1) * _plan(prog, 0, fixed + 1)[1] <= _PREFIXES:
+    if fixed < k - 1 and n ** (fixed + 1) * _plan(prog, 0, fixed + 1)[1] <= _BATCH:
         fixed += 1
     done: dict[int, int] = {}  # level -> the frontiers its tail runs have taken
 
@@ -581,7 +602,7 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
         else:
             return None
         plan, width = _plan(prog, level, level + 1)
-        per = max(1, _PREFIXES // (n * width))
+        per = max(1, _BATCH // (n * width))
         for lo in range(at, front.shape[1], per):
             part = front[:, lo : lo + per]
             out = np.empty((width, part.shape[1], n) + (1,) * (k - level - 1), dtype=np.int16)
@@ -898,10 +919,6 @@ def _ops_of(A: FiniteAlgebra) -> list[tuple[int, Sequence]]:
     return [(2, meet), (2, join)] + ([] if neg is None else [(1, neg)])
 
 
-# most rows times elements one batch of the join closure holds
-_BATCH = 1 << 16
-
-
 def _components(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The least vertex of each vertex's component in the graph on
     ``range(size)`` with the edges ``(u[e], v[e])``.  Until the ends of
@@ -1047,7 +1064,8 @@ def congruences_ops(n: int, ops: Sequence[tuple[int, Sequence]]) -> list[Congrue
     (:func:`_principal_rows`).  Starting from the identity, each principal
     in turn is joined with every congruence found so far, ``_BATCH // n``
     int8 least-element label rows at a time; only the final distinct rows
-    become `Congruence` objects.  More than ``CONGRUENCE_COUNT_LIMIT``
+    become `Congruence` objects, identity first and total last (most
+    blocks first, then by block ids).  More than ``CONGRUENCE_COUNT_LIMIT``
     congruences after any principal's joins raise ValidationError."""
     prin = _distinct(_principal_rows(n, ops))
     found = np.arange(n, dtype=np.int8)[None]  # sorted by _row_keys
@@ -1070,7 +1088,7 @@ def congruences_ops(n: int, ops: Sequence[tuple[int, Sequence]]) -> list[Congrue
                 f"congruences, found {len(found)} so far"
             )
     out = [Congruence(tuple(c)) for c in _canonical(found).tolist()]
-    return sorted(out, key=lambda c: (c.num_blocks, c.block_of), reverse=True)
+    return sorted(out, key=lambda c: (-c.num_blocks, c.block_of))
 
 
 def si_quotient_flags(cons: Sequence[Congruence]) -> list[bool]:
@@ -1101,9 +1119,7 @@ def congruences(algebra: FiniteAlgebra) -> list[Congruence]:
     """Every congruence of the algebra, identity first, total last.  Raises
     ValidationError above ``CONGRUENCE_SIZE_LIMIT`` elements or
     ``CONGRUENCE_COUNT_LIMIT`` congruences."""
-    out = congruences_ops(algebra.size, _ops_of(algebra))
-    out.sort(key=lambda c: (-c.num_blocks, c.block_of))
-    return out
+    return congruences_ops(algebra.size, _ops_of(algebra))
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: str | int, b: str | int) -> Congruence:
@@ -1200,20 +1216,6 @@ def _colors(A: FiniteAlgebra) -> list[int]:
         if len(ranks) == n:
             break
     return colors
-
-
-def _memoised(A: FiniteAlgebra, compute):
-    # the tables never change, so whatever is derived from them is kept
-    memo = A._memo
-    if compute not in memo:
-        memo[compute] = compute(A)
-    return memo[compute]
-
-
-def _table_key(A: FiniteAlgebra) -> tuple:
-    """A key equal exactly for algebras with equal tables, for the caches
-    keyed by content: each stored array's shape and bytes, or None."""
-    return tuple(None if t is None else (t.shape, t.tobytes()) for t in A.arrays())
 
 
 def isomorphism_key(A: FiniteAlgebra) -> tuple:
@@ -1371,20 +1373,58 @@ def is_class(algebra: FiniteAlgebra, cls: str) -> bool:
 
     The class's axioms are compiled into one program, run once over the
     assignments of their variables, each axiom's sides compared as soon as
-    both exist and then dropped.  The verdict is kept in the algebra's memo,
-    so asking again of the same object evaluates nothing.
+    both exist and then dropped.  The verdict is kept in the algebra's memo
+    (:func:`_memoised`), so asking again of the same object evaluates
+    nothing.
     """
     if cls not in _CLASS_AXIOMS:
         raise ValidationError(
             f"unknown class {cls!r}; expected one of {', '.join(_CLASS_AXIOMS)}"
         )
-    verdicts = algebra._memo.setdefault(is_class, {})
-    if cls not in verdicts:
-        needs_neg = _CLASS_AXIOMS[cls][1]
-        verdicts[cls] = not (needs_neg and algebra.neg is None) and (
-            _scan(algebra, _class_program(cls)) is None
-        )
-    return verdicts[cls]
+    return _memoised(algebra, _class_verdict, cls)
+
+
+def _class_verdict(A: FiniteAlgebra, cls: str) -> bool:
+    # is_class, computed: one scan of the class's program
+    needs_neg = _CLASS_AXIOMS[cls][1]
+    return not (needs_neg and A.arrays()[2] is None) and _scan(A, _class_program(cls)) is None
+
+
+def _check_fibres(fibres: Iterable[FiniteAlgebra]) -> None:
+    """Put the distributive-lattice verdict of each fibre of a sum system
+    (for ``sums.validate``) in its memo, where `is_class` keeps it.  The
+    class's program runs once over the in-fibre assignments of the distinct
+    tables without one, stacked on their block-diagonal tables, which a
+    fibre's values never leave; the rows and the tables' entries stay within
+    ``_BLOCK``.  `is_class` checks the rest, and names the failing tables
+    one by one when that run fails."""
+    cls = "distributive lattice"
+    key = (_class_verdict, cls)
+    todo: dict[tuple, list[FiniteAlgebra]] = {}
+    for F in fibres:
+        if key not in F._memo:
+            m, j, _ = F.arrays()  # equal bytes are equal sizes and tables
+            todo.setdefault((m.tobytes(), j.tobytes()), []).append(F)
+    sizes = np.array([same[0].size for same in todo.values()], dtype=np.int64)
+    fits = (np.cumsum(sizes**3) <= _BLOCK) & (np.cumsum(sizes) ** 2 <= _BLOCK)
+    batch = [same for same, fit in zip(todo.values(), fits) if fit]
+    if not batch:
+        return
+    off = np.cumsum([0] + [same[0].size for same in batch])
+    meet = np.zeros((off[-1], off[-1]), dtype=np.int16)  # 0 off the blocks
+    join = meet.copy()
+    for o, same in zip(off, batch):
+        m, j, _ = same[0].arrays()
+        block = slice(o, o + len(m))
+        meet[block, block], join[block, block] = m + o, j + o
+    cubes = [o + np.indices((same[0].size,) * 3).reshape(3, -1) for o, same in zip(off, batch)]
+    grids = list(np.concatenate(cubes, axis=1).astype(np.int16))
+    dot = np.take_along_axis(meet, join.astype(np.intp), axis=1)
+    run = _run(None, _class_program(cls), grids, tables=(None, None, meet, join, dot))
+    for same in batch:
+        verdict = run is None or is_class(same[0], cls)
+        for F in same:
+            F._memo[key] = verdict
 
 
 # ---------------------------------------------------------------------------

@@ -16,24 +16,22 @@ table of the sum is a whole-system array pass rather than a loop over maps.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import random
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .finalg import (
-    _BLOCK,
+    _BATCH,
     FiniteAlgebra,
     ValidationError,
-    _class_program,
+    _check_fibres,
     _homomorphisms,
-    _memoised,
-    _run,
-    _table_key,
     algebra_from_json,
     algebra_to_json,
     dual,
@@ -119,10 +117,6 @@ def _flat(system: InvSemilatticeSystem) -> SimpleNamespace:
     )
 
 
-# most (map, pair) rows, about 100 bytes each, one pass of `validate` holds
-_PAIRS = 1 << 16
-
-
 def _firsts(bad: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
     """``first[i, c]``: the least row r of `bad` with ``group[r] == i`` and
     ``bad[r, c]``, or -1 where there is none."""
@@ -132,50 +126,16 @@ def _firsts(bad: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
     return np.where(first < len(bad), first, -1)
 
 
-def _check_fibres(fibres: Iterable[FiniteAlgebra]) -> None:
-    """Put each fibre's distributive-lattice verdict in its memo, where
-    `is_class` keeps it.  The class's program runs once over the in-fibre
-    assignments of the distinct tables without one, stacked on their
-    block-diagonal tables, which a fibre's values never leave; the rows and
-    the tables' entries stay within ``_BLOCK``.  `is_class` checks the rest,
-    and names the failing tables one by one when that run fails."""
-    cls = "distributive lattice"
-    todo: dict[tuple, list[FiniteAlgebra]] = {}
-    for F in fibres:
-        if cls not in F._memo.get(is_class, {}):
-            todo.setdefault(_memoised(F, _table_key)[:2], []).append(F)
-    sizes = np.array([same[0].size for same in todo.values()], dtype=np.int64)
-    fits = (np.cumsum(sizes**3) <= _BLOCK) & (np.cumsum(sizes) ** 2 <= _BLOCK)
-    batch = [same for same, fit in zip(todo.values(), fits) if fit]
-    if not batch:
-        return
-    off = np.cumsum([0] + [same[0].size for same in batch])
-    meet = np.zeros((off[-1], off[-1]), dtype=np.int16)  # 0 off the blocks
-    join = meet.copy()
-    for o, same in zip(off, batch):
-        m, j, _ = same[0].arrays()
-        block = slice(o, o + len(m))
-        meet[block, block], join[block, block] = m + o, j + o
-    cubes = [o + np.indices((same[0].size,) * 3).reshape(3, -1) for o, same in zip(off, batch)]
-    grids = list(np.concatenate(cubes, axis=1).astype(np.int16))
-    dot = np.take_along_axis(meet, join.astype(np.intp), axis=1)
-    run = _run(None, _class_program(cls), grids, tables=(None, None, meet, join, dot))
-    for same in batch:
-        verdict = run is None or is_class(same[0], cls)
-        for F in same:
-            F._memo.setdefault(is_class, {})[cls] = verdict
-
-
 def validate(system: InvSemilatticeSystem) -> list[str]:
     """All axiom violations, each a human-readable string with a witness.
 
     An empty list means the system is valid.  The key, length and range
     checks come first, each ending the list where it fails.  The fibres run
-    their class check as one batch (:func:`_check_fibres`); the maps are
+    their class check as one batch (``finalg._check_fibres``); the maps are
     checked by array comparisons over the flat form (:func:`_flat`), in
-    arrays no larger than its `route` or ``_PAIRS`` rows, each map reporting
-    its first failure: pairs (a, b) row by row, meet before join, then
-    negation where both fibres have one."""
+    arrays no larger than its `route` or ``_BATCH`` (map, pair) rows, about
+    100 bytes each, each map reporting its first failure: pairs (a, b) row
+    by row, meet before join, then negation where both fibres have one."""
     out: list[str] = []
     idx = system.index
     if idx.neg is None:
@@ -209,7 +169,7 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         # image(x, dst[u]): pairs (g, h) row by row under each (source, target)
         # pair of tables, then elements under ~ where both fibres have one
         n2, n1 = sizes[src] ** 2, sizes[src]
-        if n2.sum() > _PAIRS and len(src) > 1:  # halve, to keep the rows bounded
+        if n2.sum() > _BATCH and len(src) > 1:  # halve, to keep the rows bounded
             parts = np.array_split(np.arange(len(src)), 2)
             return [r for p in parts for r in failures(src[p], dst[p], image, tables)]
         u2, u1 = (np.repeat(np.arange(len(src)), c) for c in (n2, n1))
@@ -371,21 +331,9 @@ def bilateralise(algebra: FiniteAlgebra) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # random systems
 
-_HOM_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
-
-
 def _all_homs(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
-    # every homomorphism F -> G in lexicographic order, cached by the tables
-    key = (_memoised(F, _table_key), _memoised(G, _table_key))
-    if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = sorted(_homomorphisms(F, G, lambda g, f: range(G.size)))
-    return _HOM_CACHE[key]
-
-
-def _self_dualisers(F: FiniteAlgebra) -> list[tuple[int, ...]]:
-    # involutions that are homomorphisms onto the dual, hence isomorphisms
-    homs = _all_homs(F, dual(F))
-    return [h for h in homs if all(h[h[a]] == a for a in range(F.size))]
+    # every homomorphism F -> G in lexicographic order
+    return sorted(_homomorphisms(F, G, lambda g, f: range(G.size)))
 
 
 def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
@@ -424,6 +372,10 @@ def random_system(
         indices = default_idx
     if fibre_pool is None:
         fibre_pool = default_fib
+    # each fibre with its dual, and the homomorphism lists between them,
+    # kept for this call's draws
+    pool = [(F, dual(F)) for F in fibre_pool]
+    all_homs = functools.cache(_all_homs)
 
     for _ in range(MAX_ATTEMPTS):
         idx = rng.choice(list(indices))
@@ -436,9 +388,10 @@ def random_system(
         for e in els:
             if e in fibres:
                 continue
-            F = rng.choice(list(fibre_pool))
+            F, D = rng.choice(pool)
             if neg_of[e] == e:
-                selfduals = _self_dualisers(F)
+                # involutions onto the dual, hence isomorphisms
+                selfduals = [h for h in all_homs(F, D) if all(h[h[a]] == a for a in range(F.size))]
                 if not selfduals:
                     stuck = True
                     break
@@ -446,14 +399,15 @@ def random_system(
                 dualisers[e] = rng.choice(selfduals)
             else:
                 fibres[e] = F
-                fibres[neg_of[e]] = dual(F)
+                fibres[neg_of[e]] = D
                 ident = tuple(range(F.size))
                 dualisers[e] = ident
                 dualisers[neg_of[e]] = ident
         if stuck:
             continue
 
-        leq = lambda i, j: idx.join[idx.index(i)][idx.index(j)] == idx.index(j)
+        at, order = {e: k for k, e in enumerate(els)}, _order(idx).tolist()
+        leq = lambda i, j: order[at[i]][at[j]]
         pairs = [(i, j) for i in els for j in els if leq(i, j)]
         # sort by interval "height" so composites come after their parts
         strictly_below = {
@@ -482,7 +436,7 @@ def random_system(
                     break
                 trans[(i, j)] = composites.pop()
             else:
-                homs = _all_homs(fibres[i], fibres[j])
+                homs = all_homs(fibres[i], fibres[j])
                 if not homs:
                     ok = False
                     break

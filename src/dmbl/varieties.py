@@ -36,7 +36,6 @@ from .finalg import (
     _meet,
     _memoised,
     _row_keys,
-    _table_key,
     congruences,
     is_isomorphic,
     product,
@@ -161,13 +160,8 @@ def _parsed(text: str) -> Identity:
 
 def _verdict(a: FiniteAlgebra, e: Identity | str) -> SatisfactionResult:
     """``satisfies(a, e)``, computed once per algebra and identity and kept
-    in the algebra's memo (its tables never change), keyed by the parsed
-    identity."""
-    e = _parsed(e) if isinstance(e, str) else e
-    verdicts = a._memo.setdefault(_verdict, {})
-    if e not in verdicts:
-        verdicts[e] = satisfies(a, e)
-    return verdicts[e]
+    in the algebra's memo, keyed by the parsed identity."""
+    return _memoised(a, satisfies, _parsed(e) if isinstance(e, str) else e)
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +442,21 @@ class HspResult:
         }
 
 
-# theory partition of enumerate_terms() per algebra, keyed by table content;
-# the arrays are read-only, as they are handed out as they are
-_PARTITIONS: dict[tuple, np.ndarray] = {}
+def _term_labels(a: FiniteAlgebra) -> np.ndarray:
+    # theory partition of enumerate_terms() in `a`, read-only, as it is
+    # handed out as it is
+    labels = theory_partition(a, term_index())
+    labels.flags.writeable = False
+    return labels
 
 
 def _theory_partition(algebras: Sequence[FiniteAlgebra]) -> np.ndarray:
     """Joint theory partition of the bounded term space: two terms share a
     label exactly when they share one in every algebra.  Labels are numbered
-    by first occurrence; one algebra's are its cached labels themselves."""
-    index = term_index()
-    labels = []
-    for a in algebras:
-        key = _memoised(a, _table_key)
-        if key not in _PARTITIONS:
-            _PARTITIONS[key] = theory_partition(a, index)
-            _PARTITIONS[key].flags.writeable = False
-        labels.append(_PARTITIONS[key])
+    by first occurrence; one algebra's are the labels its memo keeps."""
+    labels = [_memoised(a, _term_labels) for a in algebras]
     if len(labels) < 2:
-        return labels[0] if labels else np.zeros(len(index.roots), dtype=np.int64)
+        return labels[0] if labels else np.zeros(len(term_index().roots), dtype=np.int64)
     return _canonical(_least(_meet(*labels)))
 
 

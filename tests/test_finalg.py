@@ -258,7 +258,8 @@ def test_construction_messages():
 
 def test_a_large_power_is_built_as_arrays():
     # IS3^7 has 2187 elements, and its two tables take 9.1 MiB each as
-    # int16; built as tuples of Python ints, they raised max RSS by 508 MiB
+    # int16; built as tuples of Python ints, they raised max RSS by 508 MiB.
+    # Nothing derived from the tables, tuple views included, is built yet
     code = (
         "import resource\n"
         "from dmbl.catalog import get_algebra\n"
@@ -267,16 +268,16 @@ def test_a_large_power_is_built_as_arrays():
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "a = power(is3, 7)\n"
         "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
-        "print(a.size, grown // 1024, a._views == [None] * 3)\n"
+        "print(a.size, grown // 1024, a._memo == {})\n"
     )
     src = os.path.dirname(os.path.dirname(finalg.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    size, grown_mib, no_views = out.stdout.split()
+    size, grown_mib, empty_memo = out.stdout.split()
     assert size == "2187"
     assert int(grown_mib) < 80
-    assert no_views == "True"
+    assert empty_memo == "True"
 
 
 def test_element_name_index_lookup():
@@ -475,7 +476,7 @@ def _scan_identity(rng, k):
 @given(st.data())
 def test_frontier_scan_finds_the_least_counterexample(data):
     # _BLOCK is drawn so that the scan's blocks fix f of the k variables,
-    # 1 <= f < k, and _PREFIXES so that the prefixes are labelled in one
+    # 1 <= f < k, and _BATCH so that the prefixes are labelled in one
     # pass or in several, with the tail runs starting at level f or f + 1.
     # Once runs there have taken a batch with frontiers left, the rest are
     # deepened, and the guarded identities put many least counterexamples
@@ -485,11 +486,11 @@ def test_frontier_scan_finds_the_least_counterexample(data):
     n, k = a.size, len(_vars_of(e))
     f = data.draw(st.integers(1, k - 1), label="fixed")
     block = data.draw(st.integers(n ** (k - f), n ** (k - f + 1) - 1), label="block")
-    prefixes = data.draw(st.sampled_from([1, 5, 64, finalg._PREFIXES]), label="prefixes")
+    prefixes = data.draw(st.sampled_from([1, 5, 64, finalg._BATCH]), label="prefixes")
     cex = _least_counterexample(a, e)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(finalg, "_BLOCK", block)
-        mp.setattr(finalg, "_PREFIXES", prefixes)
+        mp.setattr(finalg, "_BATCH", prefixes)
         r = satisfies(a, e)
     assert (bool(r), r.counterexample) == (cex is None, cex), (e, block, prefixes)
 
@@ -504,7 +505,7 @@ def test_is_class_compares_sides_that_read_only_fixed_variables(monkeypatch, alg
     # algebras fail that axiom alone.  With _BLOCK = n the tail runs fix x
     # and y of x, y, z, so both sides of it are frontier values, read by the
     # tail as variables past the program's names; with _BLOCK = n^2 and
-    # _PREFIXES = 1 a run of one frontier of x comes first, and the rest are
+    # _BATCH = 1 a run of one frontier of x comes first, and the rest are
     # deepened to frontiers of x and y
     axioms = finalg._parse_axioms(finalg._CLASS_AXIOMS[cls][0])
     failing = [str(e) for e in axioms if not satisfies(algebra, e)]
@@ -514,9 +515,9 @@ def test_is_class_compares_sides_that_read_only_fixed_variables(monkeypatch, alg
     given = {s for s, op, left, *_ in tail if op == _VAR and left >= len(prog.names)}
     assert {prog.roots[-2], prog.roots[-1]} <= given
     n = algebra.size
-    for block, prefixes in ((n, finalg._PREFIXES), (n * n, 1)):
+    for block, prefixes in ((n, finalg._BATCH), (n * n, 1)):
         monkeypatch.setattr(finalg, "_BLOCK", block)
-        monkeypatch.setattr(finalg, "_PREFIXES", prefixes)
+        monkeypatch.setattr(finalg, "_BATCH", prefixes)
         assert is_class(_fresh(algebra), cls) == (not failing), block
 
 
@@ -1861,12 +1862,12 @@ def test_theory_partition_matches_value_rows_on_law_free_tables(data):
     _assert_same_theory(a, enumerate_terms(5) if with_neg else NEG_FREE_TERMS)
 
 
-def test_theory_partition_memory_is_bounded(monkeypatch):
+def test_theory_partition_memory_is_bounded():
     # the value matrix of DM4 x IS4 is 8427 rows of 16^3 int8 values, 34.5
-    # MB, and partitioning its rows as bytes copies them once more
+    # MB, and partitioning its rows as bytes copies them once more.  The
+    # product is a new algebra, so its memo holds no partition yet
     a = product(DM4, IS4)
     enumerate_terms()  # the cached term list is not part of the partition
-    monkeypatch.setattr(varieties, "_PARTITIONS", {})
     tracemalloc.start()
     try:
         labels = varieties._theory_partition([a])

@@ -385,8 +385,8 @@ def test_validate_runs_two_evaluations_and_builds_no_dual(monkeypatch):
         calls["_run"] += 1
         return run(*args, **kwargs)
 
+    monkeypatch.setattr(finalg, "_run", counted)
     for module in (finalg, sums):
-        monkeypatch.setattr(module, "_run", counted)
         monkeypatch.setattr(module, "dual", lambda *args: calls.update(["dual"]))
     assert validate(system) == []
     assert calls == {"_run": 2}
@@ -401,8 +401,8 @@ def test_fibre_verdicts_do_not_depend_on_the_batch(block, monkeypatch):
                        ((0, 1, 2), (1, 1, 2), (2, 2, 2)))
     fibres = [D1, D2, nc, d3, product(D2, D2), finalg.dual(D2), D2]
     copies = [F.rename(F.name) for F in fibres]
-    monkeypatch.setattr(sums, "_BLOCK", block)
-    sums._check_fibres(copies)
+    monkeypatch.setattr(finalg, "_BLOCK", block)
+    finalg._check_fibres(copies)
     assert [is_class(F, "distributive lattice") for F in copies] == [
         is_class(F.rename(F.name), "distributive lattice") for F in fibres
     ] == [True, True, False, True, True, True, True]
@@ -701,8 +701,8 @@ def test_validate_does_not_depend_on_the_row_bound(data):
     expected = _validate_by_loop(system)
     bound = data.draw(st.sampled_from([1, 4, 64]), label="bound")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sums, "_BLOCK", bound)
-        mp.setattr(sums, "_PAIRS", bound)
+        mp.setattr(finalg, "_BLOCK", bound)
+        mp.setattr(sums, "_BATCH", bound)
         assert validate(system) == expected
 
 

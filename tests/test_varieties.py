@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import signal
 import time
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -735,8 +737,8 @@ def test_signature_columns_are_the_signatures():
 
 
 def test_one_algebra_theory_partition_is_its_cached_labels(monkeypatch):
-    dm4, is4 = get_algebra("DM4"), get_algebra("IS4")
-    monkeypatch.setattr(varieties, "_PARTITIONS", {})
+    # renamed copies are new algebras, whose memos hold no partition yet
+    dm4, is4 = get_algebra("DM4").rename("DM4"), get_algebra("IS4").rename("IS4")
     labels = varieties._theory_partition([dm4])
     assert np.array_equal(labels, theory_partition(dm4, term_index()))
     assert not labels.flags.writeable
@@ -748,6 +750,17 @@ def test_one_algebra_theory_partition_is_its_cached_labels(monkeypatch):
     pairs = zip(labels.tolist(), varieties._theory_partition([is4]).tolist())
     assert np.array_equal(joint, partition_ids(list(pairs)))
     assert len(calls) == 1
+
+
+def test_a_theory_partition_is_freed_with_its_algebra():
+    # the labels live in the algebra's memo, so no cache keeps them (or a
+    # copy of the tables as their key) once the algebra is gone
+    a = product(get_algebra("DM4"), get_algebra("IS4"))
+    labels = varieties._theory_partition([a])
+    freed = weakref.ref(labels)
+    del labels, a
+    gc.collect()
+    assert freed() is None
 
 
 def test_jonsson_check_counts_are_pinned():
@@ -950,8 +963,8 @@ def test_kernel_embedding_matches_is_isomorphic(k, data):
 
 
 def test_build_lattice_checks_each_identity_once_per_algebra(monkeypatch):
-    for e in catalog_entries():
-        e.algebra._memo.pop(varieties._verdict, None)
+    # a verdict is kept under the function that computed it, so `counting`
+    # reads none of those kept before
     calls = collections.Counter()
     real = varieties.satisfies
 
