@@ -26,11 +26,14 @@ argument's entry, through ``take`` one chunk of ``_CHUNK`` indices at a time;
 smaller steps index the tables directly.  Every value is dropped after its
 last reader.  When the scan fixes leading variables, it labels prefixes
 level by level by their frontier (the values of the steps over those
-variables that later steps read), and runs the rest once per distinct
-frontier: least-first, in runs of 1, 2, 4, ... frontiers, and once the
-runs of a level have taken one batch, the frontiers left are deepened by the
-next variable.  :func:`is_class` runs all of a class's axioms as one program
-and keeps the verdict in the algebra's memo.
+variables that later steps read), and runs the rest per distinct frontier:
+least-first, in runs of 1, 2, 4, ... frontiers.  After the first run, the
+steps over the free variables alone run once, the free assignments are
+labelled the same way by their free frontier, and the steps that read both
+sides run once per pair of distinct frontiers.  Once the runs of a level
+have taken one batch, the frontiers left are deepened by the next variable
+where that leaves fewer values to run.  :func:`is_class` runs all of a
+class's axioms as one program and keeps the verdict in the algebra's memo.
 Assignments times steps above ``SATISFIES_COST_LIMIT`` are refused before any
 evaluation.
 
@@ -271,7 +274,7 @@ class _Program:
     and NEG steps in the order a pre-order walk of the terms first meets
     them, which is the order their errors are raised in.  `dots` says
     whether a step reads the table of x.y; `plans` caches :func:`_plan` by
-    its two levels."""
+    its levels and names."""
 
     steps: tuple[tuple[int, int, int], ...]
     names: tuple[str, ...]
@@ -279,7 +282,7 @@ class _Program:
     paired: bool
     checks: tuple[int, ...]
     dots: bool
-    plans: dict[tuple[int, int], tuple[list, int]] = field(default_factory=dict)
+    plans: dict[tuple[int, ...], tuple[list, int]] = field(default_factory=dict)
 
     @cached_property
     def levels(self) -> list[tuple[np.ndarray, ...]]:
@@ -348,43 +351,69 @@ def _program(terms: tuple[Term, ...], paired: bool) -> _Program:
     return _Program(tuple(steps), tuple(names), roots, paired, tuple(dict.fromkeys(checks)), dots)
 
 
-def _plan(prog: _Program, lo: int, hi: int) -> tuple[list, int]:
-    """The plan that takes the frontier of level `lo` to that of level `hi`
-    (``0 <= lo <= hi <= k``, k names), and its number of output rows.
+def _plan(
+    prog: _Program, lo: int, hi: int, start: int = 0, stop: int | None = None
+) -> tuple[list, int]:
+    """The plan that runs the steps whose level is in ``(lo, hi]`` and whose
+    lowest name is in ``[start, stop)`` (k names, `stop` k when None), and
+    its number of output rows.
 
     A step's level is one more than the highest name it reads.  The
     frontier of level m < k is the steps of level at most m that a step
-    above m reads or that are roots; level 0's is empty.  The plan runs the
-    steps of levels ``lo + 1`` to `hi`, reads frontier step i of level `lo`
-    as variable ``k + i`` and, below level k, writes frontier step i of
-    level `hi` to output row i.  At level k it compares the pairs, or
-    writes each root to the row of its term when the program is unpaired.
-    So ``_plan(prog, 0, k)`` runs every step; :func:`_scan` labels level
-    m + 1 by ``_plan(prog, m, m + 1)`` and runs its tails at level m by
-    ``_plan(prog, m, k)``.  A plan lists ``(step, op, left, right, pairs,
-    rows, drop)`` per step run: after the step's value is computed, the
-    `pairs` that now have both sides are compared, the value is written to
-    the output `rows`, and the values in `drop`, read here for the last
-    time, are dropped."""
-    if (lo, hi) in prog.plans:
-        return prog.plans[lo, hi]
-    steps, k = prog.steps, len(prog.names)
+    above m reads or that are roots; level 0's is empty.  In the mirror,
+    the free frontier of name m > 0 is the steps whose lowest name is at
+    least m that a step reading a name below m reads, or that are roots;
+    name k's is empty.  The plan reads frontier step i of level `lo`, then
+    free frontier step i of name `stop`, as variable ``k + i``.  Below level
+    k it writes frontier step i of level `hi` to output row i, and above
+    name 0 free frontier step i of name `start` to the next row.  A plan
+    over every level and name, ``hi = k`` and ``start = 0``, compares the
+    pairs, or writes each root to the row of its term when the program is
+    unpaired.  So ``_plan(prog, 0, k)`` runs every step; :func:`_scan`
+    labels level m + 1 by ``_plan(prog, m, m + 1)``, runs a tail over the
+    raw free grid at level m by ``_plan(prog, m, k)``, labels the free side
+    of level m, the steps that read only names m and above, by
+    ``_plan(prog, 0, k, m)``, and runs the steps that read names on both
+    sides by ``_plan(prog, m, k, 0, m)``.  A plan lists ``(step, op, left,
+    right, pairs, rows, drop)`` per step run: after the step's value is
+    computed, the `pairs` that now have both sides are compared, the value
+    is written to the output `rows`, and the values in `drop`, read here for
+    the last time, are dropped."""
+    k = len(prog.names)
+    stop = k if stop is None else stop
+    if (lo, hi, start, stop) in prog.plans:
+        return prog.plans[lo, hi, start, stop]
+    steps = prog.steps
     level: list[int] = []
+    low: list[int] = []
     for op, left, right in steps:
-        level.append(left + 1 if op == _VAR else max(level[c] for c in (left, right) if c >= 0))
+        kids = [c for c in (left, right) if c >= 0]
+        level.append(left + 1 if op == _VAR else max(level[c] for c in kids))
+        low.append(left if op == _VAR else min(low[c] for c in kids))
+    reads = [(s, c) for s, (op, *kids) in enumerate(steps) if op != _VAR for c in kids if c >= 0]
 
-    def frontier(m: int) -> list[int]:
-        read = {c for s, (op, *kids) in enumerate(steps) if op != _VAR and level[s] > m
-                for c in kids}
-        return sorted(s for s in read.union(prog.roots) if s >= 0 and level[s] <= m)
+    def frontier(inside: Callable[[int], bool]) -> list[int]:
+        # the steps inside a side that a step outside it reads, and its roots
+        read = {c for s, c in reads if not inside(s)}
+        return sorted(s for s in read.union(prog.roots) if inside(s))
 
-    given = frontier(lo)
+    def below(m: int) -> list[int]:
+        return frontier(lambda s: level[s] <= m)
+
+    def above(m: int) -> list[int]:
+        return frontier(lambda s: low[s] >= m)
+
+    given = below(lo) + above(stop)
     var = {s: k + i for i, s in enumerate(given)}
-    run = sorted(var.keys() | {s for s in range(len(steps)) if lo < level[s] <= hi})
-    rows: dict[int, list[int]] = {s: [i] for i, s in enumerate(frontier(hi))} if hi < k else {}
-    for i, s in enumerate(() if prog.paired or hi < k else prog.roots):
+    run = sorted(var.keys() | {
+        s for s in range(len(steps)) if lo < level[s] <= hi and start <= low[s] < stop
+    })
+    out = (below(hi) if hi < k else []) + (above(start) if start else [])
+    rows: dict[int, list[int]] = {}
+    whole = hi == k and not start
+    for i, s in enumerate(out + list(() if prog.paired or not whole else prog.roots)):
         rows.setdefault(s, []).append(i)
-    pairs = list(zip(prog.roots[::2], prog.roots[1::2])) if prog.paired and hi == k else []
+    pairs = list(zip(prog.roots[::2], prog.roots[1::2])) if prog.paired and whole else []
     last = {s: s for s in run}  # value -> the last step reading it
     for s in run:
         op, left, right = steps[s]
@@ -397,12 +426,12 @@ def _plan(prog: _Program, lo: int, hi: int) -> tuple[list, int]:
     drop: dict[int, list[int]] = {}
     for c, p in last.items():
         drop.setdefault(p, []).append(c)
-    prog.plans[lo, hi] = [
+    prog.plans[lo, hi, start, stop] = [
         (s, *((_VAR, var[s], -1) if s in var else steps[s]),
          compared.get(s, ()), rows.get(s), drop.get(s, ()))
         for s in run
     ], sum(map(len, rows.values()))
-    return prog.plans[lo, hi]
+    return prog.plans[lo, hi, start, stop]
 
 
 def _dot_table(A: FiniteAlgebra) -> np.ndarray:
@@ -549,15 +578,25 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
     level by level from the empty prefix: each distinct frontier of a level
     is extended by the next variable, and the extensions are labelled by
     first occurrence (:func:`_meet`, :func:`_least`), ``_BATCH`` values a
-    pass.  At the first level that leaves at most ``_BLOCK`` free
-    assignments, or at the next when its whole prefix grid's frontier fits
-    in ``_BATCH`` values, tail runs take 1, 2, 4, ... distinct frontiers
-    in order of first prefix, until they have taken one batch in all: as
-    many assignments as that first level leaves free.  The frontiers not yet
-    scanned are then deepened by one more variable, and the scan goes on
-    there the same way; with one variable left free, runs double up to one
-    batch a run.  The first prefix of the first failing frontier is the
-    least failing prefix."""
+    pass.  The tail runs start at the first level that leaves at most
+    ``_BLOCK`` free assignments, or at the next when its whole prefix grid's
+    frontier fits in ``_BATCH`` values.  That level's first run takes one
+    frontier over the raw free grid.  Once it has passed, the level's free
+    side, the steps that read only free variables, runs once over the free
+    grid, and the free grid is labelled by its free frontier the same way;
+    later runs evaluate only the steps that read both sides, over their
+    frontiers times the distinct free frontiers, unless runs over the raw
+    free grid take fewer values a frontier.  A level reached by deepening
+    is labelled before its first run.  Runs take 1, 2, 4, ...
+    frontiers in order of first prefix, each about as many values as the
+    runs before it, until they have taken one batch in all: as many
+    assignments as the first tail level leaves free.  The frontiers left
+    are deepened by one more variable a pass at a time while the next
+    level, once labelled, has fewer values to run than the pass has at
+    this level; otherwise, and at the last level, the frontiers left run
+    here, up to one batch a run.  The first prefix of the first failing
+    frontier, with the first free assignment of the first failing free
+    frontier, is the least failing assignment."""
     n, k = A.size, len(prog.names)
     cost = n**k * len(prog.steps)
     if cost > SATISFIES_COST_LIMIT:
@@ -574,41 +613,96 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
     if not fixed:
         bad = _run(A, prog, grids, tables=tables)
         return None if bad is None else _first(bad, (n,) * k)
-    batch = n ** (k - fixed)  # the most assignments of one tail run
+    batch = n ** (k - fixed)  # the most values one step of a tail run takes
     if fixed < k - 1 and n ** (fixed + 1) * _plan(prog, 0, fixed + 1)[1] <= _BATCH:
         fixed += 1
-    done: dict[int, int] = {}  # level -> the frontiers its tail runs have taken
+    done: dict[int, int] = {}  # level -> the values its tail runs have taken
+    sides: dict[int, tuple] = {}  # level -> how its tail runs run, see `side`
+    reads: list[int] = []  # per step, the names it reads as a bit mask
+    for op, left, right in prog.steps:
+        reads.append(1 << left if op == _VAR else reads[left] | (reads[right] if right >= 0 else 0))
+
+    def values(plan: list, level: int, width: int | None = None) -> int:
+        # the values a tail plan of `level` computes per prefix frontier:
+        # each step over `width` free frontiers, or over the free names it reads
+        return sum(
+            width or n ** (reads[s] >> level).bit_count() for s, op, *_ in plan if op != _VAR
+        )
+
+    def side(level: int) -> tuple:
+        # how the tail runs of `level` run after the first, chosen once: the
+        # values per prefix frontier, the distinct free frontiers (an array
+        # of one row per free frontier step), the first free assignment of
+        # each (its flat index in C order) and the plan of the steps that
+        # read both sides; or, when the raw tail plan has fewer values, that
+        # plan with no free frontiers
+        if level not in sides:
+            plan, width = _plan(prog, 0, k, level)
+            out = np.empty((width,) + (n,) * (k - level), dtype=np.int16)
+            _run(A, prog, grids, out, tables, plan)
+            out = out.reshape(width, -1)
+            firsts = np.flatnonzero(_least(_meet(*out)) == np.arange(out.shape[1]))
+            mixed, raw = _plan(prog, level, k, 0, level)[0], _plan(prog, level, k)[0]
+            sides[level] = min(
+                (values(mixed, level, len(firsts)), list(out[:, None, firsts]), firsts, mixed),
+                (values(raw, level), [], None, raw),
+                key=lambda way: way[0],
+            )
+        return sides[level]
+
+    def runs(level: int, front: np.ndarray, coords: np.ndarray, at: int, whole: bool):
+        # tail runs over frontiers `at`, `at + 1`, ... of `level`, up to one
+        # batch a run when `whole`, else until the level's runs have taken
+        # one batch in all: a failing assignment or None, and the first
+        # frontier not run.  A level's first run takes one frontier over
+        # the raw free grid, unless `side` has chosen already; the others
+        # run as it chose
+        grid = (n,) * (k - level)
+        while at < front.shape[1]:
+            d = done.setdefault(level, 0)
+            raw = not d and level not in sides
+            _, free, firsts, plan = (0, [], None, _plan(prog, level, k)[0]) if raw else side(level)
+            width = n ** len(grid) if firsts is None else len(firsts)
+            take = min(d // width + 1, (batch if whole else batch - d) // width)
+            if take < 1:
+                break
+            part = front[:, at : at + take]
+            shape = (-1,) + (1,) * (len(grid) if firsts is None else 1)
+            bound = [f.reshape(shape) for f in part] + free
+            bad = _run(A, prog, grids + bound, tables=tables, plan=plan)
+            if bad is not None:
+                if firsts is None:
+                    r, *rest = _first(bad, (part.shape[1],) + grid)
+                else:
+                    r, j = _first(bad, (part.shape[1], len(firsts)))
+                    rest = np.unravel_index(firsts[j], grid)
+                return (*coords[:, at + r].tolist(), *map(int, rest)), at
+            at, done[level] = at + part.shape[1], d + part.shape[1] * width
+        return None, at
 
     def scan(level: int, front: np.ndarray, coords: np.ndarray) -> tuple[int, ...] | None:
         # `front`: a row per frontier step of `level`, a column per distinct
-        # frontier; `coords`: a row per fixed variable, the first prefixes
-        def bind(part):
-            return grids + [f.reshape((-1,) + (1,) * (k - level)) for f in part]
-
-        cap, at = batch // n ** (k - level) if level >= fixed else 0, 0
-        while at < front.shape[1]:
-            # runs double: 1, 2, 4, ... frontiers, up to one batch a run at
-            # the last level and one batch in all at the others, which then
-            # deepen the rest (at once short of the first tail level, cap 0)
-            d = done.setdefault(level, 0)
-            part = front[:, at : at + min(d + 1, cap if level == k - 1 else cap - d)]
-            if not part.shape[1]:
-                break
-            bad = _run(A, prog, bind(part), tables=tables, plan=_plan(prog, level, k)[0])
-            if bad is not None:
-                r, *rest = _first(bad, (part.shape[1],) + (n,) * (k - level))
-                return (*coords[:, at + r].tolist(), *rest)
-            at, done[level] = at + part.shape[1], d + part.shape[1]
-        else:
-            return None
+        # frontier; `coords`: a row per fixed variable, the first prefixes.
+        # Levels short of the first tail level deepen at once
+        at = 0
+        if level >= fixed:
+            found, at = runs(level, front, coords, 0, level == k - 1)
+            if found is not None or at == front.shape[1]:
+                return found
         plan, width = _plan(prog, level, level + 1)
         per = max(1, _BATCH // (n * width))
         for lo in range(at, front.shape[1], per):
             part = front[:, lo : lo + per]
             out = np.empty((width, part.shape[1], n) + (1,) * (k - level - 1), dtype=np.int16)
-            _run(A, prog, bind(part), out, tables, plan)
+            shape = (-1,) + (1,) * (k - level)
+            _run(A, prog, grids + [f.reshape(shape) for f in part], out, tables, plan)
             out = out.reshape(width, -1)
             firsts = np.flatnonzero(_least(_meet(*out)) == np.arange(out.shape[1]))
+            # a tail level finishes here unless the next has fewer values
+            if level >= fixed and (
+                side(level + 1)[0] * len(firsts) >= side(level)[0] * part.shape[1]
+            ):
+                return runs(level, front, coords, lo, True)[0]
             parent, value = np.divmod(firsts, n)
             found = scan(level + 1, out[:, firsts], np.vstack([coords[:, lo + parent], value]))
             if found is not None:
@@ -626,13 +720,17 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     Both sides are compiled into one program (:func:`_program`), with every
     ``s /\\ (s \\/ t)`` read as one step from the table of x.y.  Up to
     ``_BLOCK`` assignments are evaluated at once; past that, :func:`_scan`
-    evaluates the steps that read only some leading variables over their
-    prefixes, and the rest once per distinct frontier (the values of those
-    steps that the rest read), at most ``_BLOCK`` assignments at a time.
-    Frontiers are taken least first, 1, 2, 4, ... a run, so an early
-    counterexample costs one frontier's assignments; once they have taken
-    one batch, the frontiers left are deepened by one more variable.  Raises
-    ValidationError when assignments times steps exceed
+    fixes some leading variables and evaluates the steps that read only
+    them over their prefixes, the steps that read only the other, free,
+    variables once over the free grid, and the steps that read both once
+    per pair of a distinct prefix frontier and a distinct free frontier
+    (the values of the one-sided steps that they read), or over every free
+    assignment where that has fewer values, at most ``_BLOCK`` values at a
+    time.  Frontiers are taken least first, 1, 2, 4, ... a run, the first
+    over the raw free grid, so an early counterexample costs one frontier's
+    assignments; once they have taken one batch, the frontiers left are
+    deepened by one more variable where that leaves fewer values to run.
+    Raises ValidationError when assignments times steps exceed
     ``SATISFIES_COST_LIMIT``, before any evaluation.
     """
     prog = _program((identity.lhs, identity.rhs), True)

@@ -16,7 +16,6 @@ table of the sum is a whole-system array pass rather than a loop over maps.
 
 from __future__ import annotations
 
-import functools
 import json
 import operator
 import random
@@ -32,6 +31,8 @@ from .finalg import (
     ValidationError,
     _check_fibres,
     _homomorphisms,
+    _memoised,
+    _positions,
     algebra_from_json,
     algebra_to_json,
     dual,
@@ -68,8 +69,11 @@ class InvSemilatticeSystem:
     dualisers: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def leq(self, i: str, j: str) -> bool:
-        a, b = self.index.index(i), self.index.index(j)
-        return self.index.join[a][b] == b
+        idx = self.index
+        at = _memoised(idx, _positions)
+        if i not in at or j not in at:
+            idx.index(i if i not in at else j)  # raises, naming the element
+        return bool(_memoised(idx, _order)[at[i], at[j]])
 
     def comparable_pairs(self) -> list[tuple[str, str]]:
         els = self.index.elements
@@ -343,10 +347,9 @@ def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
 def _default_pools() -> tuple[list[FiniteAlgebra], list[FiniteAlgebra]]:
     from . import catalog  # deferred: catalog builds on sums
 
-    basics = catalog.build_basics()
-    d2 = basics["D2"]
+    basics, aux = catalog.build_basics(), catalog._auxiliary()
     indices = [basics["IS1"], basics["IS2"], basics["IS3"], basics["IS4"]]
-    return indices, [basics["D1"], d2, product(d2, d2)]
+    return indices, [aux["D1"], aux["D2"], aux["D2xD2"]]
 
 
 #: most draws `random_system` makes before it gives up
@@ -373,9 +376,11 @@ def random_system(
     if fibre_pool is None:
         fibre_pool = default_fib
     # each fibre with its dual, and the homomorphism lists between them,
-    # kept for this call's draws
-    pool = [(F, dual(F)) for F in fibre_pool]
-    all_homs = functools.cache(_all_homs)
+    # kept in the fibres' memos: the default pools' fibres are built once
+    pool = [(F, _memoised(F, dual)) for F in fibre_pool]
+
+    def all_homs(F: FiniteAlgebra, G: FiniteAlgebra) -> list[tuple[int, ...]]:
+        return _memoised(F, _all_homs, G)
 
     for _ in range(MAX_ATTEMPTS):
         idx = rng.choice(list(indices))

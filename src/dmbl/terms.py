@@ -37,9 +37,25 @@ class ParseError(ValueError):
 
 
 class Term:
-    """Base class for term nodes. Instances are immutable and hashable."""
+    """Base class for term nodes. Instances are immutable and hashable.
 
-    __slots__ = ()
+    A node's hash is the dataclass hash of its fields, computed once when it
+    is built, from its children's kept hashes.  It is not pickled (a str
+    hash differs between processes): an unpickled node computes it again on
+    first use."""
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        fields = tuple(getattr(self, f) for f in self.__match_args__)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self.__post_init__()
+            return self._hash
 
     def __invert__(self) -> "Term":
         return Neg(self)
@@ -57,23 +73,27 @@ class Term:
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
+    __hash__ = Term.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Neg(Term):
     child: Term
+    __hash__ = Term.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Meet(Term):
     left: Term
     right: Term
+    __hash__ = Term.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Join(Term):
     left: Term
     right: Term
+    __hash__ = Term.__hash__
 
 
 @dataclass(frozen=True, slots=True)

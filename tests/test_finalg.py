@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -452,24 +453,55 @@ def test_satisfies_memory_is_bounded_by_block():
     assert peak < 64 * 2**20
 
 
+def _substituted(t, name, u):
+    # t with every occurrence of the variable `name` replaced by u
+    if isinstance(t, Var):
+        return u if t.name == name else t
+    if isinstance(t, Neg):
+        return Neg(_substituted(t.child, name, u))
+    return type(t)(_substituted(t.left, name, u), _substituted(t.right, name, u))
+
+
 def _scan_identity(rng, k):
-    # in exactly k variables: an instance of a law of every De Morgan
-    # bisemilattice (it holds in every catalog algebra), a random identity
-    # (it mostly fails at the first assignments), or one guarded by x1 /\
-    # (its sides agree where x1 is the bottom, the first element of most
-    # catalog algebras, so its least counterexample mostly lies past the
-    # first frontiers)
-    while True:
-        s, t, u = (sweep.random_term(rng, 3, k) for _ in range(3))
-        laws = [
-            Identity(s & (t | u), (s & t) | (s & u)),
-            Identity(~(s & t), ~s | ~t),
-            Identity((s | t) | u, s | (t | u)),
-        ]
-        guarded = Identity(Var("x1") & s, Var("x1") & t)
-        e = rng.choice([random_identity(rng, 4, k), guarded, rng.choice(laws)])
-        if len(_vars_of(e)) == k:
-            return e
+    # the identities of one scan, the first in exactly k variables: an
+    # instance of a law of every De Morgan bisemilattice (it holds in every
+    # catalog algebra), a random identity (it mostly fails at the first
+    # assignments), or one guarded by x1 /\ (its sides agree where x1 is
+    # the bottom, the first element of most catalog algebras, so its least
+    # counterexample mostly lies past the first frontiers).  A third of them
+    # are drawn in k - 1 variables with x{k-1} then read as x{k-1} /\ ~x{k}
+    # or its dual, so the last two variables are read only through that
+    # compound.  A third come with a second identity that reads only the
+    # last one or two variables, so that both its sides are on the free
+    # side of a scan that fixes the variables before them
+    def draw(k):
+        while True:
+            s, t, u = (sweep.random_term(rng, 3, k) for _ in range(3))
+            laws = [
+                Identity(s & (t | u), (s & t) | (s & u)),
+                Identity(~(s & t), ~s | ~t),
+                Identity((s | t) | u, s | (t | u)),
+            ]
+            guarded = Identity(Var("x1") & s, Var("x1") & t)
+            e = rng.choice([random_identity(rng, 4, k), guarded, rng.choice(laws)])
+            if len(_vars_of(e)) == k:
+                return e
+
+    def substituted(e, name, u):
+        return Identity(_substituted(e.lhs, name, u), _substituted(e.rhs, name, u))
+
+    compound = rng.random() < 1 / 3
+    e = draw(k - compound)
+    if compound:
+        x, y = Var(f"x{k - 1}"), Var(f"x{k}")
+        e = substituted(e, x.name, rng.choice([x & ~y, x | ~y]))
+    if rng.random() < 1 / 3:
+        j = rng.choice([1, 2])
+        free = draw(j)
+        for i in range(j, 0, -1):  # x1, x2 become x{k-j+1}, x{k}, the last first
+            free = substituted(free, f"x{i}", Var(f"x{k - j + i}"))
+        return [e, free]
+    return [e]
 
 
 @settings(max_examples=150, deadline=None)
@@ -479,20 +511,29 @@ def test_frontier_scan_finds_the_least_counterexample(data):
     # 1 <= f < k, and _BATCH so that the prefixes are labelled in one
     # pass or in several, with the tail runs starting at level f or f + 1.
     # Once runs there have taken a batch with frontiers left, the rest are
-    # deepened, and the guarded identities put many least counterexamples
-    # past that point
-    e = _scan_identity(random.Random(data.draw(st.integers(0, 2**32))), data.draw(st.integers(3, 5)))
+    # deepened or run where they are, and the guarded identities put many
+    # least counterexamples past that point.  A scan of two identities
+    # checks both, and any assignment it returns fails one of them
+    pairs = _scan_identity(random.Random(data.draw(st.integers(0, 2**32))), data.draw(st.integers(3, 5)))
+    e = pairs[0]
     a = data.draw(st.sampled_from([B2, IS2, K3, IS3, DM4, IS4, get_algebra("A5")]))
     n, k = a.size, len(_vars_of(e))
     f = data.draw(st.integers(1, k - 1), label="fixed")
     block = data.draw(st.integers(n ** (k - f), n ** (k - f + 1) - 1), label="block")
     prefixes = data.draw(st.sampled_from([1, 5, 64, finalg._BATCH]), label="prefixes")
     cex = _least_counterexample(a, e)
+    prog = finalg._program(tuple(t for p in pairs for t in (p.lhs, p.rhs)), True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(finalg, "_BLOCK", block)
         mp.setattr(finalg, "_BATCH", prefixes)
         r = satisfies(a, e)
+        found = finalg._scan(a, prog)
     assert (bool(r), r.counterexample) == (cex is None, cex), (e, block, prefixes)
+    holds = all(_least_counterexample(a, p) is None for p in pairs)
+    assert (found is None) == holds, (pairs, block, prefixes)
+    if found is not None:
+        asg = {v: a.elements[i] for v, i in zip(prog.names, found)}
+        assert any(_value(a, p.lhs, asg) != _value(a, p.rhs, asg) for p in pairs), (pairs, asg)
 
 
 @pytest.mark.parametrize(
@@ -523,23 +564,29 @@ def test_is_class_compares_sides_that_read_only_fixed_variables(monkeypatch, alg
 
 def _count_steps(monkeypatch):
     # two lists that fill as the scan runs: the value count of every step,
-    # and per tail run its level, its frontiers and the value counts of its
-    # steps over the whole run (its frontiers times every free assignment),
-    # the steps over every variable.  A tail run is the one kind of run
-    # that reads frontier values and compares
+    # and per tail run its level, its frontiers, the shape of the run (its
+    # frontiers times every free assignment, or times the distinct free
+    # frontiers), the value counts of its steps over the whole run, and
+    # whether it read the labelled free side.  A tail run is the one kind of
+    # run that reads frontier values and compares; the free side's one run
+    # is listed too, with no frontiers and its steps of every shape
     sizes, runs, run, step = [], [], finalg._run, finalg._step
 
     def counted_run(A, prog, grids, out=None, tables=None, plan=None):
         k = len(prog.names)
-        if out is None and len(grids) > k:
-            m, free = grids[k].shape[0], grids[k].ndim - 1
-            runs.append((k - free, m, (m,) + (A.size,) * free, []))
+        lo, hi, start, stop = next((key for key, p in prog.plans.items() if p[0] is plan), (0,) * 4)
+        if hi == k and start:
+            runs.append((start, 0, (A.size,) * (k - start), [], None))
+        elif hi == k and lo and out is None:
+            m, labelled = grids[k].shape[0], stop < k
+            shape = (m, grids[-1].shape[-1]) if labelled else (m,) + (A.size,) * (k - lo)
+            runs.append((lo, m, shape, [], labelled))
         return run(A, prog, grids, out, tables, plan)
 
     def counted_step(*args):
         val = step(*args)
         sizes.append(val.size)
-        if runs and val.shape == runs[-1][2]:
+        if runs and (val.shape == runs[-1][2] or runs[-1][4] is None):
             runs[-1][3].append(val.size)
         return val
 
@@ -549,23 +596,27 @@ def _count_steps(monkeypatch):
 
 
 def test_frontier_scan_evaluates_each_free_grid_once_per_frontier(monkeypatch):
-    # a, b fixed and c, d free over U x U: the free steps read a and b only
-    # through a /\ ~b, which takes at most 81 values, so the three steps
-    # over all four variables run over at most 81 * 81^2 values each, in
-    # runs of 1, 2, 4, ... frontiers, where a scan of every block of 81^3
-    # assignments runs each over 81^4.  No other step runs over more than
-    # the 81^2 prefixes or free assignments
+    # a, b fixed and c, d free over U x U: each side is read only through
+    # a /\ ~b or c /\ ~d, which take at most 81 values.  After one run over
+    # the first frontier and all 81^2 free assignments, the free side's
+    # three steps run once over those assignments, and the three steps
+    # over all four variables run over the other frontiers of a /\ ~b times
+    # the distinct values of c /\ ~d: at most 81 * 81 values each in all,
+    # where runs over every free assignment of each frontier take 81 * 81^2.
+    # No other step runs over more than the 81^2 prefixes or free
+    # assignments
     uu = product(U, U)
     e = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) /\\ ~(c /\\ ~d)")
     sizes, runs = _count_steps(monkeypatch)
     assert satisfies(uu, e)
-    assert [level for level, *_ in runs] == [2] * len(runs)
-    assert [m for _, m, _, _ in runs[:-1]] == [2**i for i in range(len(runs) - 1)]
-    for _, m, _, full in runs:
-        assert full == [m * 81**2] * 3
-    full = [v for *_, f in runs for v in f]
-    assert sum(full) <= 3 * 81 * 81**2
-    assert max(Counter(sizes) - Counter(full)) <= 81**2
+    assert [(level, m, labelled) for level, m, *_, labelled in runs[:2]] == [(2, 1, False), (2, 0, None)]
+    assert runs[1][3] == [81, 81**2, 81**2]  # ~d, c /\ ~d and ~(c /\ ~d)
+    mixed = runs[2:]
+    assert mixed and all(level == 2 and labelled for level, *_, labelled in mixed)
+    for _, m, shape, full, _ in mixed:
+        assert shape[1] <= 81 and full == [m * shape[1]] * 3
+    assert sum(m * shape[1] for _, m, shape, *_ in mixed) <= 81 * 81
+    assert max(Counter(sizes) - Counter(v for *_, f, _ in runs for v in f)) <= 81**2
 
 
 def test_frontier_scan_takes_one_frontier_first(monkeypatch):
@@ -584,25 +635,56 @@ def test_frontier_scan_takes_one_frontier_first(monkeypatch):
     assert runs[0][3] and max(sizes) <= 81**2
 
 
-def test_frontier_scan_deepens_the_frontiers_left(monkeypatch):
+def test_frontier_scan_runs_the_distinct_free_frontiers(monkeypatch):
     # an instance of the distributive law over U x U: its 1296 distinct
-    # frontiers of a and b, scanned in full, run each step over all four
-    # variables over 1296 * 81^2 = 8.5M values.  Once runs of 1, 2, 4, ...
-    # have taken a batch of 81 of them, the scan labels the rest by
-    # frontiers of a, b and c, with one variable free, and evaluates less
-    # than half of that, each run within the batch of 81^3 assignments
+    # frontiers of a and b, scanned in full over every free assignment, run
+    # each step over all four variables over 1296 * 81^2 = 8.5M values.  The
+    # free side reads c and d through 1296 distinct frontiers too, so after
+    # one run over the raw free grid the steps over all four variables run
+    # over the other 1295 frontiers times those 1296.  Frontiers of a, b
+    # and c would have more values to run, so none are deepened
     uu = product(U, U)
     e = parse("(a /\\ ~b) /\\ ((c \\/ ~d) \\/ (b /\\ ~c))"
               " = ((a /\\ ~b) /\\ (c \\/ ~d)) \\/ ((a /\\ ~b) /\\ (b /\\ ~c))")
     sizes, runs = _count_steps(monkeypatch)
     assert satisfies(uu, e)
-    levels = [level for level, *_ in runs]
-    assert levels == sorted(levels) and levels[-1] == 3
-    assert [m for level, m, *_ in runs if level == 2] == [1, 2, 4, 8, 16, 32, 18]
+    tails = [run for run in runs if run[1]]
+    # level 3's free side is labelled for the choice, and then not used
+    assert [level for level, m, *_ in runs if not m] == [2, 3]
+    assert {level for level, *_ in tails} == {2}
+    assert sum(m for _, m, *_ in tails) == 1296
+    assert [labelled for *_, labelled in tails] == [False] + [True] * (len(tails) - 1)
+    assert {shape[1] for _, _, shape, _, labelled in tails if labelled} == {1296}
     assert max(sizes) <= 81**3
-    for level, m, _, full in runs:
-        assert full and set(full) == {m * 81 ** (4 - level)}
-    assert sum(m * 81 ** (4 - level) for level, m, *_ in runs) <= 1296 * 81**2 // 2
+    for _, m, shape, full, _ in tails:
+        assert full and set(full) == {math.prod(shape)}
+    total = sum(math.prod(shape) for _, m, shape, *_ in tails)
+    assert total == 81**2 + 1295 * 1296 <= 1296 * 81**2 // 2
+
+
+def test_frontier_scan_deepens_the_frontiers_left(monkeypatch):
+    # meet is associative and commutative, so this holds over U x U.  Its
+    # 6561 frontiers of a and b are all distinct, and the steps over all
+    # four variables read c and d directly: labelled, the free side has
+    # 6561 distinct frontiers, so the runs stay over the raw free grid, and
+    # scanned in full they would run each step over 6561 * 81^2 = 43M
+    # values.  Once runs of 1, 2, 4, ... have taken a batch of 81 of them,
+    # the scan labels the rest by frontiers of a, b and c, which take far
+    # fewer values with d free, and runs them there, each run within the
+    # batch of 81^3 assignments
+    uu = product(U, U)
+    e = parse("((a \\/ c) /\\ (b /\\ c)) /\\ d = (b /\\ c) /\\ ((a \\/ c) /\\ d)")
+    sizes, runs = _count_steps(monkeypatch)
+    assert satisfies(uu, e)
+    tails = [run for run in runs if run[1]]
+    levels = [level for level, *_ in tails]
+    assert levels == sorted(levels) and levels[-1] == 3
+    assert [m for level, m, *_ in tails if level == 2] == [1, 2, 4, 8, 16, 32, 18]
+    assert not any(labelled for level, *_, labelled in tails if level == 2)
+    assert max(sizes) <= 81**3
+    for _, m, shape, full, _ in tails:
+        assert full and set(full) == {math.prod(shape)}
+    assert sum(math.prod(shape) for _, m, shape, *_ in tails) <= 1296 * 81**2 // 2
 
 
 @settings(max_examples=60, deadline=None)

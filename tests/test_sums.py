@@ -361,6 +361,22 @@ def test_comparable_pairs_follow_the_index_order():
         assert s.comparable_pairs() == [(i, j) for i in els for j in els if s.leq(i, j)]
 
 
+def test_leq_reads_the_index_order():
+    # a <= b iff a \/ b = b, read off the index's memoised order matrix as
+    # a Python bool; an element the index lacks is named in the error
+    for name in ("IS3", "IS4"):
+        s = InvSemilatticeSystem(BASICS[name], {})
+        idx = s.index
+        for i, j in itertools.product(idx.elements, repeat=2):
+            leq = s.leq(i, j)
+            assert type(leq) is bool
+            assert leq == (idx.join[idx.index(i)][idx.index(j)] == idx.index(j))
+        top = idx.elements[0]
+        for args in (("nope", top), (top, "nope")):
+            with pytest.raises(ValidationError, match="no element named 'nope'"):
+                s.leq(*args)
+
+
 def test_dpl_sum_of_a_validated_system_evaluates_nothing(monkeypatch):
     # the class verdicts of the index and fibres are kept in their memos
     system = system_from_json(system_to_json(build_U_system()))
@@ -602,6 +618,20 @@ def test_all_homs_lists_every_homomorphism_in_order(data):
         if _hom_failure(F, G, f) is None
     ]
     assert _all_homs(F, G) == expected
+
+
+def test_random_systems_keep_the_default_pools_homomorphisms(monkeypatch):
+    # the default fibre pool's D2xD2 is the catalog's, built once, so the
+    # fibres' duals and the homomorphism lists between them stay in their
+    # memos: once 200 draws have made them, 200 more compute none and give
+    # the same systems
+    assert sums._default_pools()[1][2] is get_algebra("D2xD2")
+    first = [system_to_json(random_system(random.Random(s))) for s in range(200)]
+    computed = []
+    search = sums._homomorphisms
+    monkeypatch.setattr(sums, "_homomorphisms", lambda *args: computed.append(args) or search(*args))
+    assert [system_to_json(random_system(random.Random(s))) for s in range(200)] == first
+    assert computed == []
 
 
 def test_random_system_with_fresh_pools_validates():

@@ -1,6 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import dmbl
 from dmbl.terms import (
     Identity,
     IdentityClass,
@@ -243,3 +249,48 @@ def test_expanded_size_bound():
     with pytest.raises(ParseError, match="nodes") as info:
         parse_identity("x = " + "~" * 164 + chain)
     assert info.value.position == 4
+
+
+# -- hashing ----------------------------------------------------------------
+
+def test_each_term_node_keeps_its_hash():
+    # a node's hash is computed once, from its children's kept hashes, when
+    # it is built, so hashing a term never walks it: a chain of negations
+    # far deeper than the recursion limit hashes at once, and so does a
+    # shared DAG of 60 levels whose tree has more than 3^60 nodes
+    deep = x
+    for _ in range(5 * sys.getrecursionlimit()):
+        deep = Neg(deep)
+    assert hash(deep) == hash((deep.child,))
+    up = x
+    for _ in range(60):
+        up = Join(up, Neg(Meet(Neg(up), Neg(up))))
+    assert hash(up) == hash((up.left, up.right))
+    # the hashes are the dataclass hashes of the fields, so equal terms
+    # built apart hash alike
+    t = parse_term("~(x /\\ y) \\/ (z /\\ x)")
+    assert hash(t) == hash(parse_term("~(x /\\ y) \\/ (z /\\ x)")) == hash((t.left, t.right))
+    assert hash(x) == hash(("x",))
+    e = Identity(t, dualise(t))
+    assert {e: 1}[parse_identity(str(e))] == 1
+
+
+def test_a_pickled_term_hashes_in_the_loading_process():
+    # a str hash differs between processes, so the kept hash is not
+    # pickled: a term pickled under another hash seed is equal to, and
+    # hashes like, the same term built here
+    text = "~(x /\\ y) \\/ (up(z) /\\ x) = x"
+    code = (
+        "import pickle, sys\n"
+        "from dmbl.terms import parse_identity\n"
+        f"sys.stdout.buffer.write(pickle.dumps(parse_identity({text!r})))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dmbl.__file__))
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr
+    loaded, built = pickle.loads(out.stdout), parse_identity(text)
+    assert loaded == built and hash(loaded) == hash(built)
+    assert hash(loaded.lhs) == hash(built.lhs) and str(loaded) == str(built)
+
