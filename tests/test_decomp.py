@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,84 @@ def test_green_data_json_shape():
     blob = g.to_json()
     assert set(blob) == {"leqL", "leqR", "leqD", "leqH", "dClasses"}
     assert blob["dClasses"] == [[0], [1]]
+
+
+def _labelled_bands(n):
+    # every idempotent, associative table on range(n): the off-diagonal cells
+    # filled in row order, a value kept only while no triple whose products
+    # are all filled in fails associativity
+    table = [[x if x == y else None for y in range(n)] for x in range(n)]
+    cells = [(x, y) for x in range(n) for y in range(n) if x != y]
+
+    def associative():
+        for x, y, z in itertools.product(range(n), repeat=3):
+            xy, yz = table[x][y], table[y][z]
+            if xy is None or yz is None:
+                continue
+            left, right = table[xy][z], table[x][yz]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, table))
+            return
+        x, y = cells[k]
+        for v in range(n):
+            table[x][y] = v
+            if associative():
+                yield from fill(k + 1)
+        table[x][y] = None
+
+    return list(fill(0))
+
+
+def _assert_green_theorems(band):
+    # the relations are the loop's, and the facts greens does not check hold:
+    # the band laws make leqL, leqR and leqD preorders, leqH antisymmetric and
+    # D a congruence of the table
+    g = greens(band)
+    assert _preorders_of(band) == _preorders_by_loop(band)
+    assert g.d_classes == _d_classes_by_loop(band)
+    n, d = band.size, band.table
+    for name, rel in (("L", g.leqL), ("R", g.leqR), ("D", g.leqD)):
+        r = np.array(rel)
+        assert r.diagonal().all(), f"leq{name} not reflexive"
+        through = r.astype(np.int64) @ r.astype(np.int64) > 0
+        assert not (through & ~r).any(), f"leq{name} not transitive"
+    h = np.array(g.leqH)
+    assert not (h & h.T & ~np.eye(n, dtype=bool)).any(), "leqH not antisymmetric"
+    block_of = np.empty(n, dtype=np.int64)
+    for b, cls in enumerate(g.d_classes):
+        block_of[list(cls)] = b
+    image = block_of[d]
+    for cls in g.d_classes:
+        assert (image[list(cls)] == image[cls[0]]).all(), "D not a left congruence"
+        assert (image[:, list(cls)] == image[:, [cls[0]]]).all(), "D not a right congruence"
+
+
+def test_green_theorems_hold_on_every_band_of_order_at_most_4():
+    bands = {n: _labelled_bands(n) for n in range(1, 5)}
+    assert [len(bands[n]) for n in range(1, 5)] == [1, 4, 35, 604]
+    for n, tables in bands.items():
+        for table in tables:
+            _assert_green_theorems(Band(n, table))
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog_entries()] + ["U", "UxU", "UxIS2", "A5xA5"]
+)
+def test_green_theorems_hold_on_catalog_and_products(name):
+    algebra = _permuted_products()[name] if "x" in name else get_algebra(name)
+    _assert_green_theorems(band_of(algebra))
+
+
+def test_greens_rejects_an_involution_that_breaks_the_d_classes():
+    # D-classes {0, 2} and {1}; the involution sends 2 to 1
+    band = Band(3, ((0, 0, 0), (0, 1, 0), (2, 2, 2)), neg=(0, 2, 1))
+    with pytest.raises(ValidationError, match="D-classes not a congruence of the band"):
+        greens(band)
 
 
 # ---------------------------------------------------------------- check_ailnb

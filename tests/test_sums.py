@@ -354,6 +354,26 @@ def test_validate_reports_non_lattice_fibre():
     assert any("distributive lattice" in m for m in validate(bad))
 
 
+def test_validate_reports_an_index_without_negation():
+    sys_ = a5_system()
+    idx = sys_.index
+    bare = FiniteAlgebra(idx.name, idx.elements, *idx.arrays()[:2])
+    assert validate(dataclasses.replace(sys_, index=bare)) == ["index has no negation"]
+
+
+def test_validate_ends_with_a_dualiser_key_mismatch():
+    # the transition failures before it are kept; no dualiser is read after it
+    sys_ = a5_system()
+    bad = dataclasses.replace(
+        sys_,
+        transitions={**sys_.transitions, ("i", "i"): (1, 0)},
+        dualisers={"i": (0, 1), "ni": (0, 1)},
+    )
+    msgs = validate(bad)
+    assert msgs[0] == "transition i->i is not the identity"
+    assert msgs[-1] == "dualiser keys must be exactly the index elements"
+
+
 def test_comparable_pairs_follow_the_index_order():
     for name in ("IS1", "IS2", "IS3", "IS4"):
         s = InvSemilatticeSystem(BASICS[name], {})
@@ -520,6 +540,20 @@ def test_plonka_rejects_mixed_fibres():
         plonka_sum(
             is2,
             {"i": BASICS["B2"], "j": D1},  # one fibre with neg, one without
+            {("i", "i"): (0, 1), ("j", "j"): (0,), ("i", "j"): (0, 0)},
+        )
+
+
+def test_plonka_rejects_a_negation_that_is_no_de_morgan_negation():
+    # D2 with the identity as negation: ~(0 /\ 1) = 0 but ~0 \/ ~1 = 1
+    d2 = FiniteAlgebra("D2id", D2.elements, D2.meet, D2.join, neg=(0, 1))
+    point = FiniteAlgebra("pt", ("0",), ((0,),), ((0,),), neg=(0,))
+    with pytest.raises(
+        ValidationError, match="fibre at i must be a De Morgan lattice to act as its own dualiser"
+    ):
+        plonka_sum(
+            BASICS["IS2"],
+            {"i": d2, "j": point},
             {("i", "i"): (0, 1), ("j", "j"): (0,), ("i", "j"): (0, 0)},
         )
 
@@ -844,6 +878,13 @@ def test_system_json_shape():
     blob = system_to_json(build_U_system())
     assert set(blob) == {"index", "fibres", "transitions", "dualisers"}
     assert "i<=j" in blob["transitions"]
+
+
+def test_system_json_rejects_a_transition_key_without_leq():
+    blob = system_to_json(a5_system())
+    blob["transitions"]["i<j"] = blob["transitions"].pop("i<=j")
+    with pytest.raises(ValidationError, match="bad transition key 'i<j', expected 'i<=j'"):
+        system_from_json(blob)
 
 
 def test_system_file_round_trip(tmp_path):
