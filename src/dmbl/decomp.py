@@ -117,21 +117,22 @@ def _law_failures(algebra: FiniteAlgebra, laws) -> list[str]:
 class Band:
     """An idempotent semigroup given by its multiplication table, plus an
     optional involution carried over from the source algebra: the table of
-    x.y = x /\\ (x \\/ y) (`table`) of an algebra whose band laws hold, as
-    its memo keeps them, and that algebra's negation (`involution`), both
+    x.y = x /\\ (x \\/ y) (`table`) and its negation (`involution`), both
     read-only int16 arrays read as tuples by `dot` and `neg`.  The algebra
-    is a De Morgan bisemilattice for :func:`band_of`, and for ``Band(size,
-    dot, neg)`` the one with meet `dot` and x \\/ y = y, whose x.y is `dot`."""
+    is a De Morgan bisemilattice for :func:`band_of`, where the band laws
+    are theorems, and for ``Band(size, dot, neg)``, which checks them, the
+    one with meet `dot` and x \\/ y = y, whose x.y is `dot`."""
 
     def __init__(self, size: int, dot, neg=None):
         # shapes, ranges and the bijection are checked by FiniteAlgebra
         right = np.broadcast_to(np.arange(size), (size, size))
-        self._read(FiniteAlgebra("band", [str(x) for x in range(size)], dot, right, neg))
-
-    def _read(self, algebra: FiniteAlgebra) -> None:
-        problems = _memoised(algebra, _band_law_failures)
+        algebra = FiniteAlgebra("band", [str(x) for x in range(size)], dot, right, neg)
+        problems = _law_failures(algebra, _BAND_LAWS)
         if problems:
             raise ValidationError(problems[0])
+        self._read(algebra)
+
+    def _read(self, algebra: FiniteAlgebra) -> None:
         self.size, self.table = algebra.size, _memoised(algebra, _dot_table)
         self.involution = algebra.arrays()[2]
 
@@ -142,11 +143,6 @@ class Band:
     @cached_property
     def neg(self) -> tuple[int, ...] | None:
         return None if self.involution is None else tuple(self.involution.tolist())
-
-
-def _band_law_failures(algebra: FiniteAlgebra) -> list[str]:
-    # read through _memoised, so check_ailnb and band_of check them once
-    return _law_failures(algebra, _BAND_LAWS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,8 +174,8 @@ def band_of(algebra: FiniteAlgebra) -> Band:
     bisemilattice (negation carried along when present).
 
     Its table is the algebra's table of x.y, computed once per algebra and
-    shared with the DOT steps of `satisfies`; the class check reads the
-    verdict `is_class` keeps in the algebra's memo."""
+    shared with the DOT steps of `satisfies`; the only check is the verdict
+    `is_class` keeps in the algebra's memo, as the band laws are theorems."""
     if not is_class(algebra, "De Morgan bisemilattice"):
         raise ValidationError(f"{algebra.name} is not a De Morgan bisemilattice")
     band = Band.__new__(Band)
@@ -212,8 +208,12 @@ def check_ailnb(algebra: FiniteAlgebra) -> list[str]:
 
     Each law reports its least counterexample.  The band laws come first and
     end the check when one fails; without a negation, the negation laws are
-    replaced by the message "algebra has no negation"."""
-    out = list(_memoised(algebra, _band_law_failures))
+    replaced by the message "algebra has no negation".  The laws are regular
+    identities (both sides have the same variables) of De Morgan lattices,
+    where x.y = x, so theorems of their regularisation, the De Morgan
+    bisemilattices (Plonka, Fund. Math. 61, 1967): this check only explains
+    why `decompose` refuses an algebra."""
+    out = _law_failures(algebra, _BAND_LAWS)
     if out:
         return out  # no point checking band identities on a non-band
     out += _law_failures(algebra, _LEFT_NORMAL_LAWS)
@@ -227,16 +227,15 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     involutive semilattice of D-classes; `dpl_sum` inverts this up to
     isomorphism.  The transitions and dualisers are read off the table of
     x.y and the negation by whole-array passes, each failure raised in the
-    order of a loop over (i, j, a)."""
-    # past the cost limit this raises before the laws below run; band_of
-    # reads the verdict it keeps
-    is_class(algebra, "De Morgan bisemilattice")
-    problems = check_ailnb(algebra)
-    if problems:
-        raise ValidationError(
-            f"{algebra.name} is not decomposable:\n  - " + "\n  - ".join(problems)
-        )
-    band = band_of(algebra)
+    order of a loop over (i, j, a).  The class verdict is the only law
+    check; `check_ailnb` explains a refusal when it finds a failure."""
+    if not is_class(algebra, "De Morgan bisemilattice"):
+        problems = check_ailnb(algebra)
+        if problems:
+            raise ValidationError(
+                f"{algebra.name} is not decomposable:\n  - " + "\n  - ".join(problems)
+            )
+    band = band_of(algebra)  # refuses the rest by the class alone
     classes = greens(band).d_classes
     names, nblocks = algebra.elements, len(classes)
     key_of = [names[cls[0]] for cls in classes]

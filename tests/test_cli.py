@@ -15,6 +15,7 @@ from dmbl.catalog import build_U_system, entry, get_algebra
 from dmbl.cli import main
 from dmbl.decomp import decompose
 from dmbl.finalg import (
+    FiniteAlgebra,
     algebra_from_json,
     algebra_to_json,
     is_isomorphic,
@@ -417,6 +418,23 @@ def test_decompose_refuses_an_algebra_past_the_cost_limit_at_once(capsys, tmp_pa
     assert time.perf_counter() - start < 3
     assert code == 2 and not out
     assert "729^3 assignments" in err and "above the limit" in err
+
+
+@pytest.mark.parametrize(
+    "neg, first_line",
+    [
+        ((2, 4, 0, 3, 1), "error: x is not decomposable:"),
+        ((1, 0, 2, 3, 4), "error: x is not a De Morgan bisemilattice"),
+    ],
+)
+def test_decompose_refuses_a_saved_non_member(capsys, tmp_path, neg, first_line):
+    # A5 with its negation changed: one breaks a band law, one only the class
+    a5 = get_algebra("A5")
+    path = tmp_path / "x.json"
+    save_algebra(FiniteAlgebra("x", a5.elements, a5.meet, a5.join, neg), str(path))
+    code, out, err = run(capsys, "decompose", "--in", str(path))
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.splitlines()[0] == first_line
 
 
 # ------------------------------------------------------------------- catalog
