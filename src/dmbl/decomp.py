@@ -5,7 +5,8 @@ into a left-normal band whose natural Green's relation partitions the carrier
 into the fibres of a direct-system presentation; the quotient by that relation
 is the involutive semilattice of indices.  `decompose` recovers the whole
 system (fibres, transitions, dualisers) and `dpl_sum` inverts it up to
-isomorphism.
+isomorphism; the system is valid by the representation theorem, so only
+`dpl_sum` and `dmbl sum` validate it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .finalg import (
     is_class,
     satisfies,
 )
-from .sums import InvSemilatticeSystem, validate
+from .sums import InvSemilatticeSystem
 from .terms import Identity, Join, Meet, Neg, Term, Var, parse
 
 __all__ = [
@@ -228,7 +229,8 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
     isomorphism.  The transitions and dualisers are read off the table of
     x.y and the negation by whole-array passes, each failure raised in the
     order of a loop over (i, j, a).  The class verdict is the only law
-    check; `check_ailnb` explains a refusal when it finds a failure."""
+    check; `check_ailnb` explains a refusal when it finds a failure.  The
+    system is valid by theorem: `dpl_sum` and `dmbl sum` re-check it."""
     if not is_class(algebra, "De Morgan bisemilattice"):
         problems = check_ailnb(algebra)
         if problems:
@@ -289,14 +291,7 @@ def decompose(algebra: FiniteAlgebra) -> InvSemilatticeSystem:
         raise ValidationError(f"negation of {names[x]} leaves class ~{key_of[bo[x]]}")
     dualisers = {key_of[i]: tuple(pos[neg[list(cls)]].tolist()) for i, cls in enumerate(classes)}
 
-    system = InvSemilatticeSystem(index, fibres, transitions, dualisers)
-    problems = validate(system)
-    if problems:
-        raise ValidationError(
-            f"decomposition of {algebra.name} is not a valid system:\n  - "
-            + "\n  - ".join(problems)
-        )
-    return system
+    return InvSemilatticeSystem(index, fibres, transitions, dualisers)
 
 
 def index_subvariety(algebra: FiniteAlgebra) -> str:

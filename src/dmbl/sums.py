@@ -11,7 +11,8 @@ indices and whose negation sends the fibre at ``i`` through ``n[i]``.
 Both work on one flat form of the system (:func:`_flat`): the carrier of the
 sum, the fibres' tables stored one after another, every transition as one
 column of ``route`` and the dualisers as one map, so that each check and each
-table of the sum is a whole-system array pass rather than a loop over maps.
+table of the sum is a whole-system array pass rather than a loop over maps;
+a sum validates its system on the flat form it reads its tables from.
 """
 
 from __future__ import annotations
@@ -136,21 +137,26 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
     An empty list means the system is valid.  The key, length and range
     checks come first, each ending the list where it fails.  The fibres run
     their class check as one batch (``finalg._check_fibres``); the maps are
-    checked by array comparisons over the flat form (:func:`_flat`), in
+    checked by array comparisons over one flat form (:func:`_flat`), in
     arrays no larger than its `route` or ``_BATCH`` (map, pair) rows, about
     100 bytes each, each map reporting its first failure: pairs (a, b) row
     by row, meet before join, then negation where both fibres have one."""
+    return _violations(system)[0]
+
+
+def _violations(system: InvSemilatticeSystem) -> tuple[list[str], SimpleNamespace | None]:
+    # validate's list and the flat form it checked, None if a key check ends it
     out: list[str] = []
     idx = system.index
     if idx.neg is None:
-        return ["index has no negation"]
+        return ["index has no negation"], None
     if not is_class(idx, "involutive semilattice"):
         out.append("index is not an involutive semilattice")
 
     els, fibres = idx.elements, system.fibres
     if set(fibres) != set(els):
         miss, extra = set(els) - set(fibres), set(fibres) - set(els)
-        return out + [f"fibre keys mismatch (missing {sorted(miss)}, extra {sorted(extra)})"]
+        return out + [f"fibre keys mismatch (missing {sorted(miss)}, extra {sorted(extra)})"], None
     _check_fibres(fibres.values())
     for i, F in fibres.items():
         if F.neg is not None:
@@ -158,10 +164,12 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         if not is_class(F, "distributive lattice"):
             out.append(f"fibre at {i} is not a distributive lattice")
 
-    pairs = set(system.comparable_pairs())
-    if set(system.transitions) != pairs:
-        miss, extra = pairs - set(system.transitions), set(system.transitions) - pairs
-        return out + [f"transition keys mismatch (missing {sorted(miss)}, extra {sorted(extra)})"]
+    order = _memoised(idx, _order)
+    ta, tb = np.nonzero(order)
+    pairs = {(els[a], els[b]) for a, b in zip(ta, tb)}
+    if (keys := set(system.transitions)) != pairs:
+        miss, extra = sorted(pairs - keys), sorted(keys - pairs)
+        return out + [f"transition keys mismatch (missing {miss}, extra {extra})"], None
 
     f = _flat(system)
     route, d, m, at = f.route, f.dual, len(els), {e: k for k, e in enumerate(els)}
@@ -193,14 +201,13 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
             for r in first.tolist()
         ]
 
-    ta, tb = np.nonzero(_order(idx))
     hom = failures(ta, tb, lambda x, k: route[x, k], ((f.meet, f.meet), (f.join, f.join)))
     hom = dict(zip(zip(ta.tolist(), tb.tolist()), hom))
     ident = _firsts((route[ar, f.fib] != ar)[:, None], f.fib, m)[:, 0]
     for i, j in system.transitions:
         a, b = at[i], at[j]
         if route[f.off[a], b] < 0:  # the flat form holds only maps
-            return out + [f"transition {i}->{j} is not a map F({i}) -> F({j})"]
+            return out + [f"transition {i}->{j} is not a map F({i}) -> F({j})"], f
         if i == j and ident[a] >= 0:
             out.append(f"transition {i}->{i} is not the identity")
         if hom[a, b]:
@@ -209,7 +216,7 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
 
     # per j, over the k above it: p[j->k](p[i->j](g)) != p[i->k](g)
     fun: dict[tuple, int] = {}
-    for b, above in enumerate(_order(idx)):
+    for b, above in enumerate(order):
         rows, cols = np.flatnonzero(up[:, b]), np.flatnonzero(above)
         bad = route[route[rows, b][:, None], cols] != route[rows[:, None], cols]
         for r, c in zip(*np.nonzero(bad)):
@@ -219,10 +226,10 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
         out.append(f"functoriality fails: p[{j}->{k}] o p[{i}->{j}] != p[{i}->{k}] at {names[g]}")
 
     if set(system.dualisers) != set(els):
-        return out + ["dualiser keys must be exactly the index elements"]
+        return out + ["dualiser keys must be exactly the index elements"], f
     for a, i in enumerate(els):
         if d[f.off[a]] < 0:
-            return out + [f"dualiser at {i} is not a map F({i}) -> F({els[idx.neg[a]]})"]
+            return out + [f"dualiser at {i} is not a map F({i}) -> F({els[idx.neg[a]]})"], f
     inverse = _firsts((d[d] != ar)[:, None], f.fib, m)[:, 0]
     own = np.arange(m)
     anti = failures(own, own, lambda x, k: d[x], ((f.meet, f.join), (f.join, f.meet)))
@@ -243,19 +250,18 @@ def validate(system: InvSemilatticeSystem) -> list[str]:
     for (a, b), g in zip(np.argwhere(eq >= 0), eq[eq >= 0]):
         i, j, ni, nj = els[a], els[b], els[idx.neg[a]], els[idx.neg[b]]
         out.append(f"equivariance fails between {i}->{j} and {ni}->{nj} at {names[g]}")
-    return out
-
-
-def _require_valid(violations: list[str]) -> None:
-    if violations:
-        raise ValidationError("invalid system:\n" + "\n".join("  - " + v for v in violations))
+    return out, f
 
 
 def _assemble(system: InvSemilatticeSystem, name: str, negation: bool = True) -> FiniteAlgebra:
-    # meet[g, h] = M[rg[g, h], rg[h, g]], rg[g, h] = route[g, k] with k the
-    # (commutative) index join of fib(g) and fib(h), read from the fibres'
-    # stored tables at row[rg[g, h]] + rg[h, g]; join likewise, neg = dual
-    f = _flat(system)
+    # validated (without negation, less the dualiser complaints) on the flat
+    # form f: meet[g, h] = M[rg[g, h], rg[h, g]], rg[g, h] = route[g, k] with
+    # k the (commutative) index join of fib(g) and fib(h), read from the
+    # fibres' tables at row[rg[g, h]] + rg[h, g]; join likewise, neg = dual
+    problems, f = _violations(system)
+    problems = [v for v in problems if negation or not v.startswith("dualiser")]
+    if problems:
+        raise ValidationError("invalid system:\n" + "\n".join("  - " + v for v in problems))
     k = system.index.arrays()[1][f.fib[:, None], f.fib]
     rg = np.take_along_axis(f.route, k, axis=1)
     at = f.row[rg] + rg.T
@@ -264,14 +270,13 @@ def _assemble(system: InvSemilatticeSystem, name: str, negation: bool = True) ->
 
 
 def dpl_sum(system: InvSemilatticeSystem, name: str | None = None) -> FiniteAlgebra:
-    """The sum algebra of a valid system.
+    """The sum algebra of a valid system, checked once on its flat form.
 
     Elements are named "(i,x)" for index element i and fibre element x; their
     order follows the index order, then the fibre order, as in the flat form.
     With k the index join of g's and h's fibres, the meet of g and h is the
     fibre meet of ``route[g, k]`` and ``route[h, k]``: three gathers per table.
     """
-    _require_valid(validate(system))
     return _assemble(system, name or f"DPl[{system.index.name}]")
 
 
@@ -314,7 +319,6 @@ def plonka_sum(
     # with them attached and discard exactly the dualiser complaints.
     duals = {i: tuple(range(F.size)) for i, F in fibres.items()}
     probe = InvSemilatticeSystem(idx, dict(fibres), trans, duals)
-    _require_valid([v for v in validate(probe) if not v.startswith("dualiser")])
     return _assemble(probe, name or f"Pl[{index.name}]", negation=False)
 
 

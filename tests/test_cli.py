@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmbl import cli, sums
-from dmbl.catalog import build_U_system, entry, get_algebra
+from dmbl import sums
+from dmbl.catalog import build_U_system, catalog_entries, entry, get_algebra
 from dmbl.cli import main
 from dmbl.decomp import decompose
 from dmbl.finalg import (
@@ -23,7 +23,7 @@ from dmbl.finalg import (
     product,
     save_algebra,
 )
-from dmbl.sums import random_system, save_system, system_to_json, validate
+from dmbl.sums import random_system, save_system, system_to_json
 
 
 def run(capsys, *argv):
@@ -194,6 +194,15 @@ def test_sum_and_decompose_round_trip(capsys, tmp_path):
     assert is_isomorphic(back, entry("A5").algebra) is not None
 
 
+@pytest.mark.parametrize("name", [e.name for e in catalog_entries()])
+def test_sum_re_checks_every_catalog_decomposition(capsys, tmp_path, name):
+    # decompose does not validate its output, so `dmbl sum` is the
+    # independent check of a saved decomposition
+    path = tmp_path / "system.json"
+    assert run(capsys, "decompose", "--in", name, "--out", str(path))[0] == 0
+    assert run(capsys, "sum", "--system", str(path))[0] == 0
+
+
 def test_sum_to_stdout(capsys, tmp_path):
     sys_path = tmp_path / "system.json"
     save_system(decompose(entry("IS4").algebra), sys_path)
@@ -218,14 +227,15 @@ def test_sum_rejects_invalid_system(capsys, tmp_path):
 
 def test_sum_validates_the_system_once(capsys, tmp_path, monkeypatch):
     calls = []
+    violations = sums._violations
 
     def counting(system):
         calls.append(system)
-        return validate(system)
+        return violations(system)
 
-    # also counted if cli calls validate through a binding of its own
-    monkeypatch.setattr(sums, "validate", counting)
-    monkeypatch.setattr(cli, "validate", counting, raising=False)
+    # `validate` and `dpl_sum` both check through `_violations`, so a call
+    # of either, from any binding, is counted
+    monkeypatch.setattr(sums, "_violations", counting)
     path = tmp_path / "u.json"
     save_system(build_U_system(), path)
     code, _, _ = run(capsys, "sum", "--system", str(path))

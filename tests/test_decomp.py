@@ -34,7 +34,7 @@ from dmbl.finalg import (
     product,
     satisfies,
 )
-from dmbl.sums import dpl_sum, random_system, system_to_json
+from dmbl.sums import dpl_sum, random_system, system_to_json, validate
 from dmbl.terms import parse, variables
 
 
@@ -386,6 +386,43 @@ def test_a_de_morgan_bisemilattice_passes_check_ailnb(seed, other, shape):
     assert check_ailnb(A) == []
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([e.name for e in catalog_entries()]),
+    st.sampled_from(["sum", "product"]),
+    st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_decompose_gives_a_valid_system_on_random_sums(seed, name, shape, permutation):
+    # decompose does not validate its system, which is valid by the
+    # representation theorem: certified here on sums, their products with a
+    # catalog algebra, and seeded permutations of both
+    A = dpl_sum(random_system(random.Random(seed)))
+    if shape == "product":
+        A = product(A, get_algebra(name))
+    if permutation is not None:
+        A = _permuted(A, permutation)
+    assert validate(decompose(A)) == []
+
+
+# the algebras of the `sums` benchmark workload, 9 to 81 elements
+_SUM_SHAPES = (
+    ("U",), ("DM4", "K3"), ("A5", "IS3"), ("U", "IS2"), ("DM4+", "K3+"), ("DM4+", "DM4+"),
+    ("A5", "A5"), ("U", "K3+"), ("K3+", "IS3", "IS3"), ("U", "A5"), ("DM4+", "IS3", "IS3"),
+    ("U", "DM4", "IS2"), ("U", "U"),
+)
+
+
+@pytest.mark.parametrize(
+    "names", [(e.name,) for e in catalog_entries()] + list(_SUM_SHAPES), ids="x".join
+)
+def test_decompose_gives_a_valid_system_on_the_catalog_and_its_products(names):
+    A = get_algebra(names[0])
+    for name in names[1:]:
+        A = product(A, get_algebra(name))
+    assert validate(decompose(_permuted(A, len(names)))) == []
+
+
 def test_decompose_refusals_are_pinned():
     a5 = get_algebra("A5")
     proj2 = ((0, 1), (0, 1))
@@ -519,11 +556,10 @@ def test_decompose_matches_the_loop_oracle(name):
 
 def _maps_on(algebra, classes):
     # decompose's maps, or the message it raises, with `classes` handed in
-    # as the D-classes and the system's validation switched off
+    # as the D-classes
     with pytest.MonkeyPatch.context() as mp:
         green = GreenData(None, None, None, None, classes)
         mp.setattr(decomp_module, "greens", lambda band: green)
-        mp.setattr(decomp_module, "validate", lambda system: [])
         try:
             system = decompose(algebra)
         except ValidationError as exc:
@@ -631,7 +667,7 @@ def test_index_subvariety_examples():
 
 def test_index_subvariety_checks_each_condition_once(monkeypatch):
     calls = collections.Counter()
-    for name in ("check_ailnb", "band_of", "greens", "validate"):
+    for name in ("check_ailnb", "band_of", "greens"):
         def counted(*args, _f=getattr(decomp_module, name), _name=name):
             calls[_name] += 1
             return _f(*args)
@@ -639,8 +675,9 @@ def test_index_subvariety_checks_each_condition_once(monkeypatch):
         monkeypatch.setattr(decomp_module, name, counted)
     assert index_subvariety(get_algebra("U")) == "ISL"
     # U is a De Morgan bisemilattice, so check_ailnb, which only explains a
-    # refusal, is never called
-    assert calls == {"band_of": 1, "greens": 1, "validate": 1}
+    # refusal, is never called, and its system is valid by the representation
+    # theorem, so decompose does not validate it
+    assert calls == {"band_of": 1, "greens": 1}
 
 
 def test_decompose_checks_the_band_laws_once(monkeypatch):
@@ -648,8 +685,9 @@ def test_decompose_checks_the_band_laws_once(monkeypatch):
     # theorems: no law of x.y goes through `satisfies`; U is copied before
     # counting, because building the catalog reads U's class and an algebra
     # keeps the verdict once read; `is_class` runs each class's axioms as one
-    # scan, without calling `satisfies`; the 2 scans are U's class and the
-    # index's class: `validate` checks all four fibres in one run of its own
+    # scan, without calling `satisfies`; the one scan is U's class: the
+    # index's and the fibres' classes are `validate`'s, which decompose does
+    # not run
     u = get_algebra("U").rename("U")
     calls = collections.Counter()
     scan = finalg_module._scan
@@ -665,7 +703,7 @@ def test_decompose_checks_the_band_laws_once(monkeypatch):
     monkeypatch.setattr(decomp_module, "satisfies", counted)
     monkeypatch.setattr(finalg_module, "_scan", scanned)
     decompose(u)
-    assert calls == {"scans": 2}
+    assert calls == {"scans": 1}
 
 
 def _band_lemma_flags(a):

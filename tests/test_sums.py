@@ -451,6 +451,37 @@ def test_dpl_sum_refuses_invalid_system():
         dpl_sum(bad)
 
 
+def test_each_sum_builds_one_flat_form_and_validates_once(monkeypatch):
+    # dpl_sum and both branches of plonka_sum check the system on the flat
+    # form they assemble the sum from
+    calls = collections.Counter()
+    flat, violations = sums._flat, sums._violations
+
+    def counted(name, f):
+        def wrapper(system):
+            calls[name] += 1
+            return f(system)
+        return wrapper
+
+    monkeypatch.setattr(sums, "_flat", counted("_flat", flat))
+    monkeypatch.setattr(sums, "_violations", counted("_violations", violations))
+    is2, b2 = BASICS["IS2"], BASICS["B2"]
+    point = FiniteAlgebra("pt", ("0",), ((0,),), ((0,),), neg=(0,))
+    sums_of = [
+        lambda: dpl_sum(build_U_system()),
+        lambda: plonka_sum(
+            is2, {"i": b2, "j": point}, {("i", "i"): (0, 1), ("j", "j"): (0,), ("i", "j"): (0, 0)}
+        ),
+        lambda: plonka_sum(
+            is2, {"i": D1, "j": D1}, {("i", "i"): (0,), ("j", "j"): (0,), ("i", "j"): (0,)}
+        ),
+    ]
+    for build in sums_of:
+        calls.clear()
+        build()
+        assert calls == {"_flat": 1, "_violations": 1}
+
+
 # ------------------------------------------------------------------- dpl_sum
 
 
