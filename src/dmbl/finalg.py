@@ -375,10 +375,14 @@ def _plan(
     of level m, the steps that read only names m and above, by
     ``_plan(prog, 0, k, m)``, and runs the steps that read names on both
     sides by ``_plan(prog, m, k, 0, m)``.  A plan lists ``(step, op, left,
-    right, pairs, rows, drop)`` per step run: after the step's value is
-    computed, the `pairs` that now have both sides are compared, the value
-    is written to the output `rows`, and the values in `drop`, read here for
-    the last time, are dropped."""
+    right, pairs, rows, drop, maps)`` per step run: after the step's value
+    is computed, the `pairs` that now have both sides are compared, the
+    value is written to the output `rows`, and the values in `drop`, read
+    here for the last time, are dropped.  With g steps given, variable
+    ``k + g + i`` is the row of free frontier step i.  `maps` is ``(own,
+    left, right)``: own names the row of the one free frontier step the step
+    reads, if one; left and right the row that widens that operand when the
+    step reads several.  A pair is ``(x, row, y, row)``, each side's own."""
     k = len(prog.names)
     stop = k if stop is None else stop
     if (lo, hi, start, stop) in prog.plans:
@@ -403,11 +407,20 @@ def _plan(
     def above(m: int) -> list[int]:
         return frontier(lambda s: low[s] >= m)
 
-    given = below(lo) + above(stop)
+    free = above(stop)
+    given = below(lo) + free
     var = {s: k + i for i, s in enumerate(given)}
     run = sorted(var.keys() | {
         s for s in range(len(steps)) if lo < level[s] <= hi and start <= low[s] < stop
     })
+    # step -> the free frontier steps it reads; the row of the one it reads
+    frees = {s: {s} for s in free}
+    for s in run if free else ():
+        if s not in var:
+            frees[s] = set().union(*(frees.get(c, ()) for c in steps[s][1:]))
+    one = {s: var[min(f)] + len(free) for s, f in frees.items() if len(f) == 1}
+    maps = {s: (one.get(s), *(one.get(c) if len(f) > 1 else None for c in steps[s][1:]))
+            for s, f in frees.items()}
     out = (below(hi) if hi < k else []) + (above(start) if start else [])
     rows: dict[int, list[int]] = {}
     whole = hi == k and not start
@@ -420,15 +433,15 @@ def _plan(
         if op != _VAR and s not in var:
             last.update((c, s) for c in (left, right) if c >= 0)
     compared: dict[int, list] = {}  # step -> the pairs compared after it
-    for pair in pairs:
-        compared.setdefault(max(pair), []).append(pair)
-        last.update((c, max(last[c], *pair)) for c in pair)
+    for x, y in pairs:
+        compared.setdefault(max(x, y), []).append((x, one.get(x), y, one.get(y)))
+        last.update((c, max(last[c], x, y)) for c in (x, y))
     drop: dict[int, list[int]] = {}
     for c, p in last.items():
         drop.setdefault(p, []).append(c)
     prog.plans[lo, hi, start, stop] = [
         (s, *((_VAR, var[s], -1) if s in var else steps[s]),
-         compared.get(s, ()), rows.get(s), drop.get(s, ()))
+         compared.get(s, ()), rows.get(s), drop.get(s, ()), maps.get(s, (None,) * 3))
         for s in run
     ], sum(map(len, rows.values()))
     return prog.plans[lo, hi, start, stop]
@@ -469,11 +482,12 @@ def _step(op: int, a: np.ndarray, b: np.ndarray | None, table: np.ndarray, n: in
         return _gather(table, a) if a.size > _CHUNK else table[a]
     if a.size * b.size <= _CHUNK:
         return table[a, b]
-    code = np.multiply(a, n, dtype=np.int16 if n * n <= 1 << 15 else np.int32)
+    # C order, since _gather writes through a flat view of the codes
+    code = np.multiply(a, n, dtype=np.int16 if n * n <= 1 << 15 else np.int32, order="C")
     if code.shape == np.broadcast_shapes(code.shape, b.shape):
         np.add(code, b, out=code)  # a spans the result
     else:
-        code = code + b
+        code = np.add(code, b, order="C")
     # the codes are this step's own, so int16 values can replace them
     return _gather(table, code, code if code.dtype == table.dtype else None)
 
@@ -493,18 +507,25 @@ def _run(
 
     Returns where the first pair that differs differs, a boolean array, or
     None.  A value goes to ``out[i]`` for each output row i of its step (for
-    each term it is the root of), and is then read back from there.  Every
-    step but a variable is one :func:`_step`."""
+    each term it is the root of), and is then read back from there.  An
+    operand or side mapped to variable r is read as ``value[grids[r]]``.
+    Every step but a variable is one :func:`_step`."""
     if tables is None:
         tables = _checked_tables(A, prog, grids)
     n = len(tables[_MEET])
     vals: list = [None] * len(prog.steps)
     if plan is None:
         plan = _plan(prog, 0, len(prog.names))[0]
-    for s, op, left, right, pairs, rows, drop in plan:
-        vals[s] = grids[left] if op == _VAR else _step(op, vals[left], vals[right], tables[op], n)
-        for x, y in pairs:
-            bad = vals[x] != vals[y]
+
+    def at(c: int, row: int | None) -> np.ndarray:
+        return vals[c] if row is None else vals[c][grids[row]]
+
+    for s, op, left, right, pairs, rows, drop, (_, lrow, rrow) in plan:
+        vals[s] = grids[left] if op == _VAR else _step(
+            op, at(left, lrow), at(right, rrow), tables[op], n
+        )
+        for x, xrow, y, yrow in pairs:
+            bad = at(x, xrow) != at(y, yrow)
             if bad.any():
                 return bad
         if rows:
@@ -523,9 +544,9 @@ def _gather(
     table: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``table.ravel()[idx]``, read ``_CHUNK`` indices at a time into `out`
-    (a new array when None): `take` copies each chunk of indices to intp
-    before it writes, so chunking keeps that copy small, and `out` may be
-    `idx` itself."""
+    (a new array when None, else in C order): `take` copies each chunk of
+    indices to intp before it writes, so chunking keeps that copy small, and
+    `out` may be `idx` itself."""
     flat = table.ravel()
     if out is None:
         out = np.empty(idx.shape, dtype=table.dtype)
@@ -584,10 +605,13 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
     frontier over the raw free grid.  Once it has passed, the level's free
     side, the steps that read only free variables, runs once over the free
     grid, and the free grid is labelled by its free frontier the same way;
-    later runs evaluate only the steps that read both sides, over their
-    frontiers times the distinct free frontiers, unless runs over the raw
-    free grid take fewer values a frontier.  A level reached by deepening
-    is labelled before its first run.  Runs take 1, 2, 4, ...
+    later runs evaluate only the steps that read both sides, over the
+    distinct free frontiers times their frontiers, but a step that reads
+    one free frontier step over its n elements if fewer, widened by that
+    step's row of values where a comparison or a step that reads several
+    reads it; unless runs over the raw free grid take no more values a
+    frontier.  A level reached by deepening is labelled before its first
+    run.  Runs take 1, 2, 4, ...
     frontiers in order of first prefix, each about as many values as the
     runs before it, until they have taken one batch in all: as many
     assignments as the first tail level leaves free.  The frontiers left
@@ -624,18 +648,23 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
 
     def values(plan: list, level: int, width: int | None = None) -> int:
         # the values a tail plan of `level` computes per prefix frontier:
-        # each step over `width` free frontiers, or over the free names it reads
+        # each step over `width` free frontiers, or n if it reads one free
+        # frontier step and n is fewer, or over the free names it reads
         return sum(
-            width or n ** (reads[s] >> level).bit_count() for s, op, *_ in plan if op != _VAR
+            n ** (reads[s] >> level).bit_count() if width is None
+            else width if row is None else min(n, width)
+            for s, op, *_, (row, _, _) in plan if op != _VAR
         )
 
     def side(level: int) -> tuple:
         # how the tail runs of `level` run after the first, chosen once: the
-        # values per prefix frontier, the distinct free frontiers (an array
-        # of one row per free frontier step), the first free assignment of
-        # each (its flat index in C order) and the plan of the steps that
-        # read both sides; or, when the raw tail plan has fewer values, that
-        # plan with no free frontiers
+        # values per prefix frontier, the variables bound past the frontier
+        # (each free frontier step as the n elements, then its row of values
+        # over the distinct free frontiers; or as that row, then rows that
+        # slice all, when n is no fewer), the first free assignment of each
+        # free frontier (its flat index in C order) and the plan of the steps
+        # that read both sides; or, when the raw tail plan has no more
+        # values, that plan with no free frontiers
         if level not in sides:
             plan, width = _plan(prog, 0, k, level)
             out = np.empty((width,) + (n,) * (k - level), dtype=np.int16)
@@ -643,9 +672,13 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
             out = out.reshape(width, -1)
             firsts = np.flatnonzero(_least(_meet(*out)) == np.arange(out.shape[1]))
             mixed, raw = _plan(prog, level, k, 0, level)[0], _plan(prog, level, k)[0]
+            rows = list(out[:, firsts])
+            free = [ar[:, None]] * width + rows if n < len(firsts) else (
+                [r[:, None] for r in rows] + [slice(None)] * width
+            )
             sides[level] = min(
-                (values(mixed, level, len(firsts)), list(out[:, None, firsts]), firsts, mixed),
                 (values(raw, level), [], None, raw),
+                (values(mixed, level, len(firsts)), free, firsts, mixed),
                 key=lambda way: way[0],
             )
         return sides[level]
@@ -667,14 +700,15 @@ def _scan(A: FiniteAlgebra, prog: _Program) -> tuple[int, ...] | None:
             if take < 1:
                 break
             part = front[:, at : at + take]
-            shape = (-1,) + (1,) * (len(grid) if firsts is None else 1)
+            # the free frontiers, when labelled, are the first axis
+            shape = (-1,) + (1,) * len(grid) if firsts is None else (1, -1)
             bound = [f.reshape(shape) for f in part] + free
             bad = _run(A, prog, grids + bound, tables=tables, plan=plan)
             if bad is not None:
                 if firsts is None:
                     r, *rest = _first(bad, (part.shape[1],) + grid)
                 else:
-                    r, j = _first(bad, (part.shape[1], len(firsts)))
+                    r, j = _first(bad.T, (part.shape[1], len(firsts)))
                     rest = np.unravel_index(firsts[j], grid)
                 return (*coords[:, at + r].tolist(), *map(int, rest)), at
             at, done[level] = at + part.shape[1], d + part.shape[1] * width
@@ -724,9 +758,10 @@ def satisfies(algebra: FiniteAlgebra, identity: Identity) -> SatisfactionResult:
     them over their prefixes, the steps that read only the other, free,
     variables once over the free grid, and the steps that read both once
     per pair of a distinct prefix frontier and a distinct free frontier
-    (the values of the one-sided steps that they read), or over every free
-    assignment where that has fewer values, at most ``_BLOCK`` values at a
-    time.  Frontiers are taken least first, 1, 2, 4, ... a run, the first
+    (the values of the one-sided steps that they read), those that read one
+    free value over the n elements when they are fewer, or over every free
+    assignment where that has no more values, at most ``_BLOCK`` values at
+    a time.  Frontiers are taken least first, 1, 2, 4, ... a run, the first
     over the raw free grid, so an early counterexample costs one frontier's
     assignments; once they have taken one batch, the frontiers left are
     deepened by one more variable where that leaves fewer values to run.

@@ -440,6 +440,21 @@ def test_value_matrix_does_not_depend_on_the_gather(monkeypatch):
             assert (m.dtype, m.shape, m.tobytes()) == expected[v], (a.name, chunk)
 
 
+def test_step_reads_the_table_over_operands_of_any_layout():
+    # a column gather leaves an operand that is not in C order; a step over
+    # it, alone or broadcast, still reads its table rather than returning
+    # the codes it would read
+    uu = product(U, U)
+    meet, join, _ = uu.arrays()
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 81, (81, 300), dtype=np.int16)[:, rng.integers(0, 300, 200)]
+    b = rng.integers(0, 81, (81, 200), dtype=np.int16)
+    assert not a.flags.c_contiguous and a.size * b.size > finalg._CHUNK
+    for op, table in ((_MEET, meet), (_JOIN, join)):
+        for x, y in ((a, b), (b, a), (a.T, b.T), (a, b[:1]), (a[:, :1], b)):
+            assert (finalg._step(op, x, y, table, 81) == table[x, y]).all()
+
+
 def test_satisfies_memory_is_bounded_by_block():
     uu = product(U, U)
     e = parse("~(w /\\ x) \\/ (y /\\ z) = (~w \\/ ~x) \\/ (z /\\ y)")
@@ -565,29 +580,39 @@ def test_is_class_compares_sides_that_read_only_fixed_variables(monkeypatch, alg
 def _count_steps(monkeypatch):
     # two lists that fill as the scan runs: the value count of every step,
     # and per tail run its level, its frontiers, the shape of the run (its
-    # frontiers times every free assignment, or times the distinct free
-    # frontiers), the value counts of its steps over the whole run, and
-    # whether it read the labelled free side.  A tail run is the one kind of
-    # run that reads frontier values and compares; the free side's one run
-    # is listed too, with no frontiers and its steps of every shape
+    # frontiers times every free assignment, or the distinct free frontiers
+    # times its frontiers), the value counts of its steps over the whole
+    # run, and whether it read the labelled free side.  A tail run is the
+    # one kind of run that reads frontier values and compares; the free
+    # side's one run is listed too, with no frontiers.  The free side's and
+    # a labelled run's steps are listed whatever their shape (a labelled
+    # run's step reads the n elements of one free frontier step, or spans
+    # the run); a raw run lists the steps that span it
     sizes, runs, run, step = [], [], finalg._run, finalg._step
+    live = []  # the run under way, when it is listed
 
     def counted_run(A, prog, grids, out=None, tables=None, plan=None):
         k = len(prog.names)
         lo, hi, start, stop = next((key for key, p in prog.plans.items() if p[0] is plan), (0,) * 4)
+        live.clear()
         if hi == k and start:
-            runs.append((start, 0, (A.size,) * (k - start), [], None))
+            live.append((start, 0, (A.size,) * (k - start), [], None))
+        elif hi == k and lo and out is None and stop < k:
+            # the largest first axis of a bound array is the distinct free
+            # frontiers': rows of theirs, or free frontier steps as those rows
+            width = max(g.shape[0] for g in grids[k:] if isinstance(g, np.ndarray))
+            live.append((lo, grids[k].shape[1], (width, grids[k].shape[1]), [], True))
         elif hi == k and lo and out is None:
-            m, labelled = grids[k].shape[0], stop < k
-            shape = (m, grids[-1].shape[-1]) if labelled else (m,) + (A.size,) * (k - lo)
-            runs.append((lo, m, shape, [], labelled))
+            m = grids[k].shape[0]
+            live.append((lo, m, (m,) + (A.size,) * (k - lo), [], False))
+        runs.extend(live)
         return run(A, prog, grids, out, tables, plan)
 
     def counted_step(*args):
         val = step(*args)
         sizes.append(val.size)
-        if runs and (val.shape == runs[-1][2] or runs[-1][4] is None):
-            runs[-1][3].append(val.size)
+        if live and (val.shape == live[0][2] or live[0][4] is not False):
+            live[0][3].append(val.size)
         return val
 
     monkeypatch.setattr(finalg, "_run", counted_run)
@@ -600,11 +625,12 @@ def test_frontier_scan_evaluates_each_free_grid_once_per_frontier(monkeypatch):
     # a /\ ~b or c /\ ~d, which take at most 81 values.  After one run over
     # the first frontier and all 81^2 free assignments, the free side's
     # three steps run once over those assignments, and the three steps
-    # over all four variables run over the other frontiers of a /\ ~b times
-    # the distinct values of c /\ ~d: at most 81 * 81 values each in all,
+    # over all four variables run over the distinct values of c /\ ~d times
+    # the other frontiers of a /\ ~b: at most 81 * 81 values each in all,
     # where runs over every free assignment of each frontier take 81 * 81^2.
-    # No other step runs over more than the 81^2 prefixes or free
-    # assignments
+    # Those values are no more than U x U's 81 elements, so no step runs
+    # over the elements instead.  No other step runs over more than the
+    # 81^2 prefixes or free assignments
     uu = product(U, U)
     e = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) /\\ ~(c /\\ ~d)")
     sizes, runs = _count_steps(monkeypatch)
@@ -614,8 +640,8 @@ def test_frontier_scan_evaluates_each_free_grid_once_per_frontier(monkeypatch):
     mixed = runs[2:]
     assert mixed and all(level == 2 and labelled for level, *_, labelled in mixed)
     for _, m, shape, full, _ in mixed:
-        assert shape[1] <= 81 and full == [m * shape[1]] * 3
-    assert sum(m * shape[1] for _, m, shape, *_ in mixed) <= 81 * 81
+        assert shape[0] <= 81 and full == [shape[0] * m] * 3
+    assert sum(shape[0] * m for _, m, shape, *_ in mixed) <= 81 * 81
     assert max(Counter(sizes) - Counter(v for *_, f, _ in runs for v in f)) <= 81**2
 
 
@@ -641,8 +667,10 @@ def test_frontier_scan_runs_the_distinct_free_frontiers(monkeypatch):
     # each step over all four variables over 1296 * 81^2 = 8.5M values.  The
     # free side reads c and d through 1296 distinct frontiers too, so after
     # one run over the raw free grid the steps over all four variables run
-    # over the other 1295 frontiers times those 1296.  Frontiers of a, b
-    # and c would have more values to run, so none are deepened
+    # over those 1296 times the other 1295 frontiers, but the three that
+    # read one free frontier step, ~c or c \/ ~d, run over its 81 elements
+    # instead.  Frontiers of a, b and c would have more values to run, so
+    # none are deepened
     uu = product(U, U)
     e = parse("(a /\\ ~b) /\\ ((c \\/ ~d) \\/ (b /\\ ~c))"
               " = ((a /\\ ~b) /\\ (c \\/ ~d)) \\/ ((a /\\ ~b) /\\ (b /\\ ~c))")
@@ -654,12 +682,15 @@ def test_frontier_scan_runs_the_distinct_free_frontiers(monkeypatch):
     assert {level for level, *_ in tails} == {2}
     assert sum(m for _, m, *_ in tails) == 1296
     assert [labelled for *_, labelled in tails] == [False] + [True] * (len(tails) - 1)
-    assert {shape[1] for _, _, shape, _, labelled in tails if labelled} == {1296}
+    assert {shape[0] for _, _, shape, _, labelled in tails if labelled} == {1296}
     assert max(sizes) <= 81**3
-    for _, m, shape, full, _ in tails:
-        assert full and set(full) == {math.prod(shape)}
+    assert tails[0][3] == [81**2] * 4
+    for _, m, shape, full, _ in tails[1:]:
+        assert sorted(full) == [81 * m] * 3 + [1296 * m] * 3
     total = sum(math.prod(shape) for _, m, shape, *_ in tails)
     assert total == 81**2 + 1295 * 1296 <= 1296 * 81**2 // 2
+    # every frontier's six steps over 1296 free frontiers would take 10.07M
+    assert sum(sum(full) for *_, full, _ in tails[1:]) == 1295 * 3 * (1296 + 81)
 
 
 def test_frontier_scan_deepens_the_frontiers_left(monkeypatch):
@@ -680,11 +711,132 @@ def test_frontier_scan_deepens_the_frontiers_left(monkeypatch):
     levels = [level for level, *_ in tails]
     assert levels == sorted(levels) and levels[-1] == 3
     assert [m for level, m, *_ in tails if level == 2] == [1, 2, 4, 8, 16, 32, 18]
-    assert not any(labelled for level, *_, labelled in tails if level == 2)
+    # labelled, three steps would run over the 81 elements of c and three
+    # over the 6561 free frontiers: as many values as over the raw free
+    # grid, so level 2 runs there.  At level 3 only d is free, and its 81
+    # free frontiers are as many as its raw grid, so those runs are raw too
+    assert not any(labelled for *_, labelled in tails)
     assert max(sizes) <= 81**3
     for _, m, shape, full, _ in tails:
         assert full and set(full) == {math.prod(shape)}
     assert sum(math.prod(shape) for _, m, shape, *_ in tails) <= 1296 * 81**2 // 2
+
+
+def _law_shape(rng, law, keep):
+    # an identity of the shape of the benchmark's `law` (distributive,
+    # de_morgan or associative) over x = a * ~b, y = c * ~d and z = b * ~c,
+    # each * a meet or a join at random; the law's own operations are kept
+    # or dualised when `keep`, else drawn at random too
+    a, b, c, d = map(Var, "abcd")
+
+    def op(s, t):
+        return rng.choice((Meet, Join))(s, t)
+
+    x, y, z = op(a, ~b), op(c, ~d), op(b, ~c)
+    m, j = rng.choice([(Meet, Join), (Join, Meet)]) if keep else (op, op)
+    if law == "distributive":
+        return Identity(m(x, j(y, z)), j(m(x, y), m(x, z)))
+    if law == "de_morgan":
+        return Identity(~m(x, y), j(~x, ~y))
+    return Identity(m(m(x, y), z), m(x, m(y, z)))
+
+
+def _least_failing(a, names, pairs):
+    # by _columns: the least assignment (element indices in the order of
+    # `names`) at which the sides of one of `pairs` differ, or None
+    grid = list(itertools.product(range(a.size), repeat=len(names)))
+    columns = {v: [row[i] for row in grid] for i, v in enumerate(names)}
+    sides = [zip(_columns(a, e.lhs, columns), _columns(a, e.rhs, columns)) for e in pairs]
+    firsts = [next((i for i, (x, y) in enumerate(side) if x != y), len(grid)) for side in sides]
+    return grid[min(firsts)] if min(firsts) < len(grid) else None
+
+
+def _scan_axes(a, prog, block, batch):
+    # _scan with _BLOCK and _BATCH set, and the ways its tail runs read free
+    # frontier steps: True for the n elements widened by rows of values,
+    # False for those rows themselves
+    axes, run = set(), finalg._run
+
+    def recorded(A, prog, grids, *args, **kwargs):
+        bound = grids[len(prog.names):]
+        axes.update(isinstance(g, np.ndarray) for g in bound if getattr(g, "ndim", 1) == 1)
+        return run(A, prog, grids, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finalg, "_BLOCK", block)
+        mp.setattr(finalg, "_BATCH", batch)
+        mp.setattr(finalg, "_run", recorded)
+        return finalg._scan(a, prog), axes
+
+
+_SMALL_PRODUCTS = [
+    ("K3", "IS2"), ("B2", "IS3"), ("DM4", "IS2"), ("K3", "K3"), ("IS3", "IS3"), ("U",)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_value_axis_scan_matches_brute_force(data):
+    # the benchmark's law shapes, or the axioms of a class (several pairs
+    # in x, y, z), over products of 6 to 9 elements, their carrier permuted
+    # or not.  _BLOCK leaves two variables free and _BATCH keeps the tail
+    # runs at that level or the next, so a mixed step that reads one free
+    # frontier step runs over the n elements whenever the distinct free
+    # frontiers outnumber them.  The de_morgan shape reads the free side
+    # through y and ~y only, which take at most n values, so there it never
+    # does.  The scan's assignment fails one of the pairs, and is the least
+    # failing one when there is one pair; it is None when every pair holds
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    names = data.draw(st.sampled_from(_SMALL_PRODUCTS), label="factors")
+    a = get_algebra(names[0]) if len(names) == 1 else product(*map(get_algebra, names))
+    if data.draw(st.booleans(), label="permuted"):
+        a = a.permute(rng.sample(a.elements, a.size))
+    law = data.draw(st.sampled_from(["distributive", "de_morgan", "associative", "class"]))
+    if law == "class":
+        cls = data.draw(st.sampled_from(ALGEBRA_CLASSES), label="class")
+        pairs, prog = finalg._parse_axioms(finalg._CLASS_AXIOMS[cls][0]), finalg._class_program(cls)
+    else:
+        pairs = [_law_shape(rng, law, rng.random() < 0.5)]
+        prog = finalg._program((pairs[0].lhs, pairs[0].rhs), True)
+    n = a.size
+    block = data.draw(st.integers(n**2, n**3 - 1), label="block")
+    found, axes = _scan_axes(a, prog, block, data.draw(st.sampled_from([1, 5, 64]), label="batch"))
+    least = _least_failing(a, prog.names, pairs)
+    assert found == least if len(pairs) == 1 else (found is None) == (least is None), (pairs, block)
+    assert law != "de_morgan" or True not in axes
+    if found is not None:
+        asg = {v: a.elements[i] for v, i in zip(prog.names, found)}
+        assert any(eval_term(a, e.lhs, asg) != eval_term(a, e.rhs, asg) for e in pairs)
+
+
+def test_frontier_scan_runs_steps_of_one_free_frontier_step_over_the_elements():
+    # over K3 x IS2 (6 elements) with a, b fixed and c, d free.  The
+    # distributive instance and the failing identity of its shape read c
+    # and d through ~c and c * ~d, whose distinct pairs outnumber the 6
+    # elements, so their tail runs read each of the two as the 6 elements,
+    # widened by its row of values where a step reads both; the failing
+    # identity's least counterexample lies in such a run.  A permuted
+    # carrier moves that counterexample.  The De Morgan instance reads the
+    # free side through c /\ ~d and its negation, which take at most 6
+    # values, so its runs read their rows.  The axioms of De Morgan
+    # bisemilattices, several pairs in x, y, z, read the elements too
+    a = product(K3, IS2)
+    perm = a.permute(random.Random(1).sample(a.elements, a.size))
+    law = parse("(a /\\ ~b) /\\ ((c \\/ ~d) \\/ (b /\\ ~c))"
+                " = ((a /\\ ~b) /\\ (c \\/ ~d)) \\/ ((a /\\ ~b) /\\ (b /\\ ~c))")
+    fails = parse("(a /\\ ~b) \\/ ((c /\\ ~d) /\\ (b /\\ ~c))"
+                  " = ((a /\\ ~b) \\/ (c /\\ ~d)) /\\ ((a /\\ ~b) /\\ (b /\\ ~c))")
+    de_morgan = parse("~((a /\\ ~b) \\/ (c /\\ ~d)) = ~(a /\\ ~b) /\\ ~(c /\\ ~d)")
+    cases = [(a, law, True), (a, fails, True), (perm, fails, True), (a, de_morgan, False)]
+    least = []
+    for alg, e, elements in cases:
+        prog = finalg._program((e.lhs, e.rhs), True)
+        found, axes = _scan_axes(alg, prog, 36, 1)
+        least.append(_least_failing(alg, prog.names, [e]))
+        assert (found, axes) == (least[-1], {elements}), e
+    assert least[0] is least[3] is None and least[1] != least[2]
+    assert least[1][:2] != (0, 0) != least[2][:2]  # past the first frontier
+    assert _scan_axes(a, finalg._class_program("De Morgan bisemilattice"), 36, 1) == (None, {True})
 
 
 @settings(max_examples=60, deadline=None)
